@@ -19,7 +19,13 @@ from . import verify as _verify
 from .charmat import MatrixKind, build
 from .errors import InternalError
 from .exactla import IntPoly, charpoly, det
-from .ntheory import class_number_neg, is_prime, prime_invariants, primes_in_range
+from .ntheory import (
+    PrimeInvariants,
+    is_prime,
+    prime_invariants,
+    primes_in_range,
+    require_hneg_prime,
+)
 from .realquad import class_number_real, fundamental_unit
 from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, scan
 
@@ -43,6 +49,8 @@ COMPUTE_FIELDS = (
     "unit",
     "hreal",
 )
+# the fields read from one PrimeInvariants record
+_INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
 
 
 def _require_odd_prime(p: int) -> None:
@@ -54,20 +62,20 @@ def _poly_json(poly: IntPoly) -> list[str]:
     return [str(c) for c in poly.coeffs]
 
 
-def _compute_field(name: str, p: int):
-    """(text value, json value) for one compute field."""
+def _compute_field(name: str, p: int, inv: PrimeInvariants | None):
+    """(text value, json value) for one compute field; inv is p's invariant
+    record, needed only by the fields in _INVARIANT_FIELDS."""
     if name == "dp":
-        v = str(prime_invariants(p).d_p)
+        v = str(inv.d_p)
         return v, v
     if name == "cp":
-        v = str(prime_invariants(p).c_p)
+        v = str(inv.c_p)
         return v, v
     if name == "qp":
-        q = prime_invariants(p).q_p
-        v = f"{q.numerator}/{q.denominator}"
+        v = f"{inv.q_p.numerator}/{inv.q_p.denominator}"
         return v, v
     if name == "hneg":
-        v = str(class_number_neg(p))
+        v = str(inv.h_neg)
         return v, v
     if name == "det-aplus":
         v = str(det(build(MatrixKind.aplus(), p)))
@@ -91,11 +99,16 @@ def _compute_field(name: str, p: int):
 
 
 def _cmd_compute(args) -> int:
-    _require_odd_prime(args.prime)
+    p = args.prime
+    _require_odd_prime(p)
+    inv = None  # computed once, on the first field that reads it
     out = {}
     for name in args.what:
-        text, js = _compute_field(name, args.prime)
-        out[name] = (text, js)
+        if name == "hneg":
+            require_hneg_prime(p)
+        if inv is None and name in _INVARIANT_FIELDS:
+            inv = prime_invariants(p)
+        out[name] = _compute_field(name, p, inv)
     if args.json:
         print(json.dumps({k: v[1] for k, v in out.items()}))
     else:
@@ -234,7 +247,9 @@ CSV_HEADER = "p,check,passed,d_p"
 
 def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
     """Parse an existing scan file: returns (primes present, counts for the
-    in-range records).  Raises InternalError naming the first bad line."""
+    in-range records).  Raises InternalError naming the first bad line, and
+    ValueError when an in-range record lacks a requested check that applies
+    to its prime, since resuming would then report that check as skipped."""
     done: set[int] = set()
     pre_passed = pre_failed = pre_skipped = 0
     pre_failures: list[tuple[int, str]] = []
@@ -255,6 +270,11 @@ def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
                 for name in names:
                     entry = checks.get(name)
                     if entry is None:
+                        if _verify.applicable(CheckId[name], p):
+                            raise ValueError(
+                                f"resume file {path!r} has no {name} result for p={p} "
+                                f"(line {lineno}); write the new checks to another file"
+                            )
                         pre_skipped += 1
                     elif entry.get("passed"):
                         pre_passed += 1

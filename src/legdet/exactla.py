@@ -26,10 +26,6 @@ from .ntheory import is_prime
 
 DEFAULT_MODULI_BITS = 27
 _MODULI_COUNT = 256
-# numpy int64 kernels are overflow-safe while modulus**2 * n < 2**63; above
-# 30 bits we fall back to pure-Python big-int kernels.
-_NUMPY_BITS_MAX = 30
-_NUMPY_DIM_MAX = 256
 
 
 def _moduli_bits() -> int:
@@ -248,9 +244,15 @@ def _charpoly_mod_np(rows: list[list[int]], m: int) -> list[int]:
     return [int(c) for c in polys[n]]
 
 
-def _use_numpy(bits: int, n: int, max_abs: int) -> bool:
-    # entries must survive the int64 conversion that precedes the first % m
-    return bits <= _NUMPY_BITS_MAX and n <= _NUMPY_DIM_MAX and max_abs < 2**62
+def _use_numpy(bits: int, terms: int, max_abs: int) -> bool:
+    """True when a numpy kernel cannot overflow int64 under moduli < 2**bits.
+
+    Every intermediate is a sum of at most `terms` products of residues:
+    1 for det elimination, which never sums over n; n for the charpoly
+    matmuls and the solve back-substitution.  Entries must also survive the
+    int64 conversion that precedes the first % m.
+    """
+    return terms * ((1 << bits) - 1) ** 2 < 2**63 and max_abs < 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def _det_crt(m: IntMatrix) -> int:
         return 0
     target = 2 * (math.isqrt(h2) + 1)
     bits = _moduli_bits()
-    kernel = _det_mod_np if _use_numpy(bits, m.nrows, m.max_abs()) else _det_mod_py
+    kernel = _det_mod_np if _use_numpy(bits, 1, m.max_abs()) else _det_mod_py
     residues, used, prod = [], [], 1
     for mod in moduli(bits):
         residues.append(kernel(rows, mod))

@@ -116,6 +116,25 @@ def _sum_half(table: LegendreTable) -> int:
     return sum(table.vals[1 : n + 1])
 
 
+def require_hneg_prime(p: int) -> None:
+    """Usage error unless h(-p) is defined here: p ≡ 3 (mod 4) and p > 3."""
+    if p % 4 != 3 or p <= 3:
+        raise ValueError(f"h(-p) requires a prime p ≡ 3 (mod 4) with p > 3, got {p}")
+
+
+def _class_number_from_sum(p: int, s: int, two: int) -> int:
+    """h(-p) from the half-range sum s = (2 - (2/p)) h(-p), with two = (2/p),
+    cross-checked against Mordell's ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p)."""
+    denom = 2 - two
+    if s <= 0 or s % denom != 0:
+        raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
+    h = s // denom
+    want = 1 if (h + 1) // 2 % 2 == 0 else p - 1
+    if factorial_half_mod(p) != want:
+        raise InternalError(f"factorial parity check failed for h(-{p})={h}")
+    return h
+
+
 def class_number_neg(p: int) -> int:
     """Class number h(-p) of Q(sqrt(-p)) for a prime p ≡ 3 (mod 4), p > 3.
 
@@ -125,18 +144,9 @@ def class_number_neg(p: int) -> int:
     ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p) due to Mordell.  Any mismatch between
     the two routes raises InternalError rather than returning silently.
     """
-    if p % 4 != 3 or p <= 3:
-        raise ValueError(f"h(-p) requires a prime p ≡ 3 (mod 4) with p > 3, got {p}")
+    require_hneg_prime(p)
     table = legendre_table(p)
-    s = _sum_half(table)
-    denom = 2 - table.vals[2]
-    if s <= 0 or s % denom != 0:
-        raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
-    h = s // denom
-    want = 1 if (h + 1) // 2 % 2 == 0 else p - 1
-    if factorial_half_mod(p) != want:
-        raise InternalError(f"factorial parity check failed for h(-{p})={h}")
-    return h
+    return _class_number_from_sum(p, _sum_half(table), table.vals[2])
 
 
 @dataclass(frozen=True)
@@ -165,44 +175,34 @@ def prime_invariants(p: int) -> PrimeInvariants:
     """Compute all scalar invariants of p in O(p).
 
     d_p uses the factorization ((j^2+jk)/p) = (j/p) * ((j+k)/p) and a prefix
-    sum over the symbol table, so the double sum collapses to one pass.  N is
-    counted directly with a prefix count of +1 symbols (for 1 <= j <= n the
-    arguments j+1 .. j+n never wrap mod p).
+    sum over the symbol table, so the double sum collapses to one pass.  N
+    comes from the same prefix sums: for 1 <= j <= n the arguments j+1 .. j+n
+    never wrap mod p, and (i + pref[i]) / 2 of 1 .. i are residues.
     """
     table = legendre_table(p)
     vals = table.vals
     n = (p - 1) // 2
 
     pref = list(accumulate(vals))          # pref[i] = sum of vals[0..i]
-    ones = list(accumulate(1 if v == 1 else 0 for v in vals))
-
     half = vals[1 : n + 1]
-    upper_s = pref[n + 1 : 2 * n + 1]
-    lower_s = pref[1 : n + 1]
-    d_p = sum(t * (u - l) for t, u, l in zip(half, upper_s, lower_s))
+    upper = pref[n + 1 : 2 * n + 1]
+    lower = pref[1 : n + 1]
+    d_p = sum(t * (u - l) for t, u, l in zip(half, upper, lower))
 
-    upper_c = ones[n + 1 : 2 * n + 1]
-    lower_c = ones[1 : n + 1]
-    big_n = sum(u - l for t, u, l in zip(half, upper_c, lower_c) if t == 1)
-
-    s = pref[n] - pref[0]  # == sum_half, vals[0] = 0
+    s = pref[n]  # == sum_half, vals[0] = 0
     if p % 4 == 1 and s != 0:
         raise InternalError(f"half-range symbol sum {s} nonzero at p={p} ≡ 1 (mod 4)")
     if (d_p + n) % 4 != 0:
         raise InternalError(f"d_p = {d_p} is not ≡ -{n} (mod 4) at p={p}")
 
-    # h(-p) from the sum already in hand, dual-route checked like
-    # class_number_neg (which would rebuild the table)
-    h_neg = None
-    if p % 4 == 3 and p > 3:
-        denom = 2 - vals[2]
-        if s <= 0 or s % denom != 0:
-            raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
-        h_neg = s // denom
-        want = 1 if (h_neg + 1) // 2 % 2 == 0 else p - 1
-        if factorial_half_mod(p) != want:
-            raise InternalError(f"factorial parity check failed for h(-{p})={h_neg}")
-    q_p = Fraction(table.vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
+    # N = sum over j of (1 + (j/p))/2 * (n + pref[j+n] - pref[j])/2
+    num = n * (n + s) + sum(upper) - sum(lower) + d_p
+    if num % 4 != 0:
+        raise InternalError(f"pair count numerator {num} is not divisible by 4 at p={p}")
+    big_n = num // 4
+
+    h_neg = _class_number_from_sum(p, s, vals[2]) if p % 4 == 3 and p > 3 else None
+    q_p = Fraction(vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
     return PrimeInvariants(p, n, s, d_p, h_neg, q_p, big_n, s)
 
 

@@ -123,12 +123,14 @@ def fundamental_unit(p: int) -> QuadElem:
     x1 + y1*sqrt(p).  The fundamental unit is either that or a half-integral
     (a + b*sqrt(p))/2 with a, b odd and a^2 - p b^2 = ±4 whose cube is the
     integral unit; the bounded search over b below is exhaustive because
-    2*y1 = b*(3a^2 + p b^2)/4 forces p*b^3 - 3b <= 2*y1.
+    2*y1 = b*(3a^2 + p b^2)/4 forces p*b^3 - 3b <= 2*y1.  For p ≡ 1 (mod 8)
+    there is nothing to search: a, b odd give a^2 - p b^2 ≡ 1 - p ≡ 0 (mod 8),
+    never ±4.
     """
     _require_1mod4_prime(p)
     x1, y1 = _pell_unit(p)
     b = 1
-    while p * b**3 - 3 * b <= 2 * y1:
+    while p % 8 == 5 and p * b**3 - 3 * b <= 2 * y1:
         for delta in (-4, 4):  # norm -1 candidates first: smaller element
             aa = p * b * b + delta
             a = math.isqrt(aa)

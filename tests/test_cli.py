@@ -1,5 +1,7 @@
 import json
+import time
 
+import oracles
 from legdet.cli import CSV_HEADER, main
 from legdet.ntheory import primes_in_range
 from legdet.verify import CheckId
@@ -46,6 +48,40 @@ def test_compute_residue_mismatch_usage_error(capsys):
     assert code == 2 and "3 (mod 4)" in err
     code, _, err = run(capsys, "compute", "--prime", "7", "--what", "unit")
     assert code == 2 and "1 (mod 4)" in err
+
+
+def test_compute_hneg_wrong_class_message(capsys):
+    for p in (3, 13):
+        code, out, err = run(capsys, "compute", "--prime", str(p), "--what", "dp,hneg")
+        assert code == 2 and out == ""
+        assert err == f"error: h(-p) requires a prime p ≡ 3 (mod 4) with p > 3, got {p}\n"
+
+
+def test_compute_reads_one_invariant_record(capsys, monkeypatch):
+    import legdet.cli as cli
+
+    calls = []
+    real = cli.prime_invariants
+    monkeypatch.setattr(cli, "prime_invariants", lambda p: calls.append(p) or real(p))
+    code, out, _ = run(
+        capsys, "compute", "--prime", "1019", "--what", "dp,cp,qp,hneg", "--json"
+    )
+    assert code == 0 and calls == [1019]
+    _, _, c_p, d_p, h_neg, q_p, _, _ = oracles.prime_invariants_by_counting(1019)
+    assert json.loads(out) == {
+        "dp": str(d_p), "cp": str(c_p), "qp": f"{q_p.numerator}/{q_p.denominator}",
+        "hneg": str(h_neg),
+    }
+    calls.clear()
+    code, _, _ = run(capsys, "compute", "--prime", "13", "--what", "unit,hreal")
+    assert code == 0 and calls == []
+
+
+def test_compute_unit_at_1mod8_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compute", "--prime", "2017", "--what", "unit")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and out.endswith("√2017)/2\n")
 
 
 def test_charpoly_alias(capsys):
@@ -131,6 +167,22 @@ def test_scan_resume_idempotent(tmp_path, capsys):
     assert b["new_records"] == 0
     for key in ("passed", "failed", "skipped"):
         assert a[key] == b[key]
+
+
+def test_scan_resume_rejects_records_missing_a_requested_check(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    run(capsys, "scan", "--from", "3", "--to", "60", "--ids", "CONJ11_DP",
+        "--out", str(out), "--jobs", "1")
+    body = out.read_bytes()
+    # p = 3 has no CONJ11_DP result, and needs none: resuming is fine
+    code, _, _ = run(capsys, "scan", "--from", "3", "--to", "60", "--ids", "CONJ11_DP",
+                     "--out", str(out), "--resume", "--jobs", "1")
+    assert code == 0
+    code, _, err = run(capsys, "scan", "--from", "3", "--to", "60", "--ids", "T13_DPMOD4",
+                       "--out", str(out), "--resume", "--jobs", "1")
+    assert code == 2
+    assert "T13_DPMOD4" in err and "p=3" in err
+    assert out.read_bytes() == body
 
 
 def test_scan_resume_extension_equals_direct(tmp_path, capsys):

@@ -17,7 +17,11 @@ from legdet.exactla import (
     param_det_expand,
     shifted_matrix,
     _det_crt,
+    _det_mod_np,
+    _det_mod_py,
+    _use_numpy,
 )
+from legdet.charmat import MatrixKind, build
 
 
 def rand_square(rng, n, lo=-99, hi=99):
@@ -134,6 +138,30 @@ def test_moduli_bits_env_override(monkeypatch):
     monkeypatch.setenv("LEGDET_MODULI_BITS", "word")
     with pytest.raises(ValueError):
         det(m)
+
+
+def test_int64_bound_per_kernel():
+    # det elimination sums no products; charpoly and solve sum n of them
+    assert _use_numpy(31, 1, 1) and not _use_numpy(32, 1, 1)
+    assert _use_numpy(27, 512, 1) and not _use_numpy(27, 513, 1)
+    assert _use_numpy(28, 50, 1) and not _use_numpy(29, 50, 1)
+    assert not _use_numpy(27, 1, 2**62)
+
+
+@pytest.mark.parametrize("bits", ["28", "29", "30"])
+def test_charpoly_aplus_closed_form_under_wide_moduli(monkeypatch, bits):
+    # at n = 50, n * m^2 passes 2^63 from 29 bits on
+    p = 101
+    monkeypatch.setenv("LEGDET_MODULI_BITS", bits)
+    want = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
+    assert charpoly(build(MatrixKind.aplus(), p)) == want
+
+
+def test_det_kernels_agree_above_256():
+    rng = random.Random(260)
+    rows = [[rng.randint(-1, 1) for _ in range(260)] for _ in range(260)]
+    m = moduli(27)[0]
+    assert _det_mod_np(rows, m) == _det_mod_py(rows, m)
 
 
 def charpoly_ref(m, _bits):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -193,3 +194,22 @@ def test_counting_identity_to_1000():
 def test_invariants_reject_composite():
     with pytest.raises(ValueError):
         prime_invariants(15)
+
+
+def test_prime_invariants_match_counting_oracle_to_20000():
+    for p in primes_in_range(3, 20_000):
+        got = dataclasses.astuple(prime_invariants(p))
+        assert got == oracles.prime_invariants_by_counting(p), p
+
+
+def test_prime_invariants_match_counting_oracle_near_10_6():
+    pool = primes_in_range(10**6, 10**6 + 400)
+    for p in random.Random(2024).sample(pool, 5):
+        got = dataclasses.astuple(prime_invariants(p))
+        assert got == oracles.prime_invariants_by_counting(p), p
+
+
+def test_class_number_neg_routes_agree_with_prime_invariants():
+    for p in primes_in_range(7, 3000):
+        if p % 4 == 3:
+            assert class_number_neg(p) == prime_invariants(p).h_neg

@@ -33,6 +33,36 @@ def test_fundamental_unit_norm_and_minimality():
         assert oracles.pell_minimal_pm4(p) == (eps.u, eps.v)
 
 
+def test_fundamental_unit_skips_the_search_for_1mod8_below_2000():
+    """p ≡ 1 (mod 8) skips the half-integral search; the result must be what
+    the search finds.  The search runs to its bound except at the 9 primes
+    where that takes over 5 * 10^4 steps (10^8 at p = 1801); the trace oracle
+    covers all 68.  (p ≡ 5 (mod 8) still searches, and at p = 1381 that does
+    not finish in 30 s.)"""
+    searched = 0
+    for p in primes_in_range(17, 2000):
+        if p % 8 != 1:
+            continue
+        _, x1, y1, _ = sqrt_cf(p)
+        assert oracles.half_integral_unit_by_trace(p, x1) is None
+        try:
+            assert oracles.half_integral_unit_search(p, y1, cap=50_000) is None
+            searched += 1
+        except OverflowError:
+            pass
+        assert fundamental_unit(p) == QuadElem(p, 2 * x1, 2 * y1)
+    assert searched == 59
+
+
+def test_half_integral_unit_oracles_agree_for_5mod8():
+    for p in primes_in_range(5, 1000):
+        if p % 8 == 5:
+            _, x1, y1, _ = sqrt_cf(p)
+            want = oracles.half_integral_unit_by_trace(p, x1)
+            assert oracles.half_integral_unit_search(p, y1, cap=10**6) == want
+            assert want is None or fundamental_unit(p) == QuadElem(p, *want)
+
+
 def test_sqrt_cf_odd_period_for_1mod4():
     for p in P1MOD4:
         period, x, y, norm = sqrt_cf(p)
