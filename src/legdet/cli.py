@@ -369,6 +369,16 @@ def _comma_list(raw: str) -> list[str]:
     return [t.strip() for t in raw.split(",") if t.strip()]
 
 
+def _jobs(raw: str) -> int:
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legdet",
@@ -409,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--ids", required=True, help="'all' or comma-separated check ids")
     p_s.add_argument("--out", required=True)
     p_s.add_argument("--resume", action="store_true")
-    p_s.add_argument("--jobs", type=int, default=None, help="default: logical cores")
+    p_s.add_argument(
+        "--jobs", type=_jobs, default=None,
+        help="worker processes, at most one per core and per prime (default: logical cores)",
+    )
     p_s.add_argument("--seed", type=int, default=0)
     p_s.add_argument("--format", choices=("json", "csv"), default="json")
     p_s.add_argument("--json", action="store_true", help="print the summary as JSON")

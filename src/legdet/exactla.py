@@ -7,6 +7,13 @@ results are exact and deterministic.  Small determinants (n <= 8) go through
 fraction-free Bareiss elimination instead.  Rational arithmetic appears only
 inside mdl_check / param_det_expand; every public determinant path is
 integer-only.
+
+Each modular kernel runs in numpy int64 when no intermediate can overflow
+(`_use_numpy`) and in pure Python otherwise.  A CRT call converts the matrix
+to int64 once.  The determinant and the solve share one elimination that
+delays reduction until int64 headroom runs out (`_eliminate_mod_np`); the
+Hessenberg reduction behind the characteristic polynomial reduces every
+step, on the active block only.
 """
 
 from __future__ import annotations
@@ -93,23 +100,60 @@ def _det_mod_py(rows: list[list[int]], m: int) -> int:
     return det % m
 
 
-def _det_mod_np(rows: list[list[int]], m: int) -> int:
-    a = np.array(rows, dtype=np.int64) % m
+def _reduce_block(x: np.ndarray, m: int) -> None:
+    """x %= m in place, for int64 x.  numpy divides by a scalar through
+    libdivide for // but not for %, so the floor quotient and one
+    multiply-subtract take about 0.4 of np.remainder's time on a 200x200
+    block.  The product q*m lies between x - m and x, so it cannot overflow."""
+    q = x // m
+    q *= m
+    x -= q
+
+
+def _eliminate_mod_np(a: np.ndarray, m: int) -> int:
+    """Gaussian elimination of the int64 array `a` (entries in [0, m)) over
+    GF(m), in place; returns the determinant of its leading square block mod
+    m, or 0 as soon as a pivot column is zero.
+
+    Reduction is delayed.  Step j reduces only pivot column j and pivot row j,
+    writes the reduced pivot row back (so a nonsingular elimination leaves the
+    reduced upper triangle in `a`), and subtracts outer(f, row) from the
+    trailing block with no %.  Both factors lie in [0, m), so each update
+    lowers an entry by at most (m-1)^2, and an entry that starts in [0, m)
+    stays above -(2^63 - 1 - m) for room = (2^63 - 1 - m) // (m-1)^2 updates;
+    the trailing block is reduced whole only when that many are pending (512
+    for the largest 27-bit modulus, 2 for 2^31 - 1).  room >= 1 whenever
+    m^2 < 2^63, the condition `_use_numpy` puts on every kernel.
+    """
     n = a.shape[0]
+    room = (2**63 - 1 - m) // (m - 1) ** 2
+    pending = 0
     det = 1
     for j in range(n):
-        nz = np.nonzero(a[j:, j])[0]
+        col = a[j:, j]
+        np.remainder(col, m, out=col)
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             return 0
         piv = j + int(nz[0])
         if piv != j:
-            a[[j, piv]] = a[[piv, j]]
+            a[[j, piv], j:] = a[[piv, j], j:]
             det = -det
+        row = a[j, j + 1 :]
+        np.remainder(row, m, out=row)
         det = det * int(a[j, j]) % m
-        inv = pow(int(a[j, j]), -1, m)
-        f = a[j + 1 :, j] * inv % m
-        a[j + 1 :, j:] = (a[j + 1 :, j:] - f[:, None] * a[j, j:]) % m
+        f = col[1:] * pow(int(a[j, j]), -1, m) % m
+        block = a[j + 1 :, j + 1 :]
+        block -= np.multiply.outer(f, row)
+        pending += 1
+        if pending == room:
+            _reduce_block(block, m)
+            pending = 0
     return det % m
+
+
+def _det_mod_np(a: np.ndarray, m: int) -> int:
+    return _eliminate_mod_np(a % m, m)
 
 
 def _solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
@@ -140,29 +184,19 @@ def _solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
     return det % m, x
 
 
-def _solve_mod_np(rows: list[list[int]], vec: Sequence[int], m: int):
-    n = len(rows)
-    a = np.empty((n, n + 1), dtype=np.int64)
-    a[:, :n] = np.array(rows, dtype=np.int64) % m
-    a[:, n] = np.array(vec, dtype=np.int64) % m
-    det = 1
-    for j in range(n):
-        nz = np.nonzero(a[j:, j])[0]
-        if nz.size == 0:
-            return 0, None
-        piv = j + int(nz[0])
-        if piv != j:
-            a[[j, piv]] = a[[piv, j]]
-            det = -det
-        det = det * int(a[j, j]) % m
-        inv = pow(int(a[j, j]), -1, m)
-        f = a[j + 1 :, j] * inv % m
-        a[j + 1 :, j:] = (a[j + 1 :, j:] - f[:, None] * a[j, j:]) % m
+def _solve_mod_np(a: np.ndarray, vec: np.ndarray, m: int):
+    n = a.shape[0]
+    aug = np.empty((n, n + 1), dtype=np.int64)
+    np.remainder(a, m, out=aug[:, :n])
+    np.remainder(vec, m, out=aug[:, n])
+    det = _eliminate_mod_np(aug, m)
+    if det == 0:
+        return 0, None
     x = np.zeros(n, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        acc = int(a[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
-        x[i] = (int(a[i, n]) - acc) * pow(int(a[i, i]), -1, m) % m
-    return det % m, [int(t) for t in x]
+        acc = int(aug[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
+        x[i] = (int(aug[i, n]) - acc) * pow(int(aug[i, i]), -1, m) % m
+    return det, [int(t) for t in x]
 
 
 def _charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
@@ -209,38 +243,37 @@ def _charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
     return [c % m for c in polys[n]]
 
 
-def _charpoly_mod_np(rows: list[list[int]], m: int) -> list[int]:
-    n = len(rows)
-    h = np.array(rows, dtype=np.int64) % m
+def _charpoly_mod_np(a: np.ndarray, m: int) -> list[int]:
+    h = a % m
+    n = h.shape[0]
     for j in range(n - 2):
-        nz = np.nonzero(h[j + 1 :, j])[0]
+        nz = np.flatnonzero(h[j + 1 :, j])
         if nz.size == 0:
             continue
         piv = j + 1 + int(nz[0])
         if piv != j + 1:
             h[[j + 1, piv]] = h[[piv, j + 1]]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        inv = pow(int(h[j + 1, j]), -1, m)
-        f = h[j + 2 :, j] * inv % m
-        h[j + 2 :, :] = (h[j + 2 :, :] - f[:, None] * h[j + 1, :]) % m
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ f) % m
+        f = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, m) % m
+        # rows j+1 and below are already zero left of column j
+        block = h[j + 2 :, j:]
+        block -= np.multiply.outer(f, h[j + 1, j:])
+        _reduce_block(block, m)
+        col = h[:, j + 1]
+        col += h[:, j + 2 :] @ f
+        np.remainder(col, m, out=col)
+    diag, sub = np.diagonal(h), np.diagonal(h, -1)
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    beta = np.zeros(0, dtype=np.int64)  # beta[i-1] = h[i,i-1] * ... * h[k-1,k-2]
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = np.zeros(n + 1, dtype=np.int64)
-        cur[1 : k + 1] = prev[:k]
-        cur = (cur - int(h[k - 1, k - 1]) * prev) % m
+        prev, cur = polys[k - 1, :k], polys[k, : k + 1]  # degrees k-1 and k
+        cur[1:] = prev
+        cur[:k] -= int(diag[k - 1]) * prev
         if k > 1:
-            w = np.zeros(k - 1, dtype=np.int64)
-            beta = 1
-            for i in range(k - 1, 0, -1):
-                beta = beta * int(h[i, i - 1]) % m
-                if beta == 0:
-                    break
-                w[i - 1] = int(h[i - 1, k - 1]) * beta % m
-            cur = cur - w @ polys[: k - 1]
-        polys[k] = cur % m
+            beta = np.append(beta, 1) * int(sub[k - 2]) % m
+            cur[: k - 1] -= (h[: k - 1, k - 1] * beta % m) @ polys[: k - 1, : k - 1]
+        np.remainder(cur, m, out=cur)
     return [int(c) for c in polys[n]]
 
 
@@ -248,9 +281,10 @@ def _use_numpy(bits: int, terms: int, max_abs: int) -> bool:
     """True when a numpy kernel cannot overflow int64 under moduli < 2**bits.
 
     Every intermediate is a sum of at most `terms` products of residues:
-    1 for det elimination, which never sums over n; n for the charpoly
-    matmuls and the solve back-substitution.  Entries must also survive the
-    int64 conversion that precedes the first % m.
+    1 for det elimination, whose delayed reduction budgets its own headroom
+    (see `_eliminate_mod_np`); n for the charpoly matmuls and the solve
+    back-substitution.  Entries must also survive the int64 conversion that
+    precedes the first % m.
     """
     return terms * ((1 << bits) - 1) ** 2 < 2**63 and max_abs < 2**62
 
@@ -462,10 +496,13 @@ def _det_crt(m: IntMatrix) -> int:
         return 0
     target = 2 * (math.isqrt(h2) + 1)
     bits = _moduli_bits()
-    kernel = _det_mod_np if _use_numpy(bits, 1, m.max_abs()) else _det_mod_py
+    if _use_numpy(bits, 1, m.max_abs()):
+        kernel, data = _det_mod_np, np.array(rows, dtype=np.int64)
+    else:
+        kernel, data = _det_mod_py, rows
     residues, used, prod = [], [], 1
     for mod in moduli(bits):
-        residues.append(kernel(rows, mod))
+        residues.append(kernel(data, mod))
         used.append(mod)
         prod *= mod
         if prod > target:
@@ -500,15 +537,18 @@ def adjugate_apply(m: IntMatrix, v: Sequence[int]) -> tuple[list[int], int]:
     w_target = 2 * had * max(1, sum(abs(x) for x in v))
     bits = _moduli_bits()
     vmax = max(abs(x) for x in v)
-    use_np = _use_numpy(bits, m.nrows, max(m.max_abs(), vmax))
-    solve = _solve_mod_np if use_np else _solve_mod_py
+    if _use_numpy(bits, m.nrows, max(m.max_abs(), vmax)):
+        solve = _solve_mod_np
+        data = np.array(rows, dtype=np.int64), np.array(v, dtype=np.int64)
+    else:
+        solve, data = _solve_mod_py, (rows, v)
     det_res, det_mods, det_prod = [], [], 1
     w_res, w_mods, w_prod = [], [], 1
     d = None
     for mod in moduli(bits):
         if d is not None and w_prod > w_target:
             break
-        dm, x = solve(rows, v, mod)
+        dm, x = solve(*data, mod)
         det_res.append(dm)
         det_mods.append(mod)
         det_prod *= mod
@@ -547,10 +587,13 @@ def charpoly(m: IntMatrix) -> IntPoly:
     )
     target = 2 * bound
     bits = _moduli_bits()
-    kernel = _charpoly_mod_np if _use_numpy(bits, n, b) else _charpoly_mod_py
+    if _use_numpy(bits, n, b):
+        kernel, data = _charpoly_mod_np, np.array(rows, dtype=np.int64)
+    else:
+        kernel, data = _charpoly_mod_py, rows
     residues, used, prod = [], [], 1
     for mod in moduli(bits):
-        residues.append(kernel(rows, mod))
+        residues.append(kernel(data, mod))
         used.append(mod)
         prod *= mod
         if prod > target:

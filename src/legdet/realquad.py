@@ -116,33 +116,40 @@ def _pell_unit(p: int) -> tuple[int, int]:
     return x, y
 
 
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 1, by integer Newton iteration from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def fundamental_unit(p: int) -> QuadElem:
     """Fundamental unit eps > 1 of Q(sqrt(p)) for a prime p ≡ 1 (mod 4).
 
     The continued fraction of sqrt(p) certifies the minimal integral unit
-    x1 + y1*sqrt(p).  The fundamental unit is either that or a half-integral
-    (a + b*sqrt(p))/2 with a, b odd and a^2 - p b^2 = ±4 whose cube is the
-    integral unit; the bounded search over b below is exhaustive because
-    2*y1 = b*(3a^2 + p b^2)/4 forces p*b^3 - 3b <= 2*y1.  For p ≡ 1 (mod 8)
-    there is nothing to search: a, b odd give a^2 - p b^2 ≡ 1 - p ≡ 0 (mod 8),
-    never ±4.
+    x1 + y1*sqrt(p), of norm -1.  The fundamental unit is either that or a
+    half-integral (a + b*sqrt(p))/2 whose cube is the integral unit; that
+    cube root has norm -1 too, so its conjugate is -1/eps and its trace a
+    solves a^3 + 3a = 2*x1.  The left side is increasing, so a is the integer
+    cube root of 2*x1 or there is no such unit, and then p*b^2 = a^2 + 4
+    gives b.  The cube and the norm are checked before the half-integral
+    unit is returned.  (For p ≡ 1 (mod 8) there is never one: a, b odd give
+    a^2 - p b^2 ≡ 1 - p ≡ 0 (mod 8), never ±4.)
     """
     _require_1mod4_prime(p)
     x1, y1 = _pell_unit(p)
-    b = 1
-    while p % 8 == 5 and p * b**3 - 3 * b <= 2 * y1:
-        for delta in (-4, 4):  # norm -1 candidates first: smaller element
-            aa = p * b * b + delta
-            a = math.isqrt(aa)
-            if a * a == aa and a % 2 == 1:
-                eps = QuadElem(p, a, b)
-                if eps**3 != QuadElem(p, 2 * x1, 2 * y1):
-                    raise InternalError(f"half-integral unit at p={p} fails the cube test")
-                if eps.norm() != -1:
-                    raise InternalError(f"fundamental unit of Q(sqrt({p})) has norm +1")
-                return eps
-        b += 2
-    eps = QuadElem(p, 2 * x1, 2 * y1)
+    integral = QuadElem(p, 2 * x1, 2 * y1)
+    a = _icbrt(2 * x1)
+    b = math.isqrt((a * a + 4) // p)
+    if a**3 + 3 * a == 2 * x1 and p * b * b == a * a + 4:
+        eps = QuadElem(p, a, b)
+        if eps**3 != integral:
+            raise InternalError(f"half-integral unit at p={p} fails the cube test")
+    else:
+        eps = integral
     if eps.norm() != -1:
         raise InternalError(f"fundamental unit of Q(sqrt({p})) has norm +1")
     return eps

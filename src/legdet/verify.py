@@ -884,6 +884,16 @@ def _scan_one(p: int, ids: tuple[str, ...], seed: int) -> ScanRecord:
     return ScanRecord(p, inv, checks)
 
 
+def pool_size(jobs: int | None, cores: int, primes: int) -> int:
+    """Worker processes for a scan: min(jobs, cores, primes), and 1 for an
+    empty range; jobs=None asks for one per core."""
+    if jobs is None:
+        jobs = cores
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, cores, primes))
+
+
 def scan(
     ids: Iterable[CheckId | str],
     p_from: int,
@@ -913,8 +923,7 @@ def scan(
     ps = primes_in_range(max(3, p_from), p_to)
     if skip:
         ps = [q for q in ps if q not in skip]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    workers = pool_size(jobs, os.cpu_count() or 1, len(ps))
     summary = ScanSummary()
 
     def emit(rec: ScanRecord) -> None:
@@ -931,11 +940,11 @@ def scan(
         sink(rec)
 
     worker = partial(_scan_one, ids=names, seed=seed)
-    if jobs > 1 and len(ps) > 1:
+    if workers > 1:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        chunk = max(1, len(ps) // (jobs * 8))
-        with ctx.Pool(jobs) as pool:
+        chunk = max(1, len(ps) // (workers * 8))
+        with ctx.Pool(workers) as pool:
             for rec in pool.imap(worker, ps, chunksize=chunk):
                 emit(rec)
     else:

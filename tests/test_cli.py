@@ -207,6 +207,15 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_scan_rejects_jobs_below_one(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    for jobs in ("0", "-2", "two"):
+        code, _, err = run(capsys, "scan", "--from", "3", "--to", "50", "--ids",
+                           "T13_DPMOD4", "--out", str(out), "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
+    assert not out.exists()
+
+
 def test_scan_csv_format(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run(

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +17,13 @@ from legdet.exactla import (
     moduli,
     param_det_expand,
     shifted_matrix,
+    _charpoly_mod_np,
+    _charpoly_mod_py,
     _det_crt,
     _det_mod_np,
     _det_mod_py,
+    _solve_mod_np,
+    _solve_mod_py,
     _use_numpy,
 )
 from legdet.charmat import MatrixKind, build
@@ -161,7 +166,56 @@ def test_det_kernels_agree_above_256():
     rng = random.Random(260)
     rows = [[rng.randint(-1, 1) for _ in range(260)] for _ in range(260)]
     m = moduli(27)[0]
-    assert _det_mod_np(rows, m) == _det_mod_py(rows, m)
+    assert _det_mod_np(np.array(rows, dtype=np.int64), m) == _det_mod_py(rows, m)
+
+
+# 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
+# elimination has room for only 2 pending updates, so its periodic full
+# reduction of the trailing block runs every other step.  Solve and charpoly
+# sum n products, so they are compared only where _use_numpy admits them.
+KERNEL_MODULI = (3, 5, 7, moduli(27)[0], 2**31 - 1)
+
+
+def kernel_cases():
+    """Seeded random matrices, n = 1..40, with a repeated row in every third
+    (singular over Z, so singular mod every modulus)."""
+    rng = random.Random(404)
+    for n in range(1, 41):
+        rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+        if n > 1 and n % 3 == 0:
+            rows[rng.randrange(1, n)] = list(rows[0])
+        yield rows, [rng.randint(-99, 99) for _ in range(n)]
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+def test_det_and_solve_kernels_match_pure_python(m):
+    singular = 0
+    for rows, vec in kernel_cases():
+        arr = np.array(rows, dtype=np.int64)
+        want = _det_mod_py(rows, m)
+        assert _det_mod_np(arr, m) == want
+        if _use_numpy(m.bit_length(), len(rows), 99):
+            got = _solve_mod_np(arr, np.array(vec, dtype=np.int64), m)
+            assert got == _solve_mod_py(rows, vec, m)
+        singular += want == 0
+    assert singular >= 13
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+def test_charpoly_kernel_matches_pure_python(m):
+    for rows, _ in kernel_cases():
+        if _use_numpy(m.bit_length(), len(rows), 99):
+            arr = np.array(rows, dtype=np.int64)
+            assert _charpoly_mod_np(arr, m) == _charpoly_mod_py(rows, m)
+
+
+@pytest.mark.parametrize("p", [101, 397])
+def test_charpoly_kernel_on_derogatory_aplus(p):
+    # A+ is derogatory, so about half the Hessenberg steps find a zero column
+    rows = build(MatrixKind.aplus(), p).to_lists()
+    arr = np.array(rows, dtype=np.int64)
+    for m in (7, moduli(27)[0]):
+        assert _charpoly_mod_np(arr, m) == _charpoly_mod_py(rows, m)
 
 
 def charpoly_ref(m, _bits):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,7 @@ def test_fundamental_unit_skips_the_search_for_1mod8_below_2000():
     """p ≡ 1 (mod 8) skips the half-integral search; the result must be what
     the search finds.  The search runs to its bound except at the 9 primes
     where that takes over 5 * 10^4 steps (10^8 at p = 1801); the trace oracle
-    covers all 68.  (p ≡ 5 (mod 8) still searches, and at p = 1381 that does
-    not finish in 30 s.)"""
+    covers all 68."""
     searched = 0
     for p in primes_in_range(17, 2000):
         if p % 8 != 1:
@@ -55,12 +55,25 @@ def test_fundamental_unit_skips_the_search_for_1mod8_below_2000():
 
 
 def test_half_integral_unit_oracles_agree_for_5mod8():
+    # the old odd-b search, with the integral unit where it finds nothing,
+    # against the trace route and against fundamental_unit
     for p in primes_in_range(5, 1000):
         if p % 8 == 5:
             _, x1, y1, _ = sqrt_cf(p)
-            want = oracles.half_integral_unit_by_trace(p, x1)
-            assert oracles.half_integral_unit_search(p, y1, cap=10**6) == want
-            assert want is None or fundamental_unit(p) == QuadElem(p, *want)
+            found = oracles.half_integral_unit_search(p, y1, cap=10**6)
+            assert oracles.half_integral_unit_by_trace(p, x1) == found
+            want = QuadElem(p, *found) if found else QuadElem(p, 2 * x1, 2 * y1)
+            assert fundamental_unit(p) == want
+
+
+def test_fundamental_unit_at_1381_is_fast_and_cubes_to_the_pell_unit():
+    # the odd-b search ran past 30 s here: its b reaches about (2*y1/p)^(1/3)
+    start = time.perf_counter()
+    eps = fundamental_unit(1381)
+    assert time.perf_counter() - start < 0.5
+    _, x1, y1, _ = sqrt_cf(1381)
+    assert eps.v % 2 == 1 and eps.norm() == -1
+    assert eps**3 == QuadElem(1381, 2 * x1, 2 * y1)
 
 
 def test_sqrt_cf_odd_period_for_1mod4():

@@ -9,6 +9,7 @@ from legdet.verify import (
     describe,
     exit_code_for,
     mdl_random_suite,
+    pool_size,
     requirement,
     scan,
     t31_random_suite,
@@ -130,6 +131,22 @@ def test_scan_validates_inputs():
         scan([CheckId.T13_DPMOD4], 1, 5, lambda r: None)
     with pytest.raises(ValueError):
         scan(["BOGUS"], 3, 5, lambda r: None)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            scan([CheckId.T13_DPMOD4], 3, 5, lambda r: None, jobs=jobs)
+
+
+def test_pool_size_clamps_to_cores_and_primes():
+    assert pool_size(1, 8, 100) == 1
+    assert pool_size(4, 2, 100) == 2
+    assert pool_size(10**6, 2, 100) == 2
+    assert pool_size(10**6, 64, 3) == 3
+    assert pool_size(None, 4, 100) == 4
+    assert pool_size(None, 4, 1) == 1
+    assert pool_size(8, 8, 0) == 1
+    for bad in (0, -1, -(10**6)):
+        with pytest.raises(ValueError):
+            pool_size(bad, 8, 100)
 
 
 def test_scan_records_failure_note(monkeypatch):
