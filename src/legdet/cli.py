@@ -21,10 +21,10 @@ from .errors import InternalError
 from .exactla import IntPoly, charpoly, det
 from .ntheory import (
     PrimeInvariants,
-    is_prime,
     prime_invariants,
     primes_in_range,
     require_hneg_prime,
+    require_odd_prime,
 )
 from .realquad import class_number_real, fundamental_unit
 from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, scan
@@ -51,11 +51,6 @@ COMPUTE_FIELDS = (
 )
 # the fields read from one PrimeInvariants record
 _INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
 
 
 def _poly_json(poly: IntPoly) -> list[str]:
@@ -100,7 +95,7 @@ def _compute_field(name: str, p: int, inv: PrimeInvariants | None):
 
 def _cmd_compute(args) -> int:
     p = args.prime
-    _require_odd_prime(p)
+    require_odd_prime(p)
     inv = None  # computed once, on the first field that reads it
     out = {}
     for name in args.what:
@@ -148,7 +143,7 @@ def _parse_ids(raw: str) -> list[CheckId]:
 def _cmd_verify(args) -> int:
     ids = _parse_ids(args.suite)
     if args.prime is not None:
-        _require_odd_prime(args.prime)
+        require_odd_prime(args.prime)
         primes = [args.prime]
     elif args.p_from is not None and args.p_to is not None:
         if not 3 <= args.p_from <= args.p_to:

@@ -70,14 +70,15 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
 
 
-def _require_odd_prime(p: int) -> None:
+def require_odd_prime(p: int) -> None:
+    """Usage error unless p is an odd prime."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -94,7 +95,7 @@ class LegendreTable:
 
 def legendre_table(p: int) -> LegendreTable:
     """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     vals = [-1] * p
     vals[0] = 0
     for i in range(1, (p - 1) // 2 + 1):
@@ -104,7 +105,7 @@ def legendre_table(p: int) -> LegendreTable:
 
 def factorial_half_mod(p: int) -> int:
     """((p-1)/2)! mod p."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     f = 1
     for i in range(2, (p - 1) // 2 + 1):
         f = f * i % p
@@ -122,6 +123,12 @@ def require_hneg_prime(p: int) -> None:
         raise ValueError(f"h(-p) requires a prime p ≡ 3 (mod 4) with p > 3, got {p}")
 
 
+def mordell_residue(p: int, h: int) -> int:
+    """((p-1)/2)! mod p as Mordell's congruence predicts it from h = h(-p):
+    (-1)^{(h+1)/2}, as 1 or p-1."""
+    return 1 if (h + 1) // 2 % 2 == 0 else p - 1
+
+
 def _class_number_from_sum(p: int, s: int, two: int) -> int:
     """h(-p) from the half-range sum s = (2 - (2/p)) h(-p), with two = (2/p),
     cross-checked against Mordell's ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p)."""
@@ -129,8 +136,7 @@ def _class_number_from_sum(p: int, s: int, two: int) -> int:
     if s <= 0 or s % denom != 0:
         raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
     h = s // denom
-    want = 1 if (h + 1) // 2 % 2 == 0 else p - 1
-    if factorial_half_mod(p) != want:
+    if factorial_half_mod(p) != mordell_residue(p, h):
         raise InternalError(f"factorial parity check failed for h(-{p})={h}")
     return h
 
@@ -190,10 +196,6 @@ def prime_invariants(p: int) -> PrimeInvariants:
     d_p = sum(t * (u - l) for t, u, l in zip(half, upper, lower))
 
     s = pref[n]  # == sum_half, vals[0] = 0
-    if p % 4 == 1 and s != 0:
-        raise InternalError(f"half-range symbol sum {s} nonzero at p={p} ≡ 1 (mod 4)")
-    if (d_p + n) % 4 != 0:
-        raise InternalError(f"d_p = {d_p} is not ≡ -{n} (mod 4) at p={p}")
 
     # N = sum over j of (1 + (j/p))/2 * (n + pref[j+n] - pref[j])/2
     num = n * (n + s) + sum(upper) - sum(lower) + d_p
@@ -207,34 +209,17 @@ def prime_invariants(p: int) -> PrimeInvariants:
 
 
 def quad_char_sum(b: int, c: int, p: int) -> int:
-    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), by direct summation.
-
-    The result is checked against the closed form, p-1 when p divides
-    b^2 - 4c and -1 otherwise, before being returned.
-    """
-    table = legendre_table(p)
-    vals = table.vals
-    total = sum(vals[(x * x + b * x + c) % p] for x in range(p))
-    want = p - 1 if (b * b - 4 * c) % p == 0 else -1
-    if total != want:
-        raise InternalError(f"quadratic character sum {total} != {want} at (b={b}, c={c}, p={p})")
-    return total
+    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), by direct summation."""
+    vals = legendre_table(p).vals
+    return sum(vals[(x * x + b * x + c) % p] for x in range(p))
 
 
 def half_range_sums(p: int) -> tuple[int, int, int]:
     """(S1, S2, SJK) with S1 = sum (k/p), S2 = sum k*(k/p) over 1 <= k <= n,
-    and SJK = sum_{j,k=1}^{n} ((j+k)/p) evaluated as a direct double sum.
-
-    Asserts the reduction SJK = 2*S2 for p ≡ 1 (mod 4) and SJK = -S1 for
-    p ≡ 3 (mod 4) before returning.
-    """
-    table = legendre_table(p)
-    vals = table.vals
+    and SJK = sum_{j,k=1}^{n} ((j+k)/p) evaluated as a direct double sum."""
+    vals = legendre_table(p).vals
     n = (p - 1) // 2
     s1 = sum(vals[k] for k in range(1, n + 1))
     s2 = sum(k * vals[k] for k in range(1, n + 1))
     sjk = sum(vals[j + k] for j in range(1, n + 1) for k in range(1, n + 1))
-    want = 2 * s2 if p % 4 == 1 else -s1
-    if sjk != want:
-        raise InternalError(f"half-range double sum {sjk} != {want} at p={p}")
     return s1, s2, sjk

@@ -4,11 +4,14 @@ claim, and conjectured congruence as an executable check.
 A check takes a prime in the right residue class (the two random-instance
 suites take only a seed) and returns a CheckResult whose witness carries the
 computed quantities, or a re-runnable counterexample when it fails.  The
-determinant closed forms are verified twice per prime: the assembled
-four-parameter expansion is compared coefficient-by-coefficient against the
-closed form (a complete proof of the polynomial identity for that prime,
-given the expansion theorem), and seeded integer sample points compare the
-direct determinant against the closed form numerically.
+determinant closed forms are checked in two layers per prime, by one helper
+(`_two_layer`): the four-parameter expansion, assembled from five base
+determinants, is compared coefficient-by-coefficient against the closed form
+(a complete proof of the polynomial identity for that prime, given the
+expansion theorem), and the direct determinant at each of 20 points drawn
+from the check's seeded stream is compared with both the expansion and the
+closed form.  The expansion and its sample determinants are computed once
+per prime and seed and shared by every check that reads them.
 """
 
 from __future__ import annotations
@@ -30,22 +33,23 @@ from .errors import InternalError
 from .exactla import (
     IntMatrix,
     IntPoly,
+    ParamDet,
     adjugate_apply,
     charpoly,
     det,
     mdl_check,
     param_det_expand,
-    shifted_matrix,
 )
 from .ntheory import (
     PrimeInvariants,
     factorial_half_mod,
     half_range_sums,
-    is_prime,
     legendre_table,
+    mordell_residue,
     prime_invariants,
     primes_in_range,
     quad_char_sum,
+    require_odd_prime,
 )
 from .realquad import unit_power_coeffs
 
@@ -127,18 +131,53 @@ def _aminus(p: int) -> IntMatrix:
     return build(MatrixKind.aminus(), p)
 
 
-@lru_cache(maxsize=64)
-def _aplus_pd(p: int):
-    u1 = symbol_vector(p, _table(p))
-    return param_det_expand(_aplus(p), u1, u1, seed=p)
+def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int):
+    """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
+    20 points of check `name`'s seeded stream."""
+    points = _sample_tuples(_rng(seed, name, p))
+    pd, directs = param_det_expand(a, f, f, points)
+    return pd, tuple(zip(points, directs))
 
 
 @lru_cache(maxsize=64)
-def _sun_pd(p: int, plus: bool):
+def _aplus_pd(p: int, seed: int):
+    """The expansion of AXYZW, sampled on T12_I's (p ≡ 1 mod 4) or T12_II's
+    points; COR_AFTER_T12 and EQ_38II_QP read the same one."""
+    name = "T12_I" if p % 4 == 1 else "T12_II"
+    return _expand(_aplus(p), symbol_vector(p, _table(p)), name, p, seed)
+
+
+@lru_cache(maxsize=64)
+def _sun_pd(p: int, plus: bool, seed: int):
     kind = MatrixKind.sun_half_plus if plus else MatrixKind.sun_half_minus
-    base = build(kind(0, 0, 0, 0), p)
     fg = list(_table(p).vals[: (p - 1) // 2 + 1])
-    return param_det_expand(base, fg, fg, seed=p)
+    name = "SUN_C31_I" if plus else "SUN_C31_II"
+    return _expand(build(kind(0, 0, 0, 0), p), fg, name, p, seed)
+
+
+def _two_layer(wit: dict, ok: bool, note: str, pd: ParamDet, samples, closed_form):
+    """The verdict of a closed-form check, as (passed, witness).
+
+    `ok` is layer 1 (the expansion's coefficients, or its base determinants,
+    against the statement), reported with `note` when it alone fails.  Layer
+    2 compares each (point, direct determinant) in `samples` with both
+    pd.evaluate(point) and closed_form(point); the first disagreement
+    becomes the witness's re-runnable counterexample.
+    """
+    for point, direct in samples:
+        expansion, want = pd.evaluate(*point), closed_form(*point)
+        if not direct == expansion == want:
+            wit["note"] = f"sample mismatch at {list(point)}"
+            wit["counterexample"] = {
+                "point": list(point),
+                "direct": str(direct),
+                "closed_form": str(want),
+                "expansion": str(expansion),
+            }
+            return False, wit
+    if not ok:
+        wit["note"] = note
+    return ok, wit
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +222,7 @@ def _run_t11_det_3mod4(p: int, seed: int):
 
 def _run_t12_i(p: int, seed: int):
     n = (p - 1) // 2
-    pd = _aplus_pd(p)
+    pd, samples = _aplus_pd(p, seed)
     m = (-p) ** ((p - 5) // 4)
     want = (-m, 0, n * m, n * m, 0, -n * n * m)
     coeff_ok = pd.basis_coeffs() == tuple(Fraction(c) for c in want)
@@ -191,21 +230,14 @@ def _run_t12_i(p: int, seed: int):
         pd.alpha1 == pd.alpha == pd.alpha4
         and pd.alpha2 == pd.alpha3 == pd.alpha * (1 - n)
     )
-    bad = None
-    for x, y, z, w in _sample_tuples(_rng(seed, "T12_I", p)):
-        direct = det(build(MatrixKind.axyzw(x, y, z, w), p))
-        rhs = m * (n * n * w * x - (n * y - 1) * (n * z - 1))
-        if direct != rhs:
-            bad = {"point": [x, y, z, w], "direct": str(direct), "closed_form": str(rhs)}
-            break
-    ok = coeff_ok and base_ok and bad is None
+
+    def rhs(x, y, z, w):
+        return m * (n * n * w * x - (n * y - 1) * (n * z - 1))
+
     wit = {"alpha": str(pd.alpha), "coeffs_match": coeff_ok, "base_dets_match": base_ok}
-    if bad:
-        wit["note"] = f"sample mismatch at {bad['point']}"
-        wit["counterexample"] = bad
-    elif not ok:
-        wit["note"] = "coefficient comparison failed"
-    return ok, wit
+    return _two_layer(
+        wit, coeff_ok and base_ok, "coefficient comparison failed", pd, samples, rhs
+    )
 
 
 def _t12_ii_closed_form(p: int, d_det: int, c: int, d_p: int, n: int):
@@ -225,7 +257,7 @@ def _run_t12_ii(p: int, seed: int):
     n, c, d_p = inv.n, inv.c_p, inv.d_p
     d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
     e = (d_det // p) * (n + 2 * (d_p - c * c))
-    pd = _aplus_pd(p)
+    pd, samples = _aplus_pd(p, seed)
     want = (d_det, -c * d_det, -n * d_det, e, -c * d_det, -c * c * d_det - n * e)
     coeff_ok = pd.basis_coeffs() == tuple(Fraction(t) for t in want)
     base_ok = (
@@ -236,13 +268,6 @@ def _run_t12_ii(p: int, seed: int):
         and pd.alpha4 == d_det * (1 - c)
     )
     rhs = _t12_ii_closed_form(p, d_det, c, d_p, n)
-    bad = None
-    for x, y, z, w in _sample_tuples(_rng(seed, "T12_II", p)):
-        direct = det(build(MatrixKind.axyzw(x, y, z, w), p))
-        if direct != rhs(x, y, z, w):
-            bad = {"point": [x, y, z, w], "direct": str(direct), "closed_form": str(rhs(x, y, z, w))}
-            break
-    ok = coeff_ok and base_ok and bad is None
     wit = {
         "det": str(d_det),
         "c_p": c,
@@ -250,40 +275,34 @@ def _run_t12_ii(p: int, seed: int):
         "coeffs_match": coeff_ok,
         "base_dets_match": base_ok,
     }
-    if bad:
-        wit["note"] = f"sample mismatch at {bad['point']}"
-        wit["counterexample"] = bad
-    elif not ok:
-        wit["note"] = "coefficient comparison failed"
-    return ok, wit
+    return _two_layer(
+        wit, coeff_ok and base_ok, "coefficient comparison failed", pd, samples, rhs
+    )
 
 
 def _run_cor_after_t12(p: int, seed: int):
     inv = _invariants(p)
     n, c = inv.n, inv.c_p
     d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
-    pd = _aplus_pd(p)
+    pd, _ = _aplus_pd(p, seed)
     base_ok = (
         pd.alpha == d_det
         and pd.alpha1 == pd.alpha4 == d_det * (1 - c)
         and pd.alpha2 == d_det * (1 - n)
     )
-    rng = _rng(seed, "COR_AFTER_T12", p)
-    bad = None
-    for x, y, _, w in _sample_tuples(rng):
-        first = det(build(MatrixKind.axyzw(x, y, 0, 0), p))
-        second = det(build(MatrixKind.axyzw(0, y, 0, w), p))
-        if first != d_det * (1 - c * x - n * y) or second != d_det * (1 - c * w - n * y):
-            bad = {"point": [x, y, w], "first": str(first), "second": str(second)}
-            break
-    ok = base_ok and bad is None
+    # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
+    # both, one of x and w is 0, so one form covers the two restrictions
+    samples = (
+        (pt, det(build(MatrixKind.axyzw(*pt), p)))
+        for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
+        for pt in ((x, y, 0, 0), (0, y, 0, w))
+    )
+
+    def rhs(x, y, z, w):
+        return d_det * (1 - c * (x + w) - n * y)
+
     wit = {"det": str(d_det), "base_dets_match": base_ok}
-    if bad:
-        wit["note"] = f"sample mismatch at {bad['point']}"
-        wit["counterexample"] = bad
-    elif not ok:
-        wit["note"] = "base determinant relations failed"
-    return ok, wit
+    return _two_layer(wit, base_ok, "base determinant relations failed", pd, samples, rhs)
 
 
 def _run_eq_38ii_qp(p: int, seed: int):
@@ -291,7 +310,7 @@ def _run_eq_38ii_qp(p: int, seed: int):
     n, c, q = inv.n, inv.c_p, inv.q_p
     two = _table(p).vals[2]
     d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
-    pd = _aplus_pd(p)
+    pd, samples = _aplus_pd(p, seed)
     # restriction of the expansion to z = 0, in the basis {1, x, y, w, wx}
     got = (
         Fraction(pd.alpha),
@@ -307,16 +326,8 @@ def _run_eq_38ii_qp(p: int, seed: int):
         Fraction(-c * d_det),
         Fraction(d_det) * two * 16 * q / p,
     )
+    # equal coefficients make the two forms agree at every (x, y, w)
     coeff_ok = got == want
-
-    def rhs(x, y, w):
-        return -d_det * (n * y - 1 + c * (w + x)) + Fraction(d_det) * two * 16 * q / p * w * x
-
-    sample_ok = all(
-        pd.evaluate(x, y, 0, w) == rhs(x, y, w)
-        for x, y, _, w in _sample_tuples(_rng(seed, "EQ_38II_QP", p))
-    )
-    ok = coeff_ok and sample_ok
     wit = {
         "q_p": f"{q.numerator}/{q.denominator}",
         "q_p_integral": q.denominator == 1,
@@ -324,9 +335,11 @@ def _run_eq_38ii_qp(p: int, seed: int):
     }
     if not q.denominator == 1:
         wit["note"] = f"finding: q_p = {q} is not an integer"
-    if not ok:
-        wit["note"] = "closed form with q_p does not match the expansion"
-    return ok, wit
+    # the expansion read here is held to its own sample determinants
+    return _two_layer(
+        wit, coeff_ok, "closed form with q_p does not match the expansion",
+        pd, samples, pd.evaluate,
+    )
 
 
 def _run_t13(p: int, seed: int):
@@ -562,17 +575,12 @@ def _t31_instances(rng: random.Random, count: int):
                 break
         f = [rng.randint(-9, 9) for _ in range(n)]
         g = [rng.randint(-9, 9) for _ in range(n)]
-        pd = param_det_expand(a, f, g, seed=i, samples=0)
-        for _ in range(20):
-            x, y, z, w = (rng.randint(-9, 9) for _ in range(4))
-            direct = det(shifted_matrix(a, f, g, x, y, z, w))
-            if pd.evaluate(x, y, z, w) != direct:
-                return False, {
-                    "note": f"expansion mismatch at instance {i}, point {(x, y, z, w)}",
-                    "matrix": a.to_lists(),
-                    "f": f,
-                    "g": g,
-                }
+        points = _sample_tuples(rng)
+        pd, directs = param_det_expand(a, f, g, points)
+        wit = {"instance": i, "matrix": a.to_lists(), "f": f, "g": g}
+        ok, wit = _two_layer(wit, True, "", pd, zip(points, directs), pd.evaluate)
+        if not ok:
+            return False, wit
     return True, {"instances": count}
 
 
@@ -622,10 +630,9 @@ def _run_mdl_random(p: int | None, seed: int):
 
 
 def _run_sun(p: int, seed: int, plus: bool):
-    name = "SUN_C31_I" if plus else "SUN_C31_II"
     n = (p - 1) // 2
     t = _table(p)
-    pd = _sun_pd(p, plus)
+    pd, samples = _sun_pd(p, plus, seed)
     if p % 4 == 1:
         a, b, a2, b2 = unit_power_coeffs(p)
         two = t.vals[2]
@@ -657,21 +664,8 @@ def _run_sun(p: int, seed: int, plus: bool):
                 return w * x + (1 + y) * (1 - z)
 
     coeff_ok = pd.basis_coeffs() == tuple(want)
-    kind = MatrixKind.sun_half_plus if plus else MatrixKind.sun_half_minus
-    bad = None
-    for x, y, z, w in _sample_tuples(_rng(seed, name, p)):
-        direct = det(build(kind(x, y, z, w), p))
-        if Fraction(direct) != rhs(x, y, z, w):
-            bad = {"point": [x, y, z, w], "direct": str(direct), "closed_form": str(rhs(x, y, z, w))}
-            break
-    ok = coeff_ok and bad is None
     wit = {"alpha": str(pd.alpha), "coeffs_match": coeff_ok}
-    if bad:
-        wit["note"] = f"sample mismatch at {bad['point']}"
-        wit["counterexample"] = bad
-    elif not ok:
-        wit["note"] = "coefficient comparison failed"
-    return ok, wit
+    return _two_layer(wit, coeff_ok, "coefficient comparison failed", pd, samples, rhs)
 
 
 def _run_mordell(p: int, seed: int):
@@ -683,7 +677,7 @@ def _run_mordell(p: int, seed: int):
         return False, {"note": f"character sum {s} not divisible by {denom}"}
     h = s // denom
     fact = factorial_half_mod(p)
-    want = 1 if (h + 1) // 2 % 2 == 0 else p - 1
+    want = mordell_residue(p, h)
     ok = fact == want
     wit = {"h_neg": h, "factorial_mod_p": fact}
     if not ok:
@@ -825,8 +819,7 @@ def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> Check
         return CheckResult(check_id, None, ok, wit, time.perf_counter() - start)
     if p is None:
         raise ValueError(f"check {check_id.name} needs a prime")
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     if not spec.applies(p):
         raise ValueError(f"check {check_id.name} requires {spec.requirement}, got p = {p}")
     ok, wit = spec.runner(p, seed)

@@ -87,7 +87,9 @@ def test_criterion_04_four_parameter_closed_forms():
         sign = -1 if (inv.h_neg - 1) // 2 % 2 else 1
         d = sign * p ** ((p - 3) // 4)
         e = (d // p) * (inv.n + 2 * (inv.d_p - inv.c_p**2))
-        pd = _aplus_pd(p)
+        pd, samples = _aplus_pd(p, 0)
+        ok = ok and len(samples) == 20
+        ok = ok and all(d == pd.evaluate(*pt) for pt, d in samples)
         ok = ok and (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4) == (
             d, d * (1 - inv.c_p), d * (1 - inv.n), d + e, d * (1 - inv.c_p),
         )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from legdet.charmat import (
@@ -7,6 +9,7 @@ from legdet.charmat import (
     symbol_vector,
     theta_vector,
 )
+from legdet.exactla import shifted_matrix
 from legdet.ntheory import legendre_table, primes_in_range
 
 
@@ -123,3 +126,21 @@ def test_matrix_kind_validation():
         MatrixKind("AXYZW")
     with pytest.raises(ValueError):
         build(MatrixKind.aplus(), 9)
+
+
+def test_parametric_kinds_are_shifted_base_matrices():
+    # the catalog takes the sample determinants of AXYZW and the Sun kinds
+    # from shifted_matrix on the zero-parameter base, so the two must agree
+    rng = random.Random(59)
+    for p in primes_in_range(3, 59):
+        t = legendre_table(p)
+        n = (p - 1) // 2
+        u1 = symbol_vector(p, t)
+        fg = list(t.vals[: n + 1])
+        aplus = build(MatrixKind.aplus(), p)
+        for _ in range(5):
+            pt = tuple(rng.randint(-9, 9) for _ in range(4))
+            assert build(MatrixKind.axyzw(*pt), p) == shifted_matrix(aplus, u1, u1, *pt)
+            for kind in (MatrixKind.sun_half_plus, MatrixKind.sun_half_minus):
+                base = build(kind(0, 0, 0, 0), p)
+                assert build(kind(*pt), p) == shifted_matrix(base, fg, fg, *pt)

@@ -315,7 +315,11 @@ def test_mdl_random_instances():
 
 
 def test_param_det_identity_example():
-    pd = param_det_expand(IntMatrix.identity(2), [0, 0], [0, 0])
+    rng = random.Random("paramdet|0")
+    points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(20)]
+    pd, directs = param_det_expand(IntMatrix.identity(2), [0, 0], [0, 0], points)
+    # |I + x J| = 1 + 2x for the 2x2 all-ones J
+    assert directs == [pd.evaluate(*pt) for pt in points] == [1 + 2 * pt[0] for pt in points]
     assert (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4) == (1, 3, 1, 1, 1)
     assert pd.evaluate(0, 0, 0, 0) == pd.alpha
     assert pd.evaluate(1, 0, 0, 0) == pd.alpha1
@@ -326,11 +330,11 @@ def test_param_det_identity_example():
 
 def test_param_det_rejects_singular():
     with pytest.raises(ValueError):
-        param_det_expand(IntMatrix([[1, 1], [1, 1]]), [0, 0], [0, 0])
+        param_det_expand(IntMatrix([[1, 1], [1, 1]]), [0, 0], [0, 0], [])
 
 
 def test_param_det_random_postcondition():
-    # the expansion self-validates at 20 sample points; a mismatch would raise
+    # the expansion agrees with the direct determinant at 20 seeded points
     rng = random.Random(31)
     done = 0
     while done < 200:
@@ -340,8 +344,13 @@ def test_param_det_random_postcondition():
             continue
         f = [rng.randint(-9, 9) for _ in range(n)]
         g = [rng.randint(-9, 9) for _ in range(n)]
-        pd = param_det_expand(a, f, g, seed=done)
+        pts_rng = random.Random(f"paramdet|{done}")
+        points = [tuple(pts_rng.randint(-9, 9) for _ in range(4)) for _ in range(20)]
+        pd, directs = param_det_expand(a, f, g, points)
         assert pd.evaluate(0, 0, 0, 0) == pd.alpha
+        assert len(directs) == len(points)
+        for pt, d in zip(points, directs):
+            assert d == det(shifted_matrix(a, f, g, *pt)) == pd.evaluate(*pt)
         done += 1
 
 

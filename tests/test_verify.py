@@ -1,5 +1,12 @@
+import sys
+
 import pytest
 
+import legdet.exactla
+import legdet.ntheory as ntheory
+import legdet.verify as v
+from legdet.charmat import MatrixKind, build
+from legdet.cli import main
 from legdet.verify import (
     CONJECTURE_IDS,
     RANDOM_IDS,
@@ -166,3 +173,116 @@ def test_scan_records_failure_note(monkeypatch):
         "note": "forced failure",
     }
     assert exit_code_for(name for _, name in summary.failures) == 1
+
+
+# --- the two-layer sample comparison ------------------------------------------
+
+
+def _clear_verify_caches():
+    for obj in vars(v).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    # the expansions and invariants a test computes under a patch must not
+    # outlive it, and a cached expansion must not hide the patch
+    _clear_verify_caches()
+    yield
+    _clear_verify_caches()
+
+
+def _patch_det(monkeypatch, replacement):
+    """Replace exactla.det in every legdet namespace that imported it."""
+    real = legdet.exactla.det
+    for modname, mod in list(sys.modules.items()):
+        if modname == "legdet" or modname.startswith("legdet."):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, replacement)
+    return real
+
+
+def test_closed_form_checks_compute_each_determinant_once(monkeypatch, fresh_caches):
+    calls = []
+
+    def counting(m):
+        calls.append(m.nrows)
+        return real(m)
+
+    real = _patch_det(monkeypatch, counting)
+
+    def dets(cid, p):
+        before = len(calls)
+        assert check(cid, p).passed
+        return len(calls) - before
+
+    # 5 base determinants and 20 samples, each compared with both layers
+    assert dets(CheckId.T12_I, 101) == 25
+    assert dets(CheckId.T12_II, 103) == 25
+    # T12_II's expansion is reused: COR adds only its own 40 determinants
+    assert dets(CheckId.COR_AFTER_T12, 103) == 40
+    assert dets(CheckId.EQ_38II_QP, 103) == 0
+    assert dets(CheckId.SUN_C31_I, 101) == 25
+    assert dets(CheckId.SUN_C31_II, 101) == 25
+    assert dets(CheckId.SUN_C31_I, 103) == 25
+    assert dets(CheckId.SUN_C31_II, 103) == 25
+
+
+def _first_sample_off_by_one(monkeypatch, cid, p, seed=0):
+    """Make det one too large on the matrix of check cid's first sample point;
+    returns that point."""
+    point = v._sample_tuples(v._rng(seed, cid.name, p))[0]
+    kind = MatrixKind.sun_half_plus if cid is CheckId.SUN_C31_I else MatrixKind.axyzw
+    target = build(kind(*point), p)
+    real = _patch_det(monkeypatch, lambda m: real(m) + (m == target))
+    return point
+
+
+@pytest.mark.parametrize("cid, p", [(CheckId.T12_II, 103), (CheckId.SUN_C31_I, 101)])
+def test_sample_mismatch_fails_with_counterexample(monkeypatch, fresh_caches, cid, p):
+    point = _first_sample_off_by_one(monkeypatch, cid, p)
+    res = check(cid, p, seed=0)
+    assert res.passed is False
+    bad = res.witness["counterexample"]
+    assert bad["point"] == list(point)
+    assert res.witness["note"] == f"sample mismatch at {list(point)}"
+    assert res.witness["coeffs_match"] is True  # layer 1 still holds
+    assert int(bad["direct"]) == int(bad["expansion"]) + 1 == int(bad["closed_form"]) + 1
+
+
+def test_sample_mismatch_exits_1(monkeypatch, fresh_caches, capsys):
+    _first_sample_off_by_one(monkeypatch, CheckId.T12_II, 103)
+    code = main(["verify", "--prime", "103", "--suite", "T12_II"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL T12_II p=103" in out and "sample mismatch" in out
+
+
+def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
+    # EQ_38II_QP reads T12_II's expansion, so it also holds the expansion
+    # to the stored sample determinants
+    point = _first_sample_off_by_one(monkeypatch, CheckId.T12_II, 103)
+    res = check(CheckId.EQ_38II_QP, 103, seed=0)
+    assert res.passed is False
+    assert res.witness["counterexample"]["point"] == list(point)
+
+
+@pytest.mark.parametrize("cid", [CheckId.T13_DPMOD4, CheckId.L21_QUADSUM, CheckId.L41_SUMS])
+def test_wrong_symbol_table_is_a_check_failure(monkeypatch, fresh_caches, capsys, cid):
+    # with (12/13) = (-1/13) flipped in the table ntheory sums over, d_p comes
+    # out 0, not ≡ -6 (mod 4), and the quadratic and half-range double sums
+    # come out wrong; ntheory returns them and the check judges them
+    real = ntheory.legendre_table
+
+    def flipped(p):
+        vals = list(real(p).vals)
+        vals[p - 1] = -vals[p - 1]
+        return ntheory.LegendreTable(p, tuple(vals))
+
+    monkeypatch.setattr(ntheory, "legendre_table", flipped)
+    assert ntheory.prime_invariants(13).d_p == 0
+    assert check(cid, 13).passed is False
+    assert main(["verify", "--prime", "13", "--suite", cid.value]) == 1
+    assert f"FAIL {cid.value} p=13" in capsys.readouterr().out
