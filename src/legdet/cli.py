@@ -27,7 +27,7 @@ from .ntheory import (
     require_odd_prime,
 )
 from .realquad import class_number_real, fundamental_unit
-from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, scan
+from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, json_safe, scan
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -112,22 +112,6 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int) and abs(obj) >= 2**53:
-        return str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, int):
-        return obj
-    return str(obj)
-
-
 def _parse_ids(raw: str) -> list[CheckId]:
     if raw == "all":
         return list(CheckId)
@@ -180,7 +164,7 @@ def _cmd_verify(args) -> int:
                     "id": r.id.name,
                     "p": r.p,
                     "passed": r.passed,
-                    "witness": _json_safe(r.witness),
+                    "witness": json_safe(r.witness),
                 }
                 for r in results
             ],
@@ -244,14 +228,18 @@ def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
     """Parse an existing scan file: returns (primes present, counts for the
     in-range records).  Raises InternalError naming the first bad line, and
     ValueError when an in-range record lacks a requested check that applies
-    to its prime, since resuming would then report that check as skipped."""
+    to its prime, since resuming would then report that check as skipped.
+
+    A last line with no newline is a write cut short: if it does not parse,
+    it is truncated away with a warning on stderr, and its prime is computed
+    again; if it does, the missing newline is written."""
     done: set[int] = set()
     pre_passed = pre_failed = pre_skipped = 0
     pre_failures: list[tuple[int, str]] = []
     names = list(names)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb+") as fh:
+        end = 0  # bytes up to the end of the last good line
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
             try:
                 obj = json.loads(line)
                 p = obj["p"]
@@ -259,7 +247,18 @@ def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
                     raise ValueError("bad record")
                 checks = obj.get("checks", {})
             except Exception:
-                raise InternalError(f"corrupt resume file {path!r} at line {lineno}") from None
+                if line.endswith(b"\n"):
+                    raise InternalError(f"corrupt resume file {path!r} at line {lineno}") from None
+                fh.truncate(end)
+                print(
+                    f"warning: resume file {path!r} ended in a torn line {lineno}; "
+                    "dropped it, so its prime is computed again",
+                    file=sys.stderr,
+                )
+                break
+            end += len(line)
+            if not line.endswith(b"\n"):
+                fh.write(b"\n")
             done.add(p)
             if lo <= p <= hi:
                 for name in names:
@@ -380,10 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact determinants, characteristic polynomials, and identity "
             "checks for half-range Legendre-symbol matrices."
-        ),
-        epilog=(
-            "The LEGDET_MODULI_BITS environment variable (20..62) overrides "
-            "the CRT modulus size; diagnostics only."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,18 +8,19 @@ fraction-free Bareiss elimination instead.  Rational arithmetic appears only
 inside mdl_check / param_det_expand; every public determinant path is
 integer-only.
 
-Each modular kernel runs in numpy int64 when no intermediate can overflow
-(`_use_numpy`) and in pure Python otherwise.  A CRT call converts the matrix
-to int64 once.  The determinant and the solve share one elimination that
-delays reduction until int64 headroom runs out (`_eliminate_mod_np`); the
-Hessenberg reduction behind the characteristic polynomial reduces every
-step, on the active block only.
+Each modular operation has one numpy int64 kernel.  Its moduli are sized from
+the number of residue products an intermediate sums (`modulus_bits`), so no
+kernel can overflow: 27 bits for det, and for charpoly and solve up to
+n = 512, then fewer.  A CRT call converts the matrix to an array once; each
+kernel reduces it mod its own modulus on entry.  The determinant and the solve
+share one elimination that delays reduction until int64 headroom runs out
+(`_eliminate_mod`); the Hessenberg reduction behind the characteristic
+polynomial reduces every step, on the active block only.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,21 +31,16 @@ import numpy as np
 from .errors import InternalError
 from .ntheory import is_prime
 
-DEFAULT_MODULI_BITS = 27
 _MODULI_COUNT = 256
 
 
-def _moduli_bits() -> int:
-    raw = os.environ.get("LEGDET_MODULI_BITS")
-    if raw is None:
-        return DEFAULT_MODULI_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(f"LEGDET_MODULI_BITS must be an integer, got {raw!r}")
-    if not 20 <= bits <= 62:
-        raise ValueError(f"LEGDET_MODULI_BITS must be in [20, 62], got {bits}")
-    return bits
+def modulus_bits(terms: int) -> int:
+    """Bits of the moduli for an operation whose intermediates each sum at
+    most `terms` products of residues: terms * (m-1)^2 < 2^63 for every
+    m < 2^bits, capped at 27.  terms is 1 for det, whose elimination budgets
+    its own headroom (see `_eliminate_mod`), and n for the charpoly matvecs
+    and the solve back-substitution: 27 bits up to n = 512, 26 up to 2048."""
+    return min(27, (63 - (terms - 1).bit_length()) // 2)
 
 
 @lru_cache(maxsize=8)
@@ -76,27 +72,15 @@ def crt_symmetric(residues: Sequence[int], mods: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _det_mod_py(rows: list[list[int]], m: int) -> int:
-    a = [[x % m for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for j in range(n):
-        piv = next((i for i in range(j, n) if a[i][j]), None)
-        if piv is None:
-            return 0
-        if piv != j:
-            a[j], a[piv] = a[piv], a[j]
-            det = -det
-        pj = a[j]
-        det = det * pj[j] % m
-        inv = pow(pj[j], -1, m)
-        for i in range(j + 1, n):
-            f = a[i][j] * inv % m
-            if f:
-                ai = a[i]
-                for k in range(j, n):
-                    ai[k] = (ai[k] - f * pj[k]) % m
-    return det % m
+def _int_array(rows: Sequence[Sequence[int]], max_abs: int) -> np.ndarray:
+    """rows as an int64 array, or as an object array of Python ints when an
+    entry reaches 2^62; `_residues` brings either into int64."""
+    return np.array(rows, dtype=np.int64 if max_abs < 2**62 else object)
+
+
+def _residues(a: np.ndarray, m: int) -> np.ndarray:
+    """a mod m as a fresh int64 array, entries in [0, m)."""
+    return (a % m).astype(np.int64, copy=False)
 
 
 def _reduce_block(x: np.ndarray, m: int) -> None:
@@ -109,7 +93,7 @@ def _reduce_block(x: np.ndarray, m: int) -> None:
     x -= q
 
 
-def _eliminate_mod_np(a: np.ndarray, m: int) -> int:
+def _eliminate_mod(a: np.ndarray, m: int) -> int:
     """Gaussian elimination of the int64 array `a` (entries in [0, m)) over
     GF(m), in place; returns the determinant of its leading square block mod
     m, or 0 as soon as a pivot column is zero.
@@ -121,8 +105,8 @@ def _eliminate_mod_np(a: np.ndarray, m: int) -> int:
     lowers an entry by at most (m-1)^2, and an entry that starts in [0, m)
     stays above -(2^63 - 1 - m) for room = (2^63 - 1 - m) // (m-1)^2 updates;
     the trailing block is reduced whole only when that many are pending (512
-    for the largest 27-bit modulus, 2 for 2^31 - 1).  room >= 1 whenever
-    m^2 < 2^63, the condition `_use_numpy` puts on every kernel.
+    for the largest 27-bit modulus).  room >= 1 whenever m^2 < 2^63, which
+    `modulus_bits` guarantees for every kernel.
     """
     n = a.shape[0]
     room = (2**63 - 1 - m) // (m - 1) ** 2
@@ -151,99 +135,27 @@ def _eliminate_mod_np(a: np.ndarray, m: int) -> int:
     return det % m
 
 
-def _det_mod_np(a: np.ndarray, m: int) -> int:
-    return _eliminate_mod_np(a % m, m)
+def _det_mod(a: np.ndarray, m: int) -> int:
+    return _eliminate_mod(_residues(a, m), m)
 
 
-def _solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
-    """(det mod m, solution of A x = v mod m), or (0, None) if singular mod m."""
-    n = len(rows)
-    a = [[x % m for x in row] + [vec[i] % m] for i, row in enumerate(rows)]
-    det = 1
-    for j in range(n):
-        piv = next((i for i in range(j, n) if a[i][j]), None)
-        if piv is None:
-            return 0, None
-        if piv != j:
-            a[j], a[piv] = a[piv], a[j]
-            det = -det
-        pj = a[j]
-        det = det * pj[j] % m
-        inv = pow(pj[j], -1, m)
-        for i in range(j + 1, n):
-            f = a[i][j] * inv % m
-            if f:
-                ai = a[i]
-                for k in range(j, n + 1):
-                    ai[k] = (ai[k] - f * pj[k]) % m
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = sum(a[i][k] * x[k] for k in range(i + 1, n)) % m
-        x[i] = (a[i][n] - acc) * pow(a[i][i], -1, m) % m
-    return det % m, x
-
-
-def _solve_mod_np(a: np.ndarray, vec: np.ndarray, m: int):
-    n = a.shape[0]
-    aug = np.empty((n, n + 1), dtype=np.int64)
-    np.remainder(a, m, out=aug[:, :n])
-    np.remainder(vec, m, out=aug[:, n])
-    det = _eliminate_mod_np(aug, m)
+def _solve_mod(aug: np.ndarray, m: int):
+    """(det A mod m, solution of A x = v mod m) for aug = [A | v], or
+    (0, None) if A is singular mod m."""
+    n = aug.shape[0]
+    a = _residues(aug, m)
+    det = _eliminate_mod(a, m)
     if det == 0:
         return 0, None
     x = np.zeros(n, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        acc = int(aug[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
-        x[i] = (int(aug[i, n]) - acc) * pow(int(aug[i, i]), -1, m) % m
+        acc = int(a[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
+        x[i] = (int(a[i, n]) - acc) * pow(int(a[i, i]), -1, m) % m
     return det, [int(t) for t in x]
 
 
-def _charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
-    n = len(rows)
-    h = [[x % m for x in row] for row in rows]
-    # Hessenberg reduction by similarity transforms over GF(m).
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        inv = pow(h[j + 1][j], -1, m)
-        pivrow = h[j + 1]
-        for i in range(j + 2, n):
-            f = h[i][j] * inv % m
-            if f:
-                hi = h[i]
-                for k in range(j, n):
-                    hi[k] = (hi[k] - f * pivrow[k]) % m
-                for r in range(n):
-                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % m
-    # charpoly of the Hessenberg form, expanding along the last column
-    polys = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [0] + prev  # x * p_{k-1}
-        hk = h[k - 1][k - 1]
-        for idx in range(k):
-            cur[idx] = (cur[idx] - hk * prev[idx]) % m
-        beta = 1
-        for i in range(k - 1, 0, -1):
-            beta = beta * h[i][i - 1] % m
-            if beta == 0:
-                break
-            wgt = h[i - 1][k - 1] * beta % m
-            if wgt:
-                pi = polys[i - 1]
-                for idx in range(i):
-                    cur[idx] = (cur[idx] - wgt * pi[idx]) % m
-        polys.append(cur)
-    return [c % m for c in polys[n]]
-
-
-def _charpoly_mod_np(a: np.ndarray, m: int) -> list[int]:
-    h = a % m
+def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
+    h = _residues(a, m)
     n = h.shape[0]
     for j in range(n - 2):
         nz = np.flatnonzero(h[j + 1 :, j])
@@ -274,18 +186,6 @@ def _charpoly_mod_np(a: np.ndarray, m: int) -> list[int]:
             cur[: k - 1] -= (h[: k - 1, k - 1] * beta % m) @ polys[: k - 1, : k - 1]
         np.remainder(cur, m, out=cur)
     return [int(c) for c in polys[n]]
-
-
-def _use_numpy(bits: int, terms: int, max_abs: int) -> bool:
-    """True when a numpy kernel cannot overflow int64 under moduli < 2**bits.
-
-    Every intermediate is a sum of at most `terms` products of residues:
-    1 for det elimination, whose delayed reduction budgets its own headroom
-    (see `_eliminate_mod_np`); n for the charpoly matmuls and the solve
-    back-substitution.  Entries must also survive the int64 conversion that
-    precedes the first % m.
-    """
-    return terms * ((1 << bits) - 1) ** 2 < 2**63 and max_abs < 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +388,26 @@ def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
     return h2
 
 
-def _det_crt(m: IntMatrix) -> int:
-    rows = m.to_lists()
-    h2 = _hadamard_squared(rows)
-    if h2 == 0:
-        return 0
-    target = 2 * (math.isqrt(h2) + 1)
-    bits = _moduli_bits()
-    if _use_numpy(bits, 1, m.max_abs()):
-        kernel, data = _det_mod_np, np.array(rows, dtype=np.int64)
-    else:
-        kernel, data = _det_mod_py, rows
+def _crt_residues(kernel, data: np.ndarray, terms: int, target: int):
+    """(residues, moduli) of kernel(data, mod) over the moduli sized for
+    `terms`, taken in order until their product exceeds target."""
     residues, used, prod = [], [], 1
-    for mod in moduli(bits):
+    for mod in moduli(modulus_bits(terms)):
         residues.append(kernel(data, mod))
         used.append(mod)
         prod *= mod
         if prod > target:
-            return crt_symmetric(residues, used)
-    raise InternalError("CRT modulus set exhausted in det")
+            return residues, used
+    raise InternalError(f"CRT modulus set exhausted in {kernel.__name__}")
+
+
+def _det_crt(m: IntMatrix) -> int:
+    h2 = _hadamard_squared(m.rows)
+    if h2 == 0:
+        return 0
+    target = 2 * (math.isqrt(h2) + 1)
+    data = _int_array(m.rows, m.max_abs())
+    return crt_symmetric(*_crt_residues(_det_mod, data, 1, target))
 
 
 def det(m: IntMatrix) -> int:
@@ -527,27 +428,22 @@ def adjugate_apply(m: IntMatrix, v: Sequence[int]) -> tuple[list[int], int]:
     _require_square(m)
     if len(v) != m.nrows:
         raise ValueError("vector length mismatch")
-    rows = m.to_lists()
-    h2 = _hadamard_squared(rows)
+    h2 = _hadamard_squared(m.rows)
     if h2 == 0:
         raise ValueError("singular matrix")
     had = math.isqrt(h2) + 1
     det_target = 2 * had
     w_target = 2 * had * max(1, sum(abs(x) for x in v))
-    bits = _moduli_bits()
-    vmax = max(abs(x) for x in v)
-    if _use_numpy(bits, m.nrows, max(m.max_abs(), vmax)):
-        solve = _solve_mod_np
-        data = np.array(rows, dtype=np.int64), np.array(v, dtype=np.int64)
-    else:
-        solve, data = _solve_mod_py, (rows, v)
+    n = m.nrows
+    aug = [row + (x,) for row, x in zip(m.rows, v)]
+    data = _int_array(aug, max(m.max_abs(), max(abs(x) for x in v)))
     det_res, det_mods, det_prod = [], [], 1
     w_res, w_mods, w_prod = [], [], 1
     d = None
-    for mod in moduli(bits):
+    for mod in moduli(modulus_bits(n)):
         if d is not None and w_prod > w_target:
             break
-        dm, x = solve(*data, mod)
+        dm, x = _solve_mod(data, mod)
         det_res.append(dm)
         det_mods.append(mod)
         det_prod *= mod
@@ -561,7 +457,6 @@ def adjugate_apply(m: IntMatrix, v: Sequence[int]) -> tuple[list[int], int]:
                 raise ValueError("singular matrix")
     if d is None or w_prod <= w_target:
         raise InternalError("CRT modulus set exhausted in adjugate_apply")
-    n = m.nrows
     w = [crt_symmetric([r[i] for r in w_res], w_mods) for i in range(n)]
     return w, d
 
@@ -577,28 +472,13 @@ def charpoly(m: IntMatrix) -> IntPoly:
     """
     _require_square(m)
     n = m.nrows
-    rows = m.to_lists()
     b = m.max_abs()
     if b == 0:
         return IntPoly([0] * n + [1])
     bound = max(
         math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1)
     )
-    target = 2 * bound
-    bits = _moduli_bits()
-    if _use_numpy(bits, n, b):
-        kernel, data = _charpoly_mod_np, np.array(rows, dtype=np.int64)
-    else:
-        kernel, data = _charpoly_mod_py, rows
-    residues, used, prod = [], [], 1
-    for mod in moduli(bits):
-        residues.append(kernel(data, mod))
-        used.append(mod)
-        prod *= mod
-        if prod > target:
-            break
-    else:
-        raise InternalError("CRT modulus set exhausted in charpoly")
+    residues, used = _crt_residues(_charpoly_mod, _int_array(m.rows, b), n, 2 * bound)
     coeffs = [
         crt_symmetric([r[i] for r in residues], used) for i in range(n + 1)
     ]

@@ -130,25 +130,22 @@ def mordell_residue(p: int, h: int) -> int:
 
 
 def _class_number_from_sum(p: int, s: int, two: int) -> int:
-    """h(-p) from the half-range sum s = (2 - (2/p)) h(-p), with two = (2/p),
-    cross-checked against Mordell's ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p)."""
+    """h(-p) from the half-range sum s = (2 - (2/p)) h(-p), with two = (2/p)."""
     denom = 2 - two
     if s <= 0 or s % denom != 0:
         raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
-    h = s // denom
-    if factorial_half_mod(p) != mordell_residue(p, h):
-        raise InternalError(f"factorial parity check failed for h(-{p})={h}")
-    return h
+    return s // denom
 
 
 def class_number_neg(p: int) -> int:
     """Class number h(-p) of Q(sqrt(-p)) for a prime p ≡ 3 (mod 4), p > 3.
 
     Computed from the half-range character sum
-        sum_{j=1}^{(p-1)/2} (j/p) = (2 - (2/p)) * h(-p),
-    then cross-checked against the independent factorial-sign congruence
-    ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p) due to Mordell.  Any mismatch between
-    the two routes raises InternalError rather than returning silently.
+        sum_{j=1}^{(p-1)/2} (j/p) = (2 - (2/p)) * h(-p);
+    a sum that is not a positive multiple of 2 - (2/p) raises InternalError.
+    Mordell's congruence ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p), an independent
+    route to the parity of h, is asserted by the MORDELL check
+    (`mordell_residue`).
     """
     require_hneg_prime(p)
     table = legendre_table(p)

@@ -842,6 +842,20 @@ def exit_code_for(failed_ids: Iterable[CheckId | str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def json_safe(obj):
+    """A witness as JSON values: ints beyond 2^53 and anything that is not a
+    JSON scalar (Fractions, for one) become decimal strings."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, (bool, float)) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return obj if abs(obj) < 2**53 else str(obj)
+    return str(obj)
+
+
 @dataclass
 class ScanRecord:
     """Everything recorded for one prime: its invariants plus the outcome of
@@ -869,11 +883,11 @@ def _scan_one(p: int, ids: tuple[str, ...], seed: int) -> ScanRecord:
         if not applicable(cid, p):
             continue
         res = check(cid, p, seed)
-        entry: dict = {"passed": res.passed}
-        note = res.witness.get("note")
-        if note:
-            entry["note"] = note
-        checks[name] = entry
+        if res.passed:
+            note = res.witness.get("note")
+            checks[name] = {"passed": True, "note": note} if note else {"passed": True}
+        else:  # the full witness, so that a counterexample can be re-run
+            checks[name] = {"passed": False, **json_safe(res.witness)}
     return ScanRecord(p, inv, checks)
 
 

@@ -8,6 +8,7 @@ with the package.
 import math
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -165,3 +166,102 @@ def half_integral_unit_by_trace(p: int, x1: int):
         return None
     b = math.isqrt((a * a + 4) // p)
     return (a, b) if p * b * b == a * a + 4 else None
+
+
+# Pure-Python modular kernels over GF(m), the references for exactla's
+# numpy kernels.
+
+
+def det_mod_py(rows: list[list[int]], m: int) -> int:
+    a = [[x % m for x in row] for row in rows]
+    n = len(a)
+    det = 1
+    for j in range(n):
+        piv = next((i for i in range(j, n) if a[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            a[j], a[piv] = a[piv], a[j]
+            det = -det
+        pj = a[j]
+        det = det * pj[j] % m
+        inv = pow(pj[j], -1, m)
+        for i in range(j + 1, n):
+            f = a[i][j] * inv % m
+            if f:
+                ai = a[i]
+                for k in range(j, n):
+                    ai[k] = (ai[k] - f * pj[k]) % m
+    return det % m
+
+
+def solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
+    """(det mod m, solution of A x = v mod m), or (0, None) if singular mod m."""
+    n = len(rows)
+    a = [[x % m for x in row] + [vec[i] % m] for i, row in enumerate(rows)]
+    det = 1
+    for j in range(n):
+        piv = next((i for i in range(j, n) if a[i][j]), None)
+        if piv is None:
+            return 0, None
+        if piv != j:
+            a[j], a[piv] = a[piv], a[j]
+            det = -det
+        pj = a[j]
+        det = det * pj[j] % m
+        inv = pow(pj[j], -1, m)
+        for i in range(j + 1, n):
+            f = a[i][j] * inv % m
+            if f:
+                ai = a[i]
+                for k in range(j, n + 1):
+                    ai[k] = (ai[k] - f * pj[k]) % m
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = sum(a[i][k] * x[k] for k in range(i + 1, n)) % m
+        x[i] = (a[i][n] - acc) * pow(a[i][i], -1, m) % m
+    return det % m, x
+
+
+def charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
+    n = len(rows)
+    h = [[x % m for x in row] for row in rows]
+    # Hessenberg reduction by similarity transforms over GF(m).
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        inv = pow(h[j + 1][j], -1, m)
+        pivrow = h[j + 1]
+        for i in range(j + 2, n):
+            f = h[i][j] * inv % m
+            if f:
+                hi = h[i]
+                for k in range(j, n):
+                    hi[k] = (hi[k] - f * pivrow[k]) % m
+                for r in range(n):
+                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % m
+    # charpoly of the Hessenberg form, expanding along the last column
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        cur = [0] + prev  # x * p_{k-1}
+        hk = h[k - 1][k - 1]
+        for idx in range(k):
+            cur[idx] = (cur[idx] - hk * prev[idx]) % m
+        beta = 1
+        for i in range(k - 1, 0, -1):
+            beta = beta * h[i][i - 1] % m
+            if beta == 0:
+                break
+            wgt = h[i - 1][k - 1] * beta % m
+            if wgt:
+                pi = polys[i - 1]
+                for idx in range(i):
+                    cur[idx] = (cur[idx] - wgt * pi[idx]) % m
+        polys.append(cur)
+    return [c % m for c in polys[n]]

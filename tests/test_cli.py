@@ -252,6 +252,68 @@ def test_scan_corrupt_resume_file(tmp_path, capsys):
     assert f"line {bad_line}" in err
 
 
+SCAN_3_60 = ("scan", "--from", "3", "--to", "60", "--ids", "T13_DPMOD4,CONJ11_DP",
+             "--jobs", "1")
+
+
+def test_scan_resume_recomputes_a_torn_last_line(tmp_path, capsys):
+    direct, torn = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    run(capsys, *SCAN_3_60, "--out", str(direct))
+    body = direct.read_bytes()
+    torn.write_bytes(body[:-40])
+    code, out, err = run(capsys, *SCAN_3_60, "--out", str(torn), "--resume", "--json")
+    assert code == 0
+    assert "torn line 16" in err
+    assert json.loads(out)["new_records"] == 1
+    assert torn.read_bytes() == body
+
+
+def test_scan_resume_restores_a_lost_last_newline(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    run(capsys, *SCAN_3_60, "--out", str(out))
+    body = out.read_bytes()
+    out.write_bytes(body[:-1])
+    code, _, err = run(capsys, *SCAN_3_60, "--out", str(out), "--resume")
+    assert code == 0 and err == ""
+    assert out.read_bytes() == body
+
+
+def test_scan_resume_corrupt_line_before_a_torn_one(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    run(capsys, *SCAN_3_60, "--out", str(out))
+    lines = out.read_bytes().split(b"\n")
+    lines[2] = b"{not json"
+    out.write_bytes(b"\n".join(lines)[:-40])
+    code, _, err = run(capsys, *SCAN_3_60, "--out", str(out), "--resume")
+    assert code == 3
+    assert "line 3" in err
+
+
+def test_scan_record_keeps_a_failed_checks_witness(tmp_path, capsys, monkeypatch):
+    import legdet.verify as v
+
+    def runner(p, s):
+        if p != 11:
+            return True, {"d_p": 0}
+        return False, {"counterexample": {"p": p, "direct": 2**60}, "note": "synthetic"}
+
+    monkeypatch.setitem(v._REGISTRY, CheckId.CONJ11_DP, v._Spec("p > 3", lambda p: p > 3, runner, "forced"))
+    out = tmp_path / "c.jsonl"
+    code, _, _ = run(capsys, "scan", "--from", "5", "--to", "13", "--ids", "CONJ11_DP",
+                     "--out", str(out), "--jobs", "1")
+    assert code == 4
+    checks = [json.loads(line)["checks"]["CONJ11_DP"] for line in out.read_text().splitlines()]
+    assert checks == [
+        {"passed": True},
+        {"passed": True},
+        {"passed": False, "counterexample": {"p": 11, "direct": str(2**60)}, "note": "synthetic"},
+        {"passed": True},
+    ]
+    code, stdout, _ = run(capsys, "scan", "--from", "5", "--to", "13", "--ids", "CONJ11_DP",
+                          "--out", str(out), "--resume", "--jobs", "1")
+    assert code == 4 and "FAIL CONJ11_DP at p=11" in stdout
+
+
 def test_scan_invalid_range(capsys, tmp_path):
     code, _, err = run(
         capsys, "scan", "--from", "100", "--to", "3", "--ids", "T13_DPMOD4",

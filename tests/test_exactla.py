@@ -16,15 +16,13 @@ from legdet.exactla import (
     mdl_check,
     moduli,
     param_det_expand,
+    modulus_bits,
     shifted_matrix,
-    _charpoly_mod_np,
-    _charpoly_mod_py,
+    _charpoly_mod,
+    _crt_residues,
     _det_crt,
-    _det_mod_np,
-    _det_mod_py,
-    _solve_mod_np,
-    _solve_mod_py,
-    _use_numpy,
+    _det_mod,
+    _solve_mod,
 )
 from legdet.charmat import MatrixKind, build
 
@@ -129,51 +127,38 @@ def test_crt_roundtrip(x):
     assert crt_symmetric([x % m for m in ms], ms) == x
 
 
-def test_moduli_bits_env_override(monkeypatch):
-    rng = random.Random(11)
-    m = rand_square(rng, 10)
-    base = det(m)
-    for bits in ("24", "31", "45", "62"):  # > 30 exercises the big-int kernels
-        monkeypatch.setenv("LEGDET_MODULI_BITS", bits)
-        assert det(m) == base
-        assert charpoly(m) == charpoly_ref(m, bits)
-    monkeypatch.setenv("LEGDET_MODULI_BITS", "7")
-    with pytest.raises(ValueError):
-        det(m)
-    monkeypatch.setenv("LEGDET_MODULI_BITS", "word")
-    with pytest.raises(ValueError):
-        det(m)
-
-
 def test_int64_bound_per_kernel():
-    # det elimination sums no products; charpoly and solve sum n of them
-    assert _use_numpy(31, 1, 1) and not _use_numpy(32, 1, 1)
-    assert _use_numpy(27, 512, 1) and not _use_numpy(27, 513, 1)
-    assert _use_numpy(28, 50, 1) and not _use_numpy(29, 50, 1)
-    assert not _use_numpy(27, 1, 2**62)
+    # modulus_bits(terms) keeps a sum of `terms` residue products in int64
+    assert all(modulus_bits(t) == 27 for t in range(1, 513))
+    assert all(modulus_bits(t) == 26 for t in range(513, 2049))
+    for e in range(21):
+        for terms in {2**e - 1, 2**e, 2**e + 1} - {0}:
+            assert terms * (moduli(modulus_bits(terms))[0] - 1) ** 2 < 2**63
 
 
-@pytest.mark.parametrize("bits", ["28", "29", "30"])
-def test_charpoly_aplus_closed_form_under_wide_moduli(monkeypatch, bits):
-    # at n = 50, n * m^2 passes 2^63 from 29 bits on
-    p = 101
-    monkeypatch.setenv("LEGDET_MODULI_BITS", bits)
-    want = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
-    assert charpoly(build(MatrixKind.aplus(), p)) == want
+def test_crt_residues_size_moduli_from_the_terms():
+    # charpoly and solve above n = 512 take 26-bit moduli; det keeps 27
+    def kernel(_data, mod):
+        return mod
+
+    assert _crt_residues(kernel, None, 513, 1) == ([moduli(26)[0]], [moduli(26)[0]])
+    assert _crt_residues(kernel, None, 1, 1) == ([moduli(27)[0]], [moduli(27)[0]])
 
 
 def test_det_kernels_agree_above_256():
     rng = random.Random(260)
     rows = [[rng.randint(-1, 1) for _ in range(260)] for _ in range(260)]
     m = moduli(27)[0]
-    assert _det_mod_np(np.array(rows, dtype=np.int64), m) == _det_mod_py(rows, m)
+    assert _det_mod(np.array(rows, dtype=np.int64), m) == oracles.det_mod_py(rows, m)
 
 
 # 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
 # elimination has room for only 2 pending updates, so its periodic full
-# reduction of the trailing block runs every other step.  Solve and charpoly
-# sum n products, so they are compared only where _use_numpy admits them.
-KERNEL_MODULI = (3, 5, 7, moduli(27)[0], 2**31 - 1)
+# reduction of the trailing block runs every other step.  moduli(27)[0] and
+# moduli(26)[0] are the largest charpoly and solve moduli for n <= 512 and
+# n <= 2048.  Solve and charpoly sum n products, so they are compared only
+# where n * (m-1)^2 < 2^63.
+KERNEL_MODULI = (3, 5, 7, moduli(27)[0], moduli(26)[0], 2**31 - 1)
 
 
 def kernel_cases():
@@ -191,12 +176,11 @@ def kernel_cases():
 def test_det_and_solve_kernels_match_pure_python(m):
     singular = 0
     for rows, vec in kernel_cases():
-        arr = np.array(rows, dtype=np.int64)
-        want = _det_mod_py(rows, m)
-        assert _det_mod_np(arr, m) == want
-        if _use_numpy(m.bit_length(), len(rows), 99):
-            got = _solve_mod_np(arr, np.array(vec, dtype=np.int64), m)
-            assert got == _solve_mod_py(rows, vec, m)
+        want = oracles.det_mod_py(rows, m)
+        assert _det_mod(np.array(rows, dtype=np.int64), m) == want
+        if len(rows) * (m - 1) ** 2 < 2**63:
+            aug = np.array([row + [x] for row, x in zip(rows, vec)], dtype=np.int64)
+            assert _solve_mod(aug, m) == oracles.solve_mod_py(rows, vec, m)
         singular += want == 0
     assert singular >= 13
 
@@ -204,9 +188,9 @@ def test_det_and_solve_kernels_match_pure_python(m):
 @pytest.mark.parametrize("m", KERNEL_MODULI)
 def test_charpoly_kernel_matches_pure_python(m):
     for rows, _ in kernel_cases():
-        if _use_numpy(m.bit_length(), len(rows), 99):
+        if len(rows) * (m - 1) ** 2 < 2**63:
             arr = np.array(rows, dtype=np.int64)
-            assert _charpoly_mod_np(arr, m) == _charpoly_mod_py(rows, m)
+            assert _charpoly_mod(arr, m) == oracles.charpoly_mod_py(rows, m)
 
 
 @pytest.mark.parametrize("p", [101, 397])
@@ -215,12 +199,7 @@ def test_charpoly_kernel_on_derogatory_aplus(p):
     rows = build(MatrixKind.aplus(), p).to_lists()
     arr = np.array(rows, dtype=np.int64)
     for m in (7, moduli(27)[0]):
-        assert _charpoly_mod_np(arr, m) == _charpoly_mod_py(rows, m)
-
-
-def charpoly_ref(m, _bits):
-    # same call; the env var steers the kernel choice inside
-    return charpoly(m)
+        assert _charpoly_mod(arr, m) == oracles.charpoly_mod_py(rows, m)
 
 
 # --- characteristic polynomials ---------------------------------------------

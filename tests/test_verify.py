@@ -286,3 +286,14 @@ def test_wrong_symbol_table_is_a_check_failure(monkeypatch, fresh_caches, capsys
     assert check(cid, 13).passed is False
     assert main(["verify", "--prime", "13", "--suite", cid.value]) == 1
     assert f"FAIL {cid.value} p=13" in capsys.readouterr().out
+
+
+def test_mordell_violation_exits_1_under_suite_all(monkeypatch, fresh_caches, capsys):
+    # h(-p) comes from the character sum alone, so a wrong factorial reaches
+    # only MORDELL, which reports a failed statement, not an internal error
+    for mod in (ntheory, v):
+        monkeypatch.setattr(mod, "factorial_half_mod", lambda p: 0)
+    assert main(["verify", "--prime", "7", "--suite", "all"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL MORDELL p=7" in out
+    assert out.count("FAIL") == 1
