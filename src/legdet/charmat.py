@@ -1,6 +1,9 @@
 """Builders for the Legendre-symbol matrices and the special vectors tied to
-them.  All entries come from one shared symbol table, so construction is
-O(size) after the O(p) table build.
+them.  All entries come from the one cached symbol table
+(`ntheory.legendre_table`), so construction is O(size) once the prime's
+table exists.  Each base matrix (A+, A-, A_p and the two (n+1)-square Sun
+matrices) has one entry formula; a parametric kind is its base matrix
+shifted by `exactla.shifted_matrix`, the one four-parameter formula.
 
 With n = (p-1)/2 and (a/p) the Legendre symbol:
 
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import IntMatrix
-from .ntheory import LegendreTable, legendre_table
+from .exactla import IntMatrix, shifted_matrix
+from .ntheory import legendre_table
 
 APLUS = "APlus"
 AMINUS = "AMinus"
@@ -28,7 +31,8 @@ AP = "AP"
 SUN_HALF_PLUS = "SunHalfPlus"
 SUN_HALF_MINUS = "SunHalfMinus"
 
-_PARAMETRIC = frozenset({AXYZW, SUN_HALF_PLUS, SUN_HALF_MINUS})
+_SUN = frozenset({SUN_HALF_PLUS, SUN_HALF_MINUS})
+_PARAMETRIC = _SUN | {AXYZW}
 _TAGS = frozenset({APLUS, AMINUS, AP}) | _PARAMETRIC
 
 
@@ -71,58 +75,38 @@ class MatrixKind:
         return cls(SUN_HALF_MINUS, (x, y, z, w))
 
 
-def build(kind: MatrixKind, p: int) -> IntMatrix:
-    """Construct the requested symbol matrix for the odd prime p."""
-    t = legendre_table(p)
-    v = t.vals
+def _base_rows(tag: str, v: tuple[int, ...], p: int) -> list[list[int]]:
+    """The entries of the zero-parameter matrix of kind `tag`."""
     n = (p - 1) // 2
-    if kind.tag == APLUS:
-        return IntMatrix(
-            [[v[j + k] + v[(j - k) % p] for k in range(1, n + 1)] for j in range(1, n + 1)]
-        )
-    if kind.tag == AMINUS:
-        return IntMatrix(
-            [[v[j + k] - v[(j - k) % p] for k in range(1, n + 1)] for j in range(1, n + 1)]
-        )
-    if kind.tag == AP:
-        return IntMatrix(
-            [
-                [v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in range(1, n + 1)]
-                for j in range(1, n + 1)
-            ]
-        )
-    x, y, z, w = kind.params
-    if kind.tag == AXYZW:
-        return IntMatrix(
-            [
-                [
-                    x + v[j + k] + v[(j - k) % p] + v[j] * y + v[k] * z + v[j * k % p] * w
-                    for k in range(1, n + 1)
-                ]
-                for j in range(1, n + 1)
-            ]
-        )
-    if kind.tag == SUN_HALF_PLUS:
-        sym = lambda j, k: v[j + k]
-    else:
-        sym = lambda j, k: v[(j - k) % p]
-    # row/column 0 is computed from the same table: (0/p) = 0 wipes the
-    # y, z, w contributions there with no special-casing
-    return IntMatrix(
-        [
-            [
-                x + sym(j, k) + v[j] * y + v[k] * z + v[j * k % p] * w
-                for k in range(n + 1)
-            ]
-            for j in range(n + 1)
-        ]
-    )
+    if tag in _SUN:
+        idx = range(n + 1)
+        if tag == SUN_HALF_PLUS:
+            return [[v[j + k] for k in idx] for j in idx]
+        return [[v[(j - k) % p] for k in idx] for j in idx]
+    idx = range(1, n + 1)
+    if tag == AMINUS:
+        return [[v[j + k] - v[(j - k) % p] for k in idx] for j in idx]
+    if tag == AP:
+        return [[v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in idx] for j in idx]
+    return [[v[j + k] + v[(j - k) % p] for k in idx] for j in idx]  # APLUS, AXYZW
 
 
-def symbol_vector(p: int, table: LegendreTable | None = None) -> list[int]:
+def build(kind: MatrixKind, p: int) -> IntMatrix:
+    """Construct the requested symbol matrix for the odd prime p.  A
+    parametric kind is its base matrix shifted by `shifted_matrix`, with f
+    the symbol vector over the base's index range: (jk/p) = (j/p)(k/p), and
+    for the Sun kinds (0/p) = 0 wipes the y, z, w terms in row and column 0."""
+    v = legendre_table(p).vals
+    base = IntMatrix(_base_rows(kind.tag, v, p))
+    if kind.params is None:
+        return base
+    f = v[0 if kind.tag in _SUN else 1 : (p - 1) // 2 + 1]
+    return shifted_matrix(base, f, f, *kind.params)
+
+
+def symbol_vector(p: int) -> list[int]:
     """[(1/p), (2/p), ..., (n/p)] with n = (p-1)/2."""
-    t = table or legendre_table(p)
-    return list(t.vals[1 : (p - 1) // 2 + 1])
+    return list(legendre_table(p).vals[1 : (p - 1) // 2 + 1])
 
 
 def theta_vector(p: int) -> list[int]:
@@ -133,8 +117,7 @@ def theta_vector(p: int) -> list[int]:
     """
     if p % 4 != 3:
         raise ValueError(f"theta vector requires p ≡ 3 (mod 4), got {p}")
-    t = legendre_table(p)
-    v = t.vals
+    v = legendre_table(p).vals
     n = (p - 1) // 2
     s1 = sum(v[k] for k in range(1, n + 1))
     return [
@@ -144,16 +127,11 @@ def theta_vector(p: int) -> list[int]:
 
 
 def special_eigvecs(p: int) -> tuple[list[int], list[int]]:
-    """For p ≡ 1 (mod 4): the fixed vectors v1 = ((j/p) - 1)_j and
+    """For p ≡ 1 (mod 4): the vectors v1 = ((j/p) - 1)_j and
     v2 = ((j/p) + 1)_j with APlus v1 = v1 and APlus v2 = -v2.  Both are
-    nonzero because residues and nonresidues each fill half of 1..n."""
+    nonzero because residues and nonresidues each fill half of 1..n, which
+    the L23_EIGVECS check asserts."""
     if p % 4 != 1:
         raise ValueError(f"eigenvector pair requires p ≡ 1 (mod 4), got {p}")
-    t = legendre_table(p)
-    n = (p - 1) // 2
-    half = t.vals[1 : n + 1]
-    if sum(1 for s in half if s == 1) != n // 2:
-        raise AssertionError("residues do not fill half of 1..n")
-    v1 = [s - 1 for s in half]
-    v2 = [s + 1 for s in half]
-    return v1, v2
+    half = symbol_vector(p)
+    return [s - 1 for s in half], [s + 1 for s in half]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InternalError
@@ -93,8 +94,11 @@ class LegendreTable:
     vals: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
 def legendre_table(p: int) -> LegendreTable:
-    """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1."""
+    """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1.
+    Cached for the last prime only: callers visit one prime at a time, and a
+    larger cache would keep O(p) tables alive across a whole range."""
     require_odd_prime(p)
     vals = [-1] * p
     vals[0] = 0

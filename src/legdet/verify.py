@@ -10,13 +10,16 @@ determinants, is compared coefficient-by-coefficient against the closed form
 (a complete proof of the polynomial identity for that prime, given the
 expansion theorem), and the direct determinant at each of 20 points drawn
 from the check's seeded stream is compared with both the expansion and the
-closed form.  The expansion and its sample determinants are computed once
-per prime and seed and shared by every check that reads them.
+closed form.  Each per-prime value (symbol table, invariants, A+, A-,
+det(A_p), the expansion and its sample determinants) is computed once per
+prime and seed and shared by every check that reads it, and the two
+seed-only suites run once per seed in a process.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import multiprocessing
 import os
@@ -39,6 +42,7 @@ from .exactla import (
     det,
     mdl_check,
     param_det_expand,
+    shifted_matrix,
 )
 from .ntheory import (
     PrimeInvariants,
@@ -111,11 +115,6 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=64)
-def _table(p: int):
-    return legendre_table(p)
-
-
 @lru_cache(maxsize=32)
 def _invariants(p: int) -> PrimeInvariants:
     return prime_invariants(p)
@@ -131,6 +130,18 @@ def _aminus(p: int) -> IntMatrix:
     return build(MatrixKind.aminus(), p)
 
 
+@lru_cache(maxsize=64)
+def _det_ap(p: int) -> int:
+    """det(A_p), read by L25_AP_NEG and L25_EIGS."""
+    return det(build(MatrixKind.ap(), p))
+
+
+def _det_3mod4(p: int) -> int:
+    """|A+| = |A-| = (-1)^((h(-p)-1)/2) p^((p-3)/4) for p ≡ 3 (mod 4), p > 3,
+    the value T11_DET_3MOD4, T12_II, COR_AFTER_T12 and EQ_38II_QP build on."""
+    return _sign_pow((_invariants(p).h_neg - 1) // 2) * p ** ((p - 3) // 4)
+
+
 def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int):
     """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
     20 points of check `name`'s seeded stream."""
@@ -144,15 +155,15 @@ def _aplus_pd(p: int, seed: int):
     """The expansion of AXYZW, sampled on T12_I's (p ≡ 1 mod 4) or T12_II's
     points; COR_AFTER_T12 and EQ_38II_QP read the same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
-    return _expand(_aplus(p), symbol_vector(p, _table(p)), name, p, seed)
+    return _expand(_aplus(p), symbol_vector(p), name, p, seed)
 
 
 @lru_cache(maxsize=64)
 def _sun_pd(p: int, plus: bool, seed: int):
     kind = MatrixKind.sun_half_plus if plus else MatrixKind.sun_half_minus
-    fg = list(_table(p).vals[: (p - 1) // 2 + 1])
     name = "SUN_C31_I" if plus else "SUN_C31_II"
-    return _expand(build(kind(0, 0, 0, 0), p), fg, name, p, seed)
+    # the symbol vector over 0..n, with (0/p) = 0
+    return _expand(build(kind(0, 0, 0, 0), p), [0, *symbol_vector(p)], name, p, seed)
 
 
 def _two_layer(wit: dict, ok: bool, note: str, pd: ParamDet, samples, closed_form):
@@ -198,7 +209,7 @@ def _run_t11_charpoly(p: int, seed: int):
 
 
 def _run_t11_det_1mod4(p: int, seed: int):
-    two = _table(p).vals[2]
+    two = legendre_table(p).vals[2]
     want_plus = two * p ** ((p - 5) // 4)
     want_minus = two * p ** ((p - 1) // 4)
     dp_, dm = det(_aplus(p)), det(_aminus(p))
@@ -210,11 +221,10 @@ def _run_t11_det_1mod4(p: int, seed: int):
 
 
 def _run_t11_det_3mod4(p: int, seed: int):
-    h = _invariants(p).h_neg
-    want = _sign_pow((h - 1) // 2) * p ** ((p - 3) // 4)
+    want = _det_3mod4(p)
     dp_, dm = det(_aplus(p)), det(_aminus(p))
     ok = dp_ == dm == want
-    wit = {"det_aplus": str(dp_), "det_aminus": str(dm), "h_neg": h}
+    wit = {"det_aplus": str(dp_), "det_aminus": str(dm), "h_neg": _invariants(p).h_neg}
     if not ok:
         wit["note"] = f"expected both determinants = {want}"
     return ok, wit
@@ -240,23 +250,11 @@ def _run_t12_i(p: int, seed: int):
     )
 
 
-def _t12_ii_closed_form(p: int, d_det: int, c: int, d_p: int, n: int):
-    lead = d_det // p  # p^{(p-3)/4} >= p for every p ≡ 3 (mod 4), p > 3
-    tail = n + 2 * (d_p - c * c)
-
-    def rhs(x, y, z, w):
-        return d_det * (1 - n * y - c * (w + x) + c * c * (w * x - y * z)) + lead * tail * (
-            z + n * (w * x - y * z)
-        )
-
-    return rhs
-
-
 def _run_t12_ii(p: int, seed: int):
     inv = _invariants(p)
     n, c, d_p = inv.n, inv.c_p, inv.d_p
-    d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
-    e = (d_det // p) * (n + 2 * (d_p - c * c))
+    d_det = _det_3mod4(p)
+    e = (d_det // p) * (n + 2 * (d_p - c * c))  # p^((p-3)/4) >= p here
     pd, samples = _aplus_pd(p, seed)
     want = (d_det, -c * d_det, -n * d_det, e, -c * d_det, -c * c * d_det - n * e)
     coeff_ok = pd.basis_coeffs() == tuple(Fraction(t) for t in want)
@@ -267,7 +265,12 @@ def _run_t12_ii(p: int, seed: int):
         and pd.alpha3 == d_det + e
         and pd.alpha4 == d_det * (1 - c)
     )
-    rhs = _t12_ii_closed_form(p, d_det, c, d_p, n)
+
+    def rhs(x, y, z, w):
+        return d_det * (1 - n * y - c * (w + x) + c * c * (w * x - y * z)) + e * (
+            z + n * (w * x - y * z)
+        )
+
     wit = {
         "det": str(d_det),
         "c_p": c,
@@ -283,7 +286,7 @@ def _run_t12_ii(p: int, seed: int):
 def _run_cor_after_t12(p: int, seed: int):
     inv = _invariants(p)
     n, c = inv.n, inv.c_p
-    d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
+    d_det = _det_3mod4(p)
     pd, _ = _aplus_pd(p, seed)
     base_ok = (
         pd.alpha == d_det
@@ -292,8 +295,9 @@ def _run_cor_after_t12(p: int, seed: int):
     )
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
     # both, one of x and w is 0, so one form covers the two restrictions
+    a, f = _aplus(p), symbol_vector(p)
     samples = (
-        (pt, det(build(MatrixKind.axyzw(*pt), p)))
+        (pt, det(shifted_matrix(a, f, f, *pt)))
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
         for pt in ((x, y, 0, 0), (0, y, 0, w))
     )
@@ -308,8 +312,8 @@ def _run_cor_after_t12(p: int, seed: int):
 def _run_eq_38ii_qp(p: int, seed: int):
     inv = _invariants(p)
     n, c, q = inv.n, inv.c_p, inv.q_p
-    two = _table(p).vals[2]
-    d_det = _sign_pow((inv.h_neg - 1) // 2) * p ** ((p - 3) // 4)
+    two = legendre_table(p).vals[2]
+    d_det = _det_3mod4(p)
     pd, samples = _aplus_pd(p, seed)
     # restriction of the expansion to z = 0, in the basis {1, x, y, w, wx}
     got = (
@@ -384,7 +388,7 @@ def _run_l21(p: int, seed: int):
 
 
 def _run_l22(p: int, seed: int):
-    v = _table(p).vals
+    v = legendre_table(p).vals
     n = (p - 1) // 2
     sgn = 1 if p % 4 == 1 else -1
     ap, am = _aplus(p), _aminus(p)
@@ -411,21 +415,19 @@ def _run_l22(p: int, seed: int):
 
 def _run_l23(p: int, seed: int):
     v1, v2 = special_eigvecs(p)
+    # v1 is zero exactly at the residues; half of 1..n makes v1 and v2 nonzero
+    if v1.count(0) != (p - 1) // 4:
+        return False, {"note": "residues do not fill half of 1..n"}
     ap = _aplus(p)
-    ok = (
-        any(v1)
-        and any(v2)
-        and ap.matvec(v1) == v1
-        and ap.matvec(v2) == [-t for t in v2]
-    )
     wit = {"v1_fixed": ap.matvec(v1) == v1, "v2_negated": ap.matvec(v2) == [-t for t in v2]}
+    ok = wit["v1_fixed"] and wit["v2_negated"]
     if not ok:
         wit["note"] = "eigenvector relations failed"
     return ok, wit
 
 
 def _run_l24(p: int, seed: int):
-    v = _table(p).vals
+    v = legendre_table(p).vals
     n = (p - 1) // 2
     sq = _aplus(p) @ _aplus(p)
     for want_sym in (1, -1):
@@ -442,7 +444,7 @@ def _run_l24(p: int, seed: int):
 
 
 def _run_l25_ap_neg(p: int, seed: int):
-    d = det(build(MatrixKind.ap(), p))
+    d = _det_ap(p)
     ok = d < 0
     wit = {"det_ap": str(d)}
     if not ok:
@@ -477,12 +479,11 @@ _EIG_PRODUCT_RTOL = 1e-6
 
 
 def _run_l25_eigs(p: int, seed: int):
-    v = _table(p).vals
+    v = legendre_table(p).vals
     n = (p - 1) // 2
     lam_n = sum(v[(k + 1) % p] for k in range(1, p))  # the one real eigenvalue
-    d = det(build(MatrixKind.ap(), p))
+    d = _det_ap(p)  # its sign is L25_AP_NEG's statement
     ok_n = lam_n == -1
-    ok_sign = d < 0
     wit = {"lambda_n": lam_n, "det_ap": str(d), "product_checked": p <= _EIG_PRODUCT_CAP}
     ok_prod = True
     if p <= _EIG_PRODUCT_CAP:
@@ -504,7 +505,7 @@ def _run_l25_eigs(p: int, seed: int):
         ok_prod = rel < _EIG_PRODUCT_RTOL
         wit["product_relative_error"] = rel
         wit["primitive_root"] = g
-    ok = ok_n and ok_sign and ok_prod
+    ok = ok_n and ok_prod
     if not ok:
         wit["note"] = "eigenvalue claims failed"
     return ok, wit
@@ -524,7 +525,7 @@ def _run_atheta(p: int, seed: int):
 def _run_eq_dp_u1au0(p: int, seed: int):
     inv = _invariants(p)
     n = inv.n
-    u1 = symbol_vector(p, _table(p))
+    u1 = symbol_vector(p)
     w, d = adjugate_apply(_aplus(p), [1] * n)
     lhs = p * sum(s * wi for s, wi in zip(u1, w))
     rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
@@ -549,7 +550,7 @@ def _run_l41(p: int, seed: int):
 
 def _run_eq_dcount(p: int, seed: int):
     inv = _invariants(p)
-    v = _table(p).vals
+    v = legendre_table(p).vals
     n = inv.n
     s1 = inv.sum_half
     s2 = sum(k * v[k] for k in range(1, n + 1))
@@ -607,35 +608,37 @@ def _mdl_instances(rng: random.Random, count: int):
 _DEFAULT_RANDOM_INSTANCES = 200
 
 
+@lru_cache(maxsize=8)
+def _seeded_suite(check_id: CheckId, count: int, seed: int) -> tuple[bool, dict]:
+    """A seed-only suite's (passed, witness), computed once per process for
+    each count and seed: it does not depend on the prime."""
+    instances = _t31_instances if check_id is CheckId.T31_RANDOM else _mdl_instances
+    return instances(_rng(seed, check_id.name), count)
+
+
+def _suite_result(check_id: CheckId, count: int, seed: int) -> CheckResult:
+    start = time.perf_counter()
+    ok, wit = _seeded_suite(check_id, count, seed)
+    # a copy, so that no caller can change the cached witness
+    return CheckResult(check_id, None, ok, copy.deepcopy(wit), time.perf_counter() - start)
+
+
 def t31_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
     """Seeded random-instance suite for the four-parameter expansion."""
-    start = time.perf_counter()
-    ok, wit = _t31_instances(_rng(seed, "T31_RANDOM"), count)
-    return CheckResult(CheckId.T31_RANDOM, None, ok, wit, time.perf_counter() - start)
+    return _suite_result(CheckId.T31_RANDOM, count, seed)
 
 
 def mdl_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
     """Seeded random-instance suite for |A + U V^T| = |I + V^T A^{-1} U| |A|."""
-    start = time.perf_counter()
-    ok, wit = _mdl_instances(_rng(seed, "MDL_RANDOM"), count)
-    return CheckResult(CheckId.MDL_RANDOM, None, ok, wit, time.perf_counter() - start)
-
-
-def _run_t31_random(p: int | None, seed: int):
-    return _t31_instances(_rng(seed, "T31_RANDOM"), _DEFAULT_RANDOM_INSTANCES)
-
-
-def _run_mdl_random(p: int | None, seed: int):
-    return _mdl_instances(_rng(seed, "MDL_RANDOM"), _DEFAULT_RANDOM_INSTANCES)
+    return _suite_result(CheckId.MDL_RANDOM, count, seed)
 
 
 def _run_sun(p: int, seed: int, plus: bool):
     n = (p - 1) // 2
-    t = _table(p)
     pd, samples = _sun_pd(p, plus, seed)
     if p % 4 == 1:
         a, b, a2, b2 = unit_power_coeffs(p)
-        two = t.vals[2]
+        two = legendre_table(p).vals[2]
         if plus:
             k = Fraction(two * 2**n)
             want = (-a * k, p * b * k, -a * k, -a * k, Fraction(0), -a * k)
@@ -669,7 +672,7 @@ def _run_sun(p: int, seed: int, plus: bool):
 
 
 def _run_mordell(p: int, seed: int):
-    v = _table(p).vals
+    v = legendre_table(p).vals
     n = (p - 1) // 2
     s = sum(v[1 : n + 1])
     denom = 2 - v[2]
@@ -700,7 +703,8 @@ _GT3 = ("p > 3", lambda p: p > 3)
 class _Spec:
     requirement: str
     applies: Callable[[int], bool]
-    runner: Callable[[int, int], tuple[bool, dict]]
+    # (p, seed) -> (passed, witness); a seed-only suite: (count, seed) -> CheckResult
+    runner: Callable[[int, int], tuple[bool, dict] | CheckResult]
     describes: str
 
 
@@ -771,11 +775,11 @@ _REGISTRY: dict[CheckId, _Spec] = {
         "d_p = 4N - n^2 - n S1 + (residue-class correction)",
     ),
     CheckId.T31_RANDOM: _Spec(
-        "any input (seeded random instances)", lambda p: True, _run_t31_random,
+        "any input (seeded random instances)", lambda p: True, t31_random_suite,
         "four-parameter expansion on random integer matrices",
     ),
     CheckId.MDL_RANDOM: _Spec(
-        "any input (seeded random instances)", lambda p: True, _run_mdl_random,
+        "any input (seeded random instances)", lambda p: True, mdl_random_suite,
         "matrix-determinant lemma on random integer matrices",
     ),
     CheckId.SUN_C31_I: _Spec(
@@ -813,10 +817,9 @@ def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> Check
         except KeyError:
             raise ValueError(f"unknown check id {check_id!r}") from None
     spec = _REGISTRY[check_id]
-    start = time.perf_counter()
     if check_id in RANDOM_IDS:
-        ok, wit = spec.runner(p, seed)
-        return CheckResult(check_id, None, ok, wit, time.perf_counter() - start)
+        return spec.runner(_DEFAULT_RANDOM_INSTANCES, seed)
+    start = time.perf_counter()
     if p is None:
         raise ValueError(f"check {check_id.name} needs a prime")
     require_odd_prime(p)

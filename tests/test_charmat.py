@@ -135,7 +135,7 @@ def test_parametric_kinds_are_shifted_base_matrices():
     for p in primes_in_range(3, 59):
         t = legendre_table(p)
         n = (p - 1) // 2
-        u1 = symbol_vector(p, t)
+        u1 = symbol_vector(p)
         fg = list(t.vals[: n + 1])
         aplus = build(MatrixKind.aplus(), p)
         for _ in range(5):

@@ -77,7 +77,8 @@ def test_det_crt_path_on_larger_matrix():
 
 
 def test_det_crt_path_with_huge_entries():
-    # entries beyond int64 must route to the big-int kernels
+    # entries beyond int64 enter the kernels through the object-array
+    # conversion, reduced to int64 residues per modulus
     rng = random.Random(8)
     scale = 10**40
     m = IntMatrix(

@@ -5,6 +5,7 @@ import pytest
 import legdet.exactla
 import legdet.ntheory as ntheory
 import legdet.verify as v
+import legdet.charmat as charmat
 from legdet.charmat import MatrixKind, build
 from legdet.cli import main
 from legdet.verify import (
@@ -178,19 +179,30 @@ def test_scan_records_failure_note(monkeypatch):
 # --- the two-layer sample comparison ------------------------------------------
 
 
-def _clear_verify_caches():
-    for obj in vars(v).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
+def _cache_clearers():
+    """Every lru_cache in a legdet module except the CRT moduli list, the
+    rule bench/run.py's cache_clearers uses."""
+    out = []
+    for name, mod in list(sys.modules.items()):
+        if name == "legdet" or name.startswith("legdet."):
+            for obj in vars(mod).values():
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear) and obj is not legdet.exactla.moduli and clear not in out:
+                    out.append(clear)
+    return out
 
 
 @pytest.fixture
 def fresh_caches():
-    # the expansions and invariants a test computes under a patch must not
-    # outlive it, and a cached expansion must not hide the patch
-    _clear_verify_caches()
+    # the tables, expansions and invariants a test computes under a patch
+    # must not outlive it, and a cached value must not hide the patch; the
+    # caches are collected before the test patches any name
+    clearers = _cache_clearers()
+    for clear in clearers:
+        clear()
     yield
-    _clear_verify_caches()
+    for clear in clearers:
+        clear()
 
 
 def _patch_det(monkeypatch, replacement):
@@ -297,3 +309,72 @@ def test_mordell_violation_exits_1_under_suite_all(monkeypatch, fresh_caches, ca
     out = capsys.readouterr().out
     assert "FAIL MORDELL p=7" in out
     assert out.count("FAIL") == 1
+
+
+def test_special_eigvecs_half_fill_failure_is_a_check_failure(monkeypatch, fresh_caches, capsys):
+    # with (5/13) and (8/13) flipped in the table charmat reads, four
+    # residues fall in 1..6: L23 reports it, and the run still exits 1
+    real = ntheory.legendre_table
+
+    def flipped(p):
+        vals = list(real(p).vals)
+        for a in (5, 8):
+            vals[a] = -vals[a]
+        return ntheory.LegendreTable(p, tuple(vals))
+
+    monkeypatch.setattr(charmat, "legendre_table", flipped)
+    assert main(["verify", "--prime", "13", "--suite", "all"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL L23_EIGVECS p=13" in out
+    assert "residues do not fill half of 1..n" in out
+
+
+# --- one source for each per-prime value --------------------------------------
+
+
+def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
+    builds = []
+    table = ntheory.LegendreTable
+
+    def counting(p, vals):
+        builds.append(p)
+        return table(p, vals)
+
+    monkeypatch.setattr(ntheory, "LegendreTable", counting)
+    assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
+    assert builds == [103]
+
+
+def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
+    calls = []
+    real = _patch_det(monkeypatch, lambda m: calls.append(m.nrows) or real(m))
+    assert check(CheckId.L25_AP_NEG, 103).passed
+    r = check(CheckId.L25_EIGS, 103)
+    assert r.passed and int(r.witness["det_ap"]) < 0
+    assert calls == [51]
+
+
+def test_scan_runs_each_seed_only_suite_once(monkeypatch, fresh_caches, tmp_path, capsys):
+    runs = []
+
+    def counting(name):
+        real = getattr(v, name)
+        return lambda rng, count: runs.append(name) or real(rng, count)
+
+    for name in ("_t31_instances", "_mdl_instances"):
+        monkeypatch.setattr(v, name, counting(name))
+    out = tmp_path / "scan.jsonl"
+    argv = ["scan", "--from", "3", "--to", "30", "--ids", "all", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(runs) == ["_mdl_instances", "_t31_instances"]
+    records = out.read_text().splitlines()
+    assert len(records) == 9
+    for r in records:  # every prime's record still lists both checks
+        assert '"T31_RANDOM":{"passed":true}' in r and '"MDL_RANDOM":{"passed":true}' in r
+
+
+def test_seed_only_suite_witness_is_a_copy(fresh_caches):
+    first = t31_random_suite(count=3, seed=5)
+    first.witness["instances"] = -1
+    again = t31_random_suite(count=3, seed=5)
+    assert again.witness == {"instances": 3} and again.passed
