@@ -1,5 +1,7 @@
 """Command-line front end: compute invariants, verify the identity catalog,
-and run resumable prime-range scans with machine-readable output.
+and run resumable prime-range scans with machine-readable output.  Check
+ids, ranges and tallies come from `verify`; each compute field is one
+entry of `_COMPUTE`, and every field name is checked before any is computed.
 
 Exit codes: 0 all checks passed, 1 a proved statement failed (implementation
 bug), 2 usage error, 3 internal error, 4 only conjecture checks failed
@@ -13,7 +15,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable
+from typing import Callable
 
 from . import verify as _verify
 from .charmat import MatrixKind, build
@@ -37,102 +39,55 @@ EXIT_CONJECTURE = 4
 
 SCHEMA_VERSION = 1
 
-COMPUTE_FIELDS = (
-    "dp",
-    "cp",
-    "qp",
-    "hneg",
-    "det-aplus",
-    "det-aminus",
-    "charpoly-aplus",
-    "charpoly-aminus",
-    "unit",
-    "hreal",
-)
-# the fields read from one PrimeInvariants record
+# each compute field as a function of (p, p's invariant record); the record
+# is computed only when a field in _INVARIANT_FIELDS is asked for
+_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None], object]] = {
+    "dp": lambda p, inv: inv.d_p,
+    "cp": lambda p, inv: inv.c_p,
+    "qp": lambda p, inv: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
+    "hneg": lambda p, inv: inv.h_neg,
+    "det-aplus": lambda p, inv: det(build(MatrixKind.aplus(), p)),
+    "det-aminus": lambda p, inv: det(build(MatrixKind.aminus(), p)),
+    "charpoly-aplus": lambda p, inv: charpoly(build(MatrixKind.aplus(), p)),
+    "charpoly-aminus": lambda p, inv: charpoly(build(MatrixKind.aminus(), p)),
+    "unit": lambda p, inv: fundamental_unit(p),
+    "hreal": lambda p, inv: class_number_real(p),
+}
+COMPUTE_FIELDS = tuple(_COMPUTE)
 _INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
-
-
-def _poly_json(poly: IntPoly) -> list[str]:
-    return [str(c) for c in poly.coeffs]
-
-
-def _compute_field(name: str, p: int, inv: PrimeInvariants | None):
-    """(text value, json value) for one compute field; inv is p's invariant
-    record, needed only by the fields in _INVARIANT_FIELDS."""
-    if name == "dp":
-        v = str(inv.d_p)
-        return v, v
-    if name == "cp":
-        v = str(inv.c_p)
-        return v, v
-    if name == "qp":
-        v = f"{inv.q_p.numerator}/{inv.q_p.denominator}"
-        return v, v
-    if name == "hneg":
-        v = str(inv.h_neg)
-        return v, v
-    if name == "det-aplus":
-        v = str(det(build(MatrixKind.aplus(), p)))
-        return v, v
-    if name == "det-aminus":
-        v = str(det(build(MatrixKind.aminus(), p)))
-        return v, v
-    if name == "charpoly-aplus":
-        poly = charpoly(build(MatrixKind.aplus(), p))
-        return str(poly), _poly_json(poly)
-    if name == "charpoly-aminus":
-        poly = charpoly(build(MatrixKind.aminus(), p))
-        return str(poly), _poly_json(poly)
-    if name == "unit":
-        v = str(fundamental_unit(p))
-        return v, v
-    if name == "hreal":
-        v = str(class_number_real(p))
-        return v, v
-    raise ValueError(f"unknown field {name!r}; known fields: {', '.join(COMPUTE_FIELDS)}")
 
 
 def _cmd_compute(args) -> int:
     p = args.prime
     require_odd_prime(p)
-    inv = None  # computed once, on the first field that reads it
-    out = {}
+    if not args.what:
+        raise ValueError(f"--what names no field; known fields: {', '.join(COMPUTE_FIELDS)}")
     for name in args.what:
+        if name not in _COMPUTE:
+            raise ValueError(f"unknown field {name!r}; known fields: {', '.join(COMPUTE_FIELDS)}")
         if name == "hneg":
             require_hneg_prime(p)
-        if inv is None and name in _INVARIANT_FIELDS:
-            inv = prime_invariants(p)
-        out[name] = _compute_field(name, p, inv)
+    inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
+    out = {name: _COMPUTE[name](p, inv) for name in args.what}
     if args.json:
-        print(json.dumps({k: v[1] for k, v in out.items()}))
+        print(json.dumps({
+            k: [str(c) for c in v.coeffs] if isinstance(v, IntPoly) else str(v)
+            for k, v in out.items()
+        }))
     else:
-        for k, v in out.items():
-            print(v[0])
+        for v in out.values():
+            print(v)
     return EXIT_OK
 
 
-def _parse_ids(raw: str) -> list[CheckId]:
-    if raw == "all":
-        return list(CheckId)
-    ids = []
-    for name in raw.split(","):
-        name = name.strip()
-        if name not in CheckId.__members__:
-            raise ValueError(f"unknown check id {name!r}")
-        ids.append(CheckId[name])
-    return ids
-
-
 def _cmd_verify(args) -> int:
-    ids = _parse_ids(args.suite)
+    ids = _verify.parse_ids(args.suite)
     if args.prime is not None:
         require_odd_prime(args.prime)
         primes = [args.prime]
     elif args.p_from is not None and args.p_to is not None:
-        if not 3 <= args.p_from <= args.p_to:
-            raise ValueError(f"need 3 <= from <= to, got [{args.p_from}, {args.p_to}]")
-        primes = primes_in_range(max(3, args.p_from), args.p_to)
+        _verify.require_range(args.p_from, args.p_to)
+        primes = primes_in_range(args.p_from, args.p_to)
     else:
         raise ValueError("verify needs --prime or both --from and --to")
 
@@ -224,8 +179,16 @@ def record_to_csv_rows(rec: ScanRecord) -> list[str]:
 CSV_HEADER = "p,check,passed,d_p"
 
 
-def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
-    """Parse an existing scan file: returns (primes present, counts for the
+def _open_out(path: str, mode: str, **kw):
+    """Open the --out file; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, mode, **kw)
+    except OSError as exc:
+        raise ValueError(f"cannot open --out {path!r}: {exc.strerror}") from None
+
+
+def _read_resume(path: str, lo: int, hi: int, names: list[str]):
+    """Parse an existing scan file: returns (primes present, the tally of the
     in-range records).  Raises InternalError naming the first bad line, and
     ValueError when an in-range record lacks a requested check that applies
     to its prime, since resuming would then report that check as skipped.
@@ -234,18 +197,16 @@ def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
     it is truncated away with a warning on stderr, and its prime is computed
     again; if it does, the missing newline is written."""
     done: set[int] = set()
-    pre_passed = pre_failed = pre_skipped = 0
-    pre_failures: list[tuple[int, str]] = []
-    names = list(names)
-    with open(path, "rb+") as fh:
+    tally = _verify.ScanSummary()
+    with _open_out(path, "rb+") as fh:
         end = 0  # bytes up to the end of the last good line
         for lineno, line in enumerate(fh, 1):
             try:
                 obj = json.loads(line)
-                p = obj["p"]
-                if obj["schema_version"] != SCHEMA_VERSION or not isinstance(p, int):
+                p, checks = obj["p"], obj.get("checks", {})
+                if (obj["schema_version"] != SCHEMA_VERSION or not isinstance(p, int)
+                        or not all(isinstance(e, dict) for e in checks.values())):
                     raise ValueError("bad record")
-                checks = obj.get("checks", {})
             except Exception:
                 if line.endswith(b"\n"):
                     raise InternalError(f"corrupt resume file {path!r} at line {lineno}") from None
@@ -262,45 +223,34 @@ def _read_resume(path: str, lo: int, hi: int, names: Iterable[str]):
             done.add(p)
             if lo <= p <= hi:
                 for name in names:
-                    entry = checks.get(name)
-                    if entry is None:
-                        if _verify.applicable(CheckId[name], p):
-                            raise ValueError(
-                                f"resume file {path!r} has no {name} result for p={p} "
-                                f"(line {lineno}); write the new checks to another file"
-                            )
-                        pre_skipped += 1
-                    elif entry.get("passed"):
-                        pre_passed += 1
-                    else:
-                        pre_failed += 1
-                        pre_failures.append((p, name))
-    return done, pre_passed, pre_failed, pre_skipped, pre_failures
+                    if name not in checks and _verify.applicable(CheckId[name], p):
+                        raise ValueError(
+                            f"resume file {path!r} has no {name} result for p={p} "
+                            f"(line {lineno}); write the new checks to another file"
+                        )
+                tally.add(p, checks, names)
+    return done, tally
 
 
 def _cmd_scan(args) -> int:
     if args.p_from is None or args.p_to is None:
         raise ValueError("scan needs both --from and --to")
-    if not 3 <= args.p_from <= args.p_to:
-        raise ValueError(f"need 3 <= from <= to, got [{args.p_from}, {args.p_to}]")
-    ids = _parse_ids(args.ids)
+    _verify.require_range(args.p_from, args.p_to)
+    ids = _verify.parse_ids(args.ids)
     names = sorted(i.name for i in ids)
     if args.resume and args.format == "csv":
         raise ValueError("--resume is only supported with the jsonl format")
 
     done: set[int] = set()
-    pre = (0, 0, 0)
-    pre_failures: list[tuple[int, str]] = []
-    if args.resume and os.path.exists(args.out):
-        done, p0, f0, s0, pre_failures = _read_resume(
-            args.out, args.p_from, args.p_to, names
-        )
-        pre = (p0, f0, s0)
+    pre = _verify.ScanSummary()
+    resume = args.resume and os.path.exists(args.out)
+    if resume:
+        done, pre = _read_resume(args.out, args.p_from, args.p_to, names)
 
-    mode = "a" if args.resume and os.path.exists(args.out) else "w"
+    mode = "a" if resume else "w"
     start = time.perf_counter()
     new_lines = 0
-    with open(args.out, mode, encoding="utf-8") as fh:
+    with _open_out(args.out, mode, encoding="utf-8") as fh:
         if args.format == "csv" and mode == "w":
             fh.write(CSV_HEADER + "\n")
 
@@ -325,10 +275,10 @@ def _cmd_scan(args) -> int:
             skip=done,
         )
     elapsed = time.perf_counter() - start
-    passed = summary.passed + pre[0]
-    failed = summary.failed + pre[1]
-    skipped = summary.skipped + pre[2]
-    failures = pre_failures + summary.failures
+    passed = summary.passed + pre.passed
+    failed = summary.failed + pre.failed
+    skipped = summary.skipped + pre.skipped
+    failures = pre.failures + summary.failures
     code = exit_code_for(name for _, name in failures)
     if args.json:
         print(
@@ -352,11 +302,6 @@ def _cmd_scan(args) -> int:
         for p, name in failures:
             print(f"  FAIL {name} at p={p}")
     return code
-
-
-def _cmd_charpoly(args) -> int:
-    args.what = ["charpoly-aplus", "charpoly-aminus"]
-    return _cmd_compute(args)
 
 
 def _comma_list(raw: str) -> list[str]:
@@ -421,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_p = sub.add_parser("charpoly", help="characteristic polynomials of A+ and A-")
     p_p.add_argument("--prime", type=int, required=True)
     p_p.add_argument("--json", action="store_true")
-    p_p.set_defaults(func=_cmd_charpoly)
+    p_p.set_defaults(func=_cmd_compute, what=["charpoly-aplus", "charpoly-aminus"])
 
     return parser
 

@@ -12,8 +12,10 @@ expansion theorem), and the direct determinant at each of 20 points drawn
 from the check's seeded stream is compared with both the expansion and the
 closed form.  Each per-prime value (symbol table, invariants, A+, A-,
 det(A_p), the expansion and its sample determinants) is computed once per
-prime and seed and shared by every check that reads it, and the two
-seed-only suites run once per seed in a process.
+prime and seed and shared by every check that reads it; only the last
+prime's values are kept.  The two seed-only suites run once per seed in a
+process.  Check ids, prime ranges and scan tallies are parsed and counted
+here (`parse_ids`, `require_range`, `ScanSummary.add`) for every caller.
 """
 
 from __future__ import annotations
@@ -115,22 +117,22 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _invariants(p: int) -> PrimeInvariants:
     return prime_invariants(p)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _aplus(p: int) -> IntMatrix:
     return build(MatrixKind.aplus(), p)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _aminus(p: int) -> IntMatrix:
     return build(MatrixKind.aminus(), p)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _det_ap(p: int) -> int:
     """det(A_p), read by L25_AP_NEG and L25_EIGS."""
     return det(build(MatrixKind.ap(), p))
@@ -150,7 +152,7 @@ def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int):
     return pd, tuple(zip(points, directs))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _aplus_pd(p: int, seed: int):
     """The expansion of AXYZW, sampled on T12_I's (p ≡ 1 mod 4) or T12_II's
     points; COR_AFTER_T12 and EQ_38II_QP read the same one."""
@@ -158,7 +160,7 @@ def _aplus_pd(p: int, seed: int):
     return _expand(_aplus(p), symbol_vector(p), name, p, seed)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _sun_pd(p: int, plus: bool, seed: int):
     kind = MatrixKind.sun_half_plus if plus else MatrixKind.sun_half_minus
     name = "SUN_C31_I" if plus else "SUN_C31_II"
@@ -805,17 +807,34 @@ def requirement(check_id: CheckId) -> str:
 
 
 def applicable(check_id: CheckId, p: int) -> bool:
-    return check_id in RANDOM_IDS or _REGISTRY[check_id].applies(p)
+    return _REGISTRY[check_id].applies(p)
+
+
+def parse_ids(raw: str | Iterable[CheckId | str]) -> list[CheckId]:
+    """Check ids, in the given order, from "all", a comma-separated string
+    of names, or an iterable of CheckId values and names.  Raises ValueError
+    on an unknown name."""
+    if raw == "all":
+        return list(CheckId)
+    ids = []
+    for item in raw.split(",") if isinstance(raw, str) else raw:
+        name = item.name if isinstance(item, CheckId) else item.strip()
+        if name not in CheckId.__members__:
+            raise ValueError(f"unknown check id {name!r}")
+        ids.append(CheckId[name])
+    return ids
+
+
+def require_range(p_from: int, p_to: int) -> None:
+    """Raises ValueError unless 3 <= p_from <= p_to."""
+    if not 3 <= p_from <= p_to:
+        raise ValueError(f"need 3 <= from <= to, got [{p_from}, {p_to}]")
 
 
 def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> CheckResult:
     """Run one catalog check.  Raises ValueError when p is missing, not an
     odd prime, or in the wrong residue class for the statement."""
-    if isinstance(check_id, str):
-        try:
-            check_id = CheckId[check_id]
-        except KeyError:
-            raise ValueError(f"unknown check id {check_id!r}") from None
+    [check_id] = parse_ids([check_id])
     spec = _REGISTRY[check_id]
     if check_id in RANDOM_IDS:
         return spec.runner(_DEFAULT_RANDOM_INSTANCES, seed)
@@ -877,6 +896,20 @@ class ScanSummary:
     skipped: int = 0
     failures: list[tuple[int, str]] = field(default_factory=list)
 
+    def add(self, p: int, checks: dict[str, dict], names: Iterable[str]) -> None:
+        """Count one prime's record: each name in `names` absent from
+        `checks` was skipped there."""
+        self.primes += 1
+        for name in names:
+            entry = checks.get(name)
+            if entry is None:
+                self.skipped += 1
+            elif entry.get("passed"):
+                self.passed += 1
+            else:
+                self.failed += 1
+                self.failures.append((p, name))
+
 
 def _scan_one(p: int, ids: tuple[str, ...], seed: int) -> ScanRecord:
     inv = _invariants(p)  # shared with the per-check cache in this process
@@ -922,31 +955,16 @@ def scan(
     recomputed.  Because delivery is ordered and incremental, an aborted scan
     leaves a valid prefix that a later resume can extend.
     """
-    if not 3 <= p_from <= p_to:
-        raise ValueError(f"need 3 <= from <= to, got [{p_from}, {p_to}]")
-    names = tuple(
-        sorted({i.name if isinstance(i, CheckId) else str(i) for i in ids})
-    )
-    for name in names:
-        if name not in CheckId.__members__:
-            raise ValueError(f"unknown check id {name!r}")
-    ps = primes_in_range(max(3, p_from), p_to)
+    require_range(p_from, p_to)
+    names = tuple(sorted({i.name for i in parse_ids(ids)}))
+    ps = primes_in_range(p_from, p_to)
     if skip:
         ps = [q for q in ps if q not in skip]
     workers = pool_size(jobs, os.cpu_count() or 1, len(ps))
     summary = ScanSummary()
 
     def emit(rec: ScanRecord) -> None:
-        summary.primes += 1
-        for name in names:
-            entry = rec.checks.get(name)
-            if entry is None:
-                summary.skipped += 1
-            elif entry["passed"]:
-                summary.passed += 1
-            else:
-                summary.failed += 1
-                summary.failures.append((rec.p, name))
+        summary.add(rec.p, rec.checks, names)
         sink(rec)
 
     worker = partial(_scan_one, ids=names, seed=seed)

@@ -2,6 +2,7 @@ import json
 import time
 
 import oracles
+import pytest
 from legdet.cli import CSV_HEADER, main
 from legdet.ntheory import primes_in_range
 from legdet.verify import CheckId
@@ -41,6 +42,23 @@ def test_compute_json(capsys):
 def test_compute_unknown_field_usage_error(capsys):
     code, _, err = run(capsys, "compute", "--prime", "7", "--what", "nope")
     assert code == 2 and "unknown field" in err
+
+
+def test_compute_validates_every_field_before_computing(capsys, monkeypatch):
+    import legdet.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "charpoly", calls.append)
+    code, out, err = run(capsys, "compute", "--prime", "419", "--what", "charpoly-aplus,nope")
+    assert code == 2 and out == "" and "unknown field 'nope'" in err
+    assert calls == []
+
+
+def test_compute_empty_what_usage_error(capsys):
+    for what in ("", ","):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "compute", "--prime", "7", "--what", what, *extra)
+            assert code == 2 and out == "" and "--what names no field" in err
 
 
 def test_compute_residue_mismatch_usage_error(capsys):
@@ -216,6 +234,17 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_unopenable_out_usage_error(tmp_path, capsys):
+    scan = ("scan", "--from", "3", "--to", "20", "--ids", "T13_DPMOD4", "--jobs", "1")
+    missing = tmp_path / "no" / "r.jsonl"
+    code, out, err = run(capsys, *scan, "--out", str(missing))
+    assert code == 2 and out == "" and f"cannot open --out '{missing}'" in err
+    for extra in ((), ("--resume",)):  # a directory, with and without --resume
+        code, out, err = run(capsys, *scan, "--out", str(tmp_path), *extra)
+        assert code == 2 and out == "" and f"cannot open --out '{tmp_path}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_csv_format(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run(
@@ -250,6 +279,15 @@ def test_scan_corrupt_resume_file(tmp_path, capsys):
     assert code == 3
     bad_line = len(primes_in_range(3, 50)) + 1  # corruption right after the records
     assert f"line {bad_line}" in err
+
+
+@pytest.mark.parametrize("checks", ['{"T13_DPMOD4":true}', '[]'])
+def test_scan_resume_record_with_malformed_checks_is_corrupt(tmp_path, capsys, checks):
+    out = tmp_path / "r.jsonl"
+    out.write_text('{"schema_version":1,"p":3,"checks":%s}\n' % checks)
+    code, _, err = run(capsys, "scan", "--from", "3", "--to", "5", "--ids", "T13_DPMOD4",
+                       "--out", str(out), "--resume", "--jobs", "1")
+    assert code == 3 and "line 1" in err
 
 
 SCAN_3_60 = ("scan", "--from", "3", "--to", "60", "--ids", "T13_DPMOD4,CONJ11_DP",

@@ -1,0 +1,50 @@
+"""CLI outputs compared byte for byte with committed golden files.
+
+The files under tests/golden/ were written by the command lines below, run
+with `python -m legdet.cli` from a source checkout, and are not edited by
+hand.  A change that alters any of these outputs must say why and write the
+files again.  The one float that depends on the platform's libm, L25_EIGS's
+`product_relative_error`, is masked on both sides.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from legdet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+_FLOAT = re.compile(r'("product_relative_error": )[-+0-9.eE]+')
+
+
+def _mask(text: str) -> str:
+    return _FLOAT.sub(r"\1<masked>", text)
+
+
+def _run(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("verify", "--from", "3", "--to", "60", "--suite", "all", "--json"),
+         "verify_3_60.json"),
+        (("charpoly", "--prime", "101", "--json"), "charpoly_101.json"),
+        (("compute", "--prime", "101", "--what",
+          "dp,cp,qp,det-aplus,det-aminus,unit,hreal", "--json"), "compute_101.json"),
+    ],
+)
+def test_stdout_matches_golden(capsys, argv, golden):
+    want = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert _mask(_run(capsys, *argv)) == _mask(want)
+
+
+def test_scan_records_and_summary_match_golden(capsys, tmp_path):
+    out = tmp_path / "scan.jsonl"
+    summary = _run(capsys, "scan", "--from", "3", "--to", "60", "--ids", "all",
+                   "--jobs", "1", "--out", str(out), "--json")
+    assert out.read_bytes() == (GOLDEN / "scan_3_60.jsonl").read_bytes()
+    assert summary == (GOLDEN / "scan_3_60_summary.json").read_text(encoding="utf-8")

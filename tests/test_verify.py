@@ -17,6 +17,7 @@ from legdet.verify import (
     describe,
     exit_code_for,
     mdl_random_suite,
+    parse_ids,
     pool_size,
     requirement,
     scan,
@@ -47,6 +48,15 @@ def test_check_accepts_string_ids():
     assert check("T13_DPMOD4", 13).passed
     with pytest.raises(ValueError):
         check("NO_SUCH_CHECK", 13)
+
+
+def test_parse_ids_keeps_the_given_order():
+    assert parse_ids("all") == list(CheckId)
+    assert parse_ids("MORDELL, T13_DPMOD4") == [CheckId.MORDELL, CheckId.T13_DPMOD4]
+    assert parse_ids([CheckId.ATHETA, "L21_QUADSUM"]) == [CheckId.ATHETA, CheckId.L21_QUADSUM]
+    for bad in ("", "all,MORDELL", ["all"], ["MORDELL,ATHETA"]):
+        with pytest.raises(ValueError, match="unknown check id"):
+            parse_ids(bad)
 
 
 def test_residue_class_usage_errors():
@@ -371,6 +381,18 @@ def test_scan_runs_each_seed_only_suite_once(monkeypatch, fresh_caches, tmp_path
     assert len(records) == 9
     for r in records:  # every prime's record still lists both checks
         assert '"T31_RANDOM":{"passed":true}' in r and '"MDL_RANDOM":{"passed":true}' in r
+
+
+def test_per_prime_caches_hold_one_prime(fresh_caches):
+    assert check(CheckId.ATHETA, 103).passed and check(CheckId.ATHETA, 107).passed
+    caches = {
+        name: obj.cache_info() for name, obj in vars(v).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == v.__name__
+        and obj is not v._seeded_suite  # per seed, not per prime
+    }
+    assert set(caches) == {"_invariants", "_aplus", "_aminus", "_det_ap", "_aplus_pd", "_sun_pd"}
+    assert all(c.maxsize == 1 and c.currsize <= 1 for c in caches.values())
+    assert caches["_aplus"].currsize == 1
 
 
 def test_seed_only_suite_witness_is_a_copy(fresh_caches):
