@@ -5,17 +5,19 @@ descending list of word-sized primes and CRT-reconstructed into the symmetric
 range; the number of moduli is chosen per call from a Hadamard-type bound, so
 results are exact and deterministic.  Small determinants (n <= 8) go through
 fraction-free Bareiss elimination instead.  Rational arithmetic appears only
-inside mdl_check / param_det_expand; every public determinant path is
-integer-only.
+in `ParamDet`; the matrix-determinant lemma is checked in integers, through
+the adjugate.
 
-Each modular operation has one numpy int64 kernel.  Its moduli are sized from
-the number of residue products an intermediate sums (`modulus_bits`), so no
-kernel can overflow: 27 bits for det, and for charpoly and solve up to
-n = 512, then fewer.  A CRT call converts the matrix to an array once; each
-kernel reduces it mod its own modulus on entry.  The determinant and the solve
-share one elimination that delays reduction until int64 headroom runs out
-(`_eliminate_mod`); the Hessenberg reduction behind the characteristic
-polynomial reduces every step, on the active block only.
+Each modular operation has one numpy int64 kernel, and one CRT loop (`_crt`)
+runs every kernel over the moduli and reconstructs its results.  The moduli
+are sized from the number of residue products an intermediate sums
+(`modulus_bits`), so no kernel can overflow: 27 bits for det, and for
+charpoly and solve up to n = 512, then fewer.  A CRT call converts the
+matrix to an array once; each kernel reduces it mod its own modulus on
+entry.  The determinant and the solve share one elimination that delays
+reduction until int64 headroom runs out (`_eliminate_mod`); the Hessenberg
+reduction behind the characteristic polynomial reduces every step, on the
+active block only.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def _eliminate_mod(a: np.ndarray, m: int) -> int:
     return det % m
 
 
-def _det_mod(a: np.ndarray, m: int) -> int:
-    return _eliminate_mod(_residues(a, m), m)
+def _det_mod(a: np.ndarray, m: int) -> list[int]:
+    return [_eliminate_mod(_residues(a, m), m)]
 
 
 def _solve_mod(aug: np.ndarray, m: int):
@@ -152,6 +154,12 @@ def _solve_mod(aug: np.ndarray, m: int):
         acc = int(a[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
         x[i] = (int(a[i, n]) - acc) * pow(int(a[i, i]), -1, m) % m
     return det, [int(t) for t in x]
+
+
+def _adj_mod(aug: np.ndarray, m: int) -> list[int]:
+    """adj(A) v mod m = det(A) * A^{-1} v for aug = [A | v], A invertible mod m."""
+    d, x = _solve_mod(aug, m)
+    return [d * t % m for t in x]
 
 
 def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
@@ -253,15 +261,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        amax, bmax = self.max_abs(), other.max_abs()
-        # int64 fast path when the product cannot overflow
-        if amax and bmax and self.ncols * amax * bmax < 2**62:
-            prod = np.array(self.rows, dtype=np.int64) @ np.array(other.rows, dtype=np.int64)
-            return IntMatrix(prod.tolist())
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        # int64 when the product cannot overflow, Python ints otherwise
+        big = self.ncols * self.max_abs() * other.max_abs() >= 2**62
+        dtype = object if big else np.int64
+        prod = np.array(self.rows, dtype=dtype) @ np.array(other.rows, dtype=dtype)
+        return IntMatrix(prod.tolist())
 
 
 class IntPoly:
@@ -388,16 +392,19 @@ def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
     return h2
 
 
-def _crt_residues(kernel, data: np.ndarray, terms: int, target: int):
-    """(residues, moduli) of kernel(data, mod) over the moduli sized for
-    `terms`, taken in order until their product exceeds target."""
+def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> list[int]:
+    """The residue vector kernel(data, mod) reconstructed entrywise into the
+    symmetric range, over the moduli sized for `terms` that do not divide
+    `avoid`, taken in order until their product exceeds target."""
     residues, used, prod = [], [], 1
     for mod in moduli(modulus_bits(terms)):
+        if avoid % mod == 0:
+            continue
         residues.append(kernel(data, mod))
         used.append(mod)
         prod *= mod
         if prod > target:
-            return residues, used
+            return [crt_symmetric(r, used) for r in zip(*residues)]
     raise InternalError(f"CRT modulus set exhausted in {kernel.__name__}")
 
 
@@ -406,8 +413,7 @@ def _det_crt(m: IntMatrix) -> int:
     if h2 == 0:
         return 0
     target = 2 * (math.isqrt(h2) + 1)
-    data = _int_array(m.rows, m.max_abs())
-    return crt_symmetric(*_crt_residues(_det_mod, data, 1, target))
+    return _crt(_det_mod, _int_array(m.rows, m.max_abs()), 1, target)[0]
 
 
 def det(m: IntMatrix) -> int:
@@ -419,46 +425,24 @@ def det(m: IntMatrix) -> int:
 
 
 def adjugate_apply(m: IntMatrix, v: Sequence[int]) -> tuple[list[int], int]:
-    """(adj(m) @ v, det(m)) exactly, for invertible m, via modular solves.
+    """(adj(m) @ v, det(m)) exactly, for invertible m.
 
-    Stays division-free at the caller: adj(m) @ v = det(m) * m^{-1} v is an
-    integer vector, reconstructed entrywise by CRT.  Moduli dividing det(m)
-    are skipped for the solve.
+    Division-free for the caller: d = det(m) comes first (ValueError when it
+    is 0), then adj(m) @ v = d * m^{-1} v is CRT-reconstructed from modular
+    solves over the moduli that do not divide d; every entry is bounded by
+    the Hadamard bound times the 1-norm of v.
     """
     _require_square(m)
     if len(v) != m.nrows:
         raise ValueError("vector length mismatch")
-    h2 = _hadamard_squared(m.rows)
-    if h2 == 0:
+    d = det(m)
+    if d == 0:
         raise ValueError("singular matrix")
-    had = math.isqrt(h2) + 1
-    det_target = 2 * had
-    w_target = 2 * had * max(1, sum(abs(x) for x in v))
-    n = m.nrows
+    had = math.isqrt(_hadamard_squared(m.rows)) + 1
+    target = 2 * had * max(1, sum(abs(x) for x in v))
     aug = [row + (x,) for row, x in zip(m.rows, v)]
     data = _int_array(aug, max(m.max_abs(), max(abs(x) for x in v)))
-    det_res, det_mods, det_prod = [], [], 1
-    w_res, w_mods, w_prod = [], [], 1
-    d = None
-    for mod in moduli(modulus_bits(n)):
-        if d is not None and w_prod > w_target:
-            break
-        dm, x = _solve_mod(data, mod)
-        det_res.append(dm)
-        det_mods.append(mod)
-        det_prod *= mod
-        if x is not None:  # moduli dividing det(m) cannot be solved, skip
-            w_res.append([dm * xi % mod for xi in x])
-            w_mods.append(mod)
-            w_prod *= mod
-        if d is None and det_prod > det_target:
-            d = crt_symmetric(det_res, det_mods)
-            if d == 0:
-                raise ValueError("singular matrix")
-    if d is None or w_prod <= w_target:
-        raise InternalError("CRT modulus set exhausted in adjugate_apply")
-    w = [crt_symmetric([r[i] for r in w_res], w_mods) for i in range(n)]
-    return w, d
+    return _crt(_adj_mod, data, m.nrows, target, avoid=d), d
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
@@ -478,11 +462,7 @@ def charpoly(m: IntMatrix) -> IntPoly:
     bound = max(
         math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1)
     )
-    residues, used = _crt_residues(_charpoly_mod, _int_array(m.rows, b), n, 2 * bound)
-    coeffs = [
-        crt_symmetric([r[i] for r in residues], used) for i in range(n + 1)
-    ]
-    poly = IntPoly(coeffs)
+    poly = IntPoly(_crt(_charpoly_mod, _int_array(m.rows, b), n, 2 * bound))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if poly.coeffs[0] != (-1) ** n * det(m):
@@ -491,88 +471,28 @@ def charpoly(m: IntMatrix) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational layer: matrix-determinant lemma and the 4-parameter expansion
+# matrix-determinant lemma and the 4-parameter expansion
 # ---------------------------------------------------------------------------
 
 
-def _solve_fraction(a: IntMatrix, b_cols: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve a @ X = B exactly over Q; b_cols is B as a list of columns."""
-    n = a.nrows
-    ncols = len(b_cols)
-    aug = [
-        [Fraction(x) for x in a.rows[i]] + [col[i] for col in b_cols]
-        for i in range(n)
-    ]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if aug[i][j] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != j:
-            aug[j], aug[piv] = aug[piv], aug[j]
-        pj = aug[j]
-        inv = 1 / pj[j]
-        aug[j] = pj = [x * inv for x in pj]
-        for i in range(n):
-            if i != j and aug[i][j] != 0:
-                f = aug[i][j]
-                aug[i] = [x - f * y for x, y in zip(aug[i], pj)]
-    return [[aug[i][n + c] for c in range(ncols)] for i in range(n)]
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    a = [row[:] for row in rows]
-    n = len(a)
-    out = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if a[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            a[j], a[piv] = a[piv], a[j]
-            out = -out
-        out *= a[j][j]
-        inv = 1 / a[j][j]
-        for i in range(j + 1, n):
-            if a[i][j] != 0:
-                f = a[i][j] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    return out
-
-
 def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix) -> bool:
-    """Test |a + u v^T| == |I_m + v^T a^{-1} u| * |a| exactly over Q.
+    """Test the matrix-determinant lemma |a + u v^T| = |a| |I_m + v^T a^{-1} u|
+    in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
-    a must be invertible; u and v are n x m.  Both sides are evaluated
-    independently (the right side through a rational solve for a^{-1} u), so
-    this doubles as a property test of the rational layer.
+    a must be invertible; u and v are n x m.  The left side is a direct
+    determinant; the right side takes adj(a) u one column at a time from
+    `adjugate_apply`, so this doubles as a property test of the modular solve.
     """
     _require_square(a)
     if u.nrows != a.nrows or v.nrows != a.nrows or u.ncols != v.ncols:
         raise ValueError("u and v must be n x m with n matching a")
-    da = det(a)
-    if da == 0:
-        raise ValueError("singular matrix")
-    n, mm = u.nrows, u.ncols
-    lhs = IntMatrix(
-        [
-            [
-                a.rows[i][j] + sum(u.rows[i][k] * v.rows[j][k] for k in range(mm))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    u_cols = [[Fraction(u.rows[i][k]) for i in range(n)] for k in range(mm)]
-    x = _solve_fraction(a, u_cols)  # a^{-1} u, n x m
-    small = [
-        [
-            (Fraction(1) if r == c else Fraction(0))
-            + sum(Fraction(v.rows[i][r]) * x[i][c] for i in range(n))
-            for c in range(mm)
-        ]
-        for r in range(mm)
-    ]
-    return Fraction(det(lhs)) == _det_fraction(small) * da
+    cols = [adjugate_apply(a, col) for col in zip(*u.rows)]  # (adj(a) u_k, d)
+    d = cols[0][1]
+    uv = (u @ v.transpose()).rows
+    lhs = IntMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, uv)])
+    vw = (v.transpose() @ IntMatrix(zip(*(w for w, _ in cols)))).rows
+    small = IntMatrix([[x + d * (r == c) for c, x in enumerate(row)] for r, row in enumerate(vw)])
+    return d ** (u.ncols - 1) * det(lhs) == det(small)
 
 
 @dataclass(frozen=True)

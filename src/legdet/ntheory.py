@@ -98,7 +98,10 @@ class LegendreTable:
 def legendre_table(p: int) -> LegendreTable:
     """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1.
     Cached for the last prime only: callers visit one prime at a time, and a
-    larger cache would keep O(p) tables alive across a whole range."""
+    larger cache would keep O(p) tables alive across a whole range.  p >= 2^31
+    is refused before anything is allocated."""
+    if p >= 2**31:
+        raise ValueError(f"p = {p} is too large for an O(p) symbol table (need p < 2^31)")
     require_odd_prime(p)
     vals = [-1] * p
     vals[0] = 0

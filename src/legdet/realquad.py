@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-from .ntheory import is_prime
+from .ntheory import is_prime, legendre
 
 
 def _require_1mod4_prime(p: int) -> None:
@@ -251,6 +251,5 @@ def unit_power_coeffs(p: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     first = eps**h
     if first.norm() != (-1) ** h:
         raise InternalError(f"norm of eps^h is not (-1)^h at p={p}")
-    two_symbol = 1 if pow(2, (p - 1) // 2, p) == 1 else -1
-    second = eps ** ((2 - two_symbol) * h)
+    second = eps ** ((2 - legendre(2, p)) * h)
     return first.a, first.b, second.a, second.b

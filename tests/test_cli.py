@@ -44,6 +44,14 @@ def test_compute_unknown_field_usage_error(capsys):
     assert code == 2 and "unknown field" in err
 
 
+@pytest.mark.parametrize("what", ["dp", "det-aplus"])
+def test_compute_prime_too_large_for_a_table_usage_error(capsys, what):
+    # the symbol table refuses p >= 2^31 before allocating it
+    code, out, err = run(capsys, "compute", "--prime", "1000000000039", "--what", what)
+    assert code == 2 and out == ""
+    assert "too large" in err and "Traceback" not in err
+
+
 def test_compute_validates_every_field_before_computing(capsys, monkeypatch):
     import legdet.cli as cli
 

@@ -19,7 +19,7 @@ from legdet.exactla import (
     modulus_bits,
     shifted_matrix,
     _charpoly_mod,
-    _crt_residues,
+    _crt,
     _det_crt,
     _det_mod,
     _solve_mod,
@@ -139,18 +139,22 @@ def test_int64_bound_per_kernel():
 
 def test_crt_residues_size_moduli_from_the_terms():
     # charpoly and solve above n = 512 take 26-bit moduli; det keeps 27
-    def kernel(_data, mod):
-        return mod
+    seen = []
 
-    assert _crt_residues(kernel, None, 513, 1) == ([moduli(26)[0]], [moduli(26)[0]])
-    assert _crt_residues(kernel, None, 1, 1) == ([moduli(27)[0]], [moduli(27)[0]])
+    def kernel(_data, mod):
+        seen.append(mod)
+        return [0]
+
+    assert _crt(kernel, None, 513, 1) == [0]
+    assert _crt(kernel, None, 1, 1) == [0]
+    assert seen == [moduli(26)[0], moduli(27)[0]]
 
 
 def test_det_kernels_agree_above_256():
     rng = random.Random(260)
     rows = [[rng.randint(-1, 1) for _ in range(260)] for _ in range(260)]
     m = moduli(27)[0]
-    assert _det_mod(np.array(rows, dtype=np.int64), m) == oracles.det_mod_py(rows, m)
+    assert _det_mod(np.array(rows, dtype=np.int64), m) == [oracles.det_mod_py(rows, m)]
 
 
 # 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
@@ -178,7 +182,7 @@ def test_det_and_solve_kernels_match_pure_python(m):
     singular = 0
     for rows, vec in kernel_cases():
         want = oracles.det_mod_py(rows, m)
-        assert _det_mod(np.array(rows, dtype=np.int64), m) == want
+        assert _det_mod(np.array(rows, dtype=np.int64), m) == [want]
         if len(rows) * (m - 1) ** 2 < 2**63:
             aug = np.array([row + [x] for row, x in zip(rows, vec)], dtype=np.int64)
             assert _solve_mod(aug, m) == oracles.solve_mod_py(rows, vec, m)
@@ -259,6 +263,18 @@ def test_adjugate_apply_matches_rational_inverse():
 def test_adjugate_apply_rejects_singular():
     with pytest.raises(ValueError):
         adjugate_apply(IntMatrix([[1, 1], [1, 1]]), [1, 1])
+
+
+def test_adjugate_apply_skips_a_modulus_dividing_det():
+    # det is the first solve modulus, so the solve must skip it (and the
+    # n > 8 determinant reconstructs it from one more modulus)
+    n = 10
+    q = moduli(modulus_bits(n))[0]
+    m = IntMatrix([[(q if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)])
+    v = [random.Random(11).randint(-99, 99) for _ in range(n)]
+    w, d = adjugate_apply(m, v)
+    assert d == q
+    assert m.matvec(w) == [d * t for t in v]
 
 
 # --- matrix-determinant lemma -------------------------------------------------

@@ -7,6 +7,7 @@ import legdet.ntheory as ntheory
 import legdet.verify as v
 import legdet.charmat as charmat
 from legdet.charmat import MatrixKind, build
+from legdet.exactla import IntMatrix
 from legdet.cli import main
 from legdet.verify import (
     CONJECTURE_IDS,
@@ -280,6 +281,23 @@ def test_sample_mismatch_exits_1(monkeypatch, fresh_caches, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL T12_II p=103" in out and "sample mismatch" in out
+
+
+def test_wrong_adjugate_fails_the_matrix_determinant_lemma(monkeypatch, fresh_caches, capsys):
+    # mdl_check takes adj(a) u from adjugate_apply, so MDL_RANDOM catches a
+    # wrong solve
+    real = legdet.exactla.adjugate_apply
+
+    def off_by_one(m, vec):
+        w, d = real(m, vec)
+        return [w[0] + 1] + w[1:], d
+
+    monkeypatch.setattr(legdet.exactla, "adjugate_apply", off_by_one)
+    e1 = IntMatrix([[1], [0]])
+    assert legdet.exactla.mdl_check(IntMatrix.identity(2), e1, e1) is False
+    assert check(CheckId.MDL_RANDOM, 13).passed is False
+    assert main(["verify", "--prime", "13", "--suite", "MDL_RANDOM"]) == 1
+    assert "FAIL MDL_RANDOM" in capsys.readouterr().out
 
 
 def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
