@@ -55,6 +55,21 @@ _COMPUTE: dict[str, Callable[[int, PrimeInvariants | None], object]] = {
 }
 COMPUTE_FIELDS = tuple(_COMPUTE)
 _INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
+_MATRIX_FIELDS = frozenset({"det-aplus", "det-aminus", "charpoly-aplus", "charpoly-aminus"})
+
+#: The largest n = (p-1)/2 a matrix field takes: up to here charpoly and
+#: the solve keep 26-bit moduli (`exactla.modulus_bits`).
+MATRIX_DIM_MAX = 2048
+
+
+def require_matrix_prime(p: int) -> None:
+    """Raises ValueError when A+ and A- of p, (p-1)/2 square, are larger
+    than MATRIX_DIM_MAX; it builds nothing."""
+    if (p - 1) // 2 > MATRIX_DIM_MAX:
+        raise ValueError(
+            f"p = {p} is too large for a matrix field: "
+            f"n = (p-1)/2 = {(p - 1) // 2} is above {MATRIX_DIM_MAX}"
+        )
 
 
 def _cmd_compute(args) -> int:
@@ -67,6 +82,8 @@ def _cmd_compute(args) -> int:
             raise ValueError(f"unknown field {name!r}; known fields: {', '.join(COMPUTE_FIELDS)}")
         if name == "hneg":
             require_hneg_prime(p)
+        if name in _MATRIX_FIELDS:
+            require_matrix_prime(p)
     inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
     out = {name: _COMPUTE[name](p, inv) for name in args.what}
     if args.json:

@@ -8,16 +8,21 @@ fraction-free Bareiss elimination instead.  Rational arithmetic appears only
 in `ParamDet`; the matrix-determinant lemma is checked in integers, through
 the adjugate.
 
-Each modular operation has one numpy int64 kernel, and one CRT loop (`_crt`)
-runs every kernel over the moduli and reconstructs its results.  The moduli
-are sized from the number of residue products an intermediate sums
-(`modulus_bits`), so no kernel can overflow: 27 bits for det, and for
-charpoly and solve up to n = 512, then fewer.  A CRT call converts the
-matrix to an array once; each kernel reduces it mod its own modulus on
-entry.  The determinant and the solve share one elimination that delays
-reduction until int64 headroom runs out (`_eliminate_mod`); the Hessenberg
-reduction behind the characteristic polynomial reduces every step, on the
-active block only.
+Each modular operation has one numpy int64 kernel.  The moduli are sized
+from the number of residue products an intermediate sums (`modulus_bits`),
+so no kernel can overflow: 27 bits for det, and for charpoly and solve up
+to n = 512, then fewer; `_moduli_for` picks them for every operation.
+Determinants go through `det_many`, which stacks every (matrix, modulus)
+pair of a batch as one slice of an int64 array and eliminates the whole
+stack at once (`_eliminate`), each slice with its own modulus and its own
+pivot rows, so that numpy's per-call cost is paid once per step of the
+stack rather than once per step of each modulus.  The elimination delays
+reduction until int64 headroom runs out, a headroom computed from the
+stack's largest modulus, which bounds every slice's updates whatever mix
+of moduli it holds.  The solve runs the same elimination on [A | V] as a
+stack of one, and one CRT loop (`_crt`) runs the solve and charpoly
+kernels over their moduli; the Hessenberg reduction behind the
+characteristic polynomial reduces every step, on the active block only.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ def modulus_bits(terms: int) -> int:
     """Bits of the moduli for an operation whose intermediates each sum at
     most `terms` products of residues: terms * (m-1)^2 < 2^63 for every
     m < 2^bits, capped at 27.  terms is 1 for det, whose elimination budgets
-    its own headroom (see `_eliminate_mod`), and n for the charpoly matvecs
+    its own headroom (see `_eliminate`), and n for the charpoly matvecs
     and the solve back-substitution: 27 bits up to n = 512, 26 up to 2048."""
     return min(27, (63 - (terms - 1).bit_length()) // 2)
 
@@ -95,69 +100,82 @@ def _reduce_block(x: np.ndarray, m: int) -> None:
     x -= q
 
 
-def _eliminate_mod(a: np.ndarray, m: int) -> int:
-    """Gaussian elimination of the int64 array `a` (entries in [0, m)) over
-    GF(m), in place; returns the determinant of its leading square block mod
-    m, or 0 as soon as a pivot column is zero.
+def _eliminate(a: np.ndarray, mods: np.ndarray) -> list[int]:
+    """Gaussian elimination of the (S, n, c) int64 stack `a`, slice s over
+    GF(mods[s]) with its entries in [0, mods[s]), in place; returns the
+    determinant of each slice's leading n x n block mod its modulus, 0 for a
+    slice with no pivot in some column.
 
-    Reduction is delayed.  Step j reduces only pivot column j and pivot row j,
-    writes the reduced pivot row back (so a nonsingular elimination leaves the
-    reduced upper triangle in `a`), and subtracts outer(f, row) from the
-    trailing block with no %.  Both factors lie in [0, m), so each update
-    lowers an entry by at most (m-1)^2, and an entry that starts in [0, m)
-    stays above -(2^63 - 1 - m) for room = (2^63 - 1 - m) // (m-1)^2 updates;
-    the trailing block is reduced whole only when that many are pending (512
-    for the largest 27-bit modulus).  room >= 1 whenever m^2 < 2^63, which
-    `modulus_bits` guarantees for every kernel.
+    Each slice has its own modulus and its own pivot rows: where the
+    diagonal entry is zero, the first nonzero entry below it.  A slice
+    without one keeps a zero pivot and gets a zero multiplier, so its det is
+    0 and the later steps leave it unchanged.  Pivot inverses and the
+    running determinants are Python ints, one per slice.
+
+    Reduction is delayed.  Step j reduces only pivot column j and pivot row j
+    of every slice, writes the reduced pivot rows back (so a nonsingular
+    slice ends holding its reduced upper triangle), and subtracts
+    outer(f, row) from each trailing block with no %.  Both factors lie in
+    [0, m), so an update lowers an entry by at most (m-1)^2 <= (M-1)^2, M the
+    largest modulus of the stack, and an entry that starts in [0, m) stays
+    above -(2^63 - 1 - M) for room = (2^63 - 1 - M) // (M-1)^2 updates
+    whatever mix of moduli the stack holds; the trailing blocks are reduced
+    whole only when that many are pending (512 for the largest 27-bit
+    modulus).  room >= 1 whenever M^2 < 2^63, which `modulus_bits`
+    guarantees for every kernel.
     """
-    n = a.shape[0]
-    room = (2**63 - 1 - m) // (m - 1) ** 2
+    n = a.shape[1]
+    top = int(mods.max())
+    room = (2**63 - 1 - top) // (top - 1) ** 2
+    ms = mods.tolist()
+    mcol = mods[:, None]
+    det = [1] * len(ms)
     pending = 0
-    det = 1
     for j in range(n):
-        col = a[j:, j]
-        np.remainder(col, m, out=col)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            return 0
-        piv = j + int(nz[0])
-        if piv != j:
-            a[[j, piv], j:] = a[[piv, j], j:]
-            det = -det
-        row = a[j, j + 1 :]
-        np.remainder(row, m, out=row)
-        det = det * int(a[j, j]) % m
-        f = col[1:] * pow(int(a[j, j]), -1, m) % m
-        block = a[j + 1 :, j + 1 :]
-        block -= np.multiply.outer(f, row)
+        col = a[:, j:, j]
+        np.remainder(col, mcol, out=col)
+        piv = col[:, 0].tolist()
+        if 0 in piv:  # swap in each such slice's first nonzero row, if any
+            off = (col != 0).argmax(axis=1)
+            swap = np.flatnonzero(off)
+            lower = j + off[swap]
+            upper = a[swap, j, j:]
+            a[swap, j, j:] = a[swap, lower, j:]
+            a[swap, lower, j:] = upper
+            for s in swap.tolist():
+                det[s] = -det[s]
+            piv = col[:, 0].tolist()
+        row = a[:, j, j + 1 :]
+        np.remainder(row, mcol, out=row)
+        det = [d * x % m for d, x, m in zip(det, piv, ms)]
+        inv = [pow(x, -1, m) if x else 0 for x, m in zip(piv, ms)]
+        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % mcol
+        block = a[:, j + 1 :, j + 1 :]
+        block -= f[:, :, None] * row[:, None, :]
         pending += 1
         if pending == room:
-            _reduce_block(block, m)
+            np.remainder(block, mods[:, None, None], out=block)
             pending = 0
-    return det % m
-
-
-def _det_mod(a: np.ndarray, m: int) -> list[int]:
-    return [_eliminate_mod(_residues(a, m), m)]
+    return det
 
 
 def _solve_mod(aug: np.ndarray, m: int):
-    """(det A mod m, solution of A x = v mod m) for aug = [A | v], or
-    (0, None) if A is singular mod m."""
+    """(det A mod m, X with A X = V mod m, flattened row-major) for
+    aug = [A | V], or (0, None) if A is singular mod m."""
     n = aug.shape[0]
     a = _residues(aug, m)
-    det = _eliminate_mod(a, m)
+    det = _eliminate(a[None], np.array([m], dtype=np.int64))[0]
     if det == 0:
         return 0, None
-    x = np.zeros(n, dtype=np.int64)
+    x = np.zeros((n, aug.shape[1] - n), dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        acc = int(a[i, i + 1 : n] @ x[i + 1 : n]) if i + 1 < n else 0
-        x[i] = (int(a[i, n]) - acc) * pow(int(a[i, i]), -1, m) % m
-    return det, [int(t) for t in x]
+        acc = a[i, i + 1 : n] @ x[i + 1 :]
+        x[i] = (a[i, n:] - acc) % m * pow(int(a[i, i]), -1, m) % m
+    return det, x.ravel().tolist()
 
 
 def _adj_mod(aug: np.ndarray, m: int) -> list[int]:
-    """adj(A) v mod m = det(A) * A^{-1} v for aug = [A | v], A invertible mod m."""
+    """adj(A) V mod m = det(A) * A^{-1} V for aug = [A | V], A invertible mod m."""
     d, x = _solve_mod(aug, m)
     return [d * t % m for t in x]
 
@@ -207,7 +225,7 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         width = len(data[0])
@@ -248,7 +266,7 @@ class IntMatrix:
         return [list(r) for r in self.rows]
 
     def max_abs(self) -> int:
-        return max(abs(x) for row in self.rows for x in row)
+        return max(max(map(abs, row)) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))
@@ -392,77 +410,154 @@ def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
     return h2
 
 
+def _moduli_for(terms: int, target: int, avoid: int = 1) -> list[int]:
+    """The moduli sized for `terms` that do not divide `avoid`, taken in
+    order until their product exceeds target."""
+    used, prod = [], 1
+    for mod in moduli(modulus_bits(terms)):
+        if avoid % mod:
+            used.append(mod)
+            prod *= mod
+            if prod > target:
+                return used
+    raise InternalError("CRT modulus set exhausted")
+
+
 def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> list[int]:
     """The residue vector kernel(data, mod) reconstructed entrywise into the
-    symmetric range, over the moduli sized for `terms` that do not divide
-    `avoid`, taken in order until their product exceeds target."""
-    residues, used, prod = [], [], 1
-    for mod in moduli(modulus_bits(terms)):
-        if avoid % mod == 0:
+    symmetric range, over `_moduli_for(terms, target, avoid)`."""
+    used = _moduli_for(terms, target, avoid)
+    residues = [kernel(data, mod) for mod in used]
+    return [crt_symmetric(r, used) for r in zip(*residues)]
+
+
+#: Bytes of one stack of the det kernel.  Eliminating it needs one
+#: temporary as large again, so a call adds about twice this to the heap;
+#: at n = 53 it holds 23 slices, and a larger stack is not faster there.
+_STACK_BYTES = 1 << 19
+
+
+def _crt_dets(matrices: Iterable[IntMatrix]) -> list[int]:
+    """Exact determinants of the square `matrices`, in order, by the stacked
+    kernel and CRT, whatever their size.
+
+    Each matrix gets its own moduli from its own Hadamard bound, and each
+    (matrix, modulus) pair is one slice of an int64 stack.  Consecutive
+    slices of equal size are packed, in order, into stacks of at most
+    _STACK_BYTES (one slice, if a slice is larger), and each stack is one
+    `_eliminate` call.  `matrices` is read lazily: a generator has at most
+    one stack's matrices alive.
+    """
+    out: list[int] = []
+    owners: dict[int, tuple[list[int], list[int]]] = {}  # index: residues, moduli
+    slices: list[tuple[int, np.ndarray, int]] = []  # index, array, modulus
+
+    def run() -> None:
+        stack = np.empty((len(slices), *slices[0][1].shape), dtype=np.int64)
+        for s, (_, data, mod) in enumerate(slices):
+            stack[s] = data % mod
+        mods = np.array([mod for _, _, mod in slices], dtype=np.int64)
+        for (i, _, _), r in zip(slices, _eliminate(stack, mods)):
+            residues, used = owners[i]
+            residues.append(r)
+            if len(residues) == len(used):
+                out[i] = crt_symmetric(residues, used)
+                del owners[i]
+        slices.clear()
+
+    for i, m in enumerate(matrices):
+        out.append(0)
+        h2 = _hadamard_squared(m.rows)
+        if h2 == 0:
             continue
-        residues.append(kernel(data, mod))
-        used.append(mod)
-        prod *= mod
-        if prod > target:
-            return [crt_symmetric(r, used) for r in zip(*residues)]
-    raise InternalError(f"CRT modulus set exhausted in {kernel.__name__}")
+        owners[i] = ([], _moduli_for(1, 2 * (math.isqrt(h2) + 1)))
+        data = _int_array(m.rows, m.max_abs())
+        fit = max(1, _STACK_BYTES // (8 * data.size))
+        for mod in owners[i][1]:
+            if slices and (len(slices) == fit or slices[0][1].shape != data.shape):
+                run()
+            slices.append((i, data, mod))
+    if slices:
+        run()
+    return out
 
 
-def _det_crt(m: IntMatrix) -> int:
-    h2 = _hadamard_squared(m.rows)
-    if h2 == 0:
-        return 0
-    target = 2 * (math.isqrt(h2) + 1)
-    return _crt(_det_mod, _int_array(m.rows, m.max_abs()), 1, target)[0]
+def det_many(matrices: Iterable[IntMatrix]) -> list[int]:
+    """Exact determinants of `matrices`, in order: Bareiss for n <= 8, the
+    stacked kernel (`_crt_dets`) for the rest, in one pass over
+    `matrices`."""
+    out: list[int | None] = []  # None: left to the stacked kernel
+
+    def large():
+        for m in matrices:
+            _require_square(m)
+            out.append(det_bareiss(m) if m.nrows <= 8 else None)
+            if out[-1] is None:
+                yield m
+
+    crt = iter(_crt_dets(large()))
+    return [next(crt) if d is None else d for d in out]
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant: Bareiss for n <= 8, multi-modular CRT above."""
-    _require_square(m)
-    if m.nrows <= 8:
-        return det_bareiss(m)
-    return _det_crt(m)
+    return det_many([m])[0]
 
 
-def adjugate_apply(m: IntMatrix, v: Sequence[int]) -> tuple[list[int], int]:
-    """(adj(m) @ v, det(m)) exactly, for invertible m.
+def adjugate_apply(m: IntMatrix, u: IntMatrix, d: int | None = None) -> tuple[IntMatrix, int]:
+    """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows.
 
-    Division-free for the caller: d = det(m) comes first (ValueError when it
-    is 0), then adj(m) @ v = d * m^{-1} v is CRT-reconstructed from modular
-    solves over the moduli that do not divide d; every entry is bounded by
-    the Hadamard bound times the 1-norm of v.
+    Division-free for the caller: d = det(m) comes first, unless the caller
+    passes it (ValueError when it is 0), then adj(m) @ u = d * m^{-1} u is
+    CRT-reconstructed from modular solves of [m | u] over the moduli that do
+    not divide d; every entry is bounded by the Hadamard bound times the
+    largest column 1-norm of u.
     """
     _require_square(m)
-    if len(v) != m.nrows:
-        raise ValueError("vector length mismatch")
-    d = det(m)
+    if u.nrows != m.nrows:
+        raise ValueError("u must have one row per row of m")
+    if d is None:
+        d = det(m)
     if d == 0:
         raise ValueError("singular matrix")
     had = math.isqrt(_hadamard_squared(m.rows)) + 1
-    target = 2 * had * max(1, sum(abs(x) for x in v))
-    aug = [row + (x,) for row, x in zip(m.rows, v)]
-    data = _int_array(aug, max(m.max_abs(), max(abs(x) for x in v)))
-    return _crt(_adj_mod, data, m.nrows, target, avoid=d), d
+    norm = max(sum(abs(x) for x in col) for col in zip(*u.rows))
+    aug = [row + extra for row, extra in zip(m.rows, u.rows)]
+    data = _int_array(aug, max(m.max_abs(), u.max_abs()))
+    flat = _crt(_adj_mod, data, m.nrows, 2 * had * max(1, norm), avoid=d)
+    k = u.ncols
+    return IntMatrix(flat[i : i + k] for i in range(0, len(flat), k)), d
+
+
+def _charpoly_bound(m: IntMatrix) -> int:
+    """A bound on every coefficient of charpoly(m).  The coefficient of
+    x^(n-k) is, up to sign, the sum of the C(n, k) principal k x k minors,
+    and Hadamard bounds each by the product of its k row norms, so by the
+    square root of the product of the k largest squared row norms."""
+    norms = sorted((sum(x * x for x in row) for row in m.rows), reverse=True)
+    bound, prod = 1, 1
+    for k, norm in enumerate(norms, 1):
+        prod *= norm
+        if prod == 0:
+            break
+        bound = max(bound, math.comb(len(norms), k) * (math.isqrt(prod - 1) + 1))
+    return bound
 
 
 def charpoly(m: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 
     Computed modulo word-sized primes via Hessenberg reduction over each
-    prime field, with coefficients CRT-reconstructed against the bound
-    C(n,k) * n^ceil(k/2) * B^k on the k-th elementary symmetric function of
-    the eigenvalues (B = max entry magnitude).  The constant term is
-    cross-checked against (-1)^n * det(m).
+    prime field, with coefficients CRT-reconstructed against
+    `_charpoly_bound`.  The constant term is cross-checked against
+    (-1)^n * det(m).
     """
     _require_square(m)
     n = m.nrows
     b = m.max_abs()
     if b == 0:
         return IntPoly([0] * n + [1])
-    bound = max(
-        math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1)
-    )
-    poly = IntPoly(_crt(_charpoly_mod, _int_array(m.rows, b), n, 2 * bound))
+    poly = IntPoly(_crt(_charpoly_mod, _int_array(m.rows, b), n, 2 * _charpoly_bound(m)))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if poly.coeffs[0] != (-1) ** n * det(m):
@@ -480,17 +575,17 @@ def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix) -> bool:
     in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
     a must be invertible; u and v are n x m.  The left side is a direct
-    determinant; the right side takes adj(a) u one column at a time from
-    `adjugate_apply`, so this doubles as a property test of the modular solve.
+    determinant; the right side takes d and adj(a) u from one
+    `adjugate_apply` call on [a | u], so this doubles as a property test of
+    the modular solve.
     """
     _require_square(a)
     if u.nrows != a.nrows or v.nrows != a.nrows or u.ncols != v.ncols:
         raise ValueError("u and v must be n x m with n matching a")
-    cols = [adjugate_apply(a, col) for col in zip(*u.rows)]  # (adj(a) u_k, d)
-    d = cols[0][1]
+    w, d = adjugate_apply(a, u)
     uv = (u @ v.transpose()).rows
     lhs = IntMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, uv)])
-    vw = (v.transpose() @ IntMatrix(zip(*(w for w, _ in cols)))).rows
+    vw = (v.transpose() @ w).rows
     small = IntMatrix([[x + d * (r == c) for c, x in enumerate(row)] for r, row in enumerate(vw)])
     return d ** (u.ncols - 1) * det(lhs) == det(small)
 
@@ -537,14 +632,10 @@ class ParamDet:
 
 
 def shifted_matrix(a: IntMatrix, f: Sequence[int], g: Sequence[int], x: int, y: int, z: int, w: int) -> IntMatrix:
+    # a_ij + x + f_i y + g_j z + f_i g_j w = a_ij + (x + f_i y) + g_j (z + f_i w)
     return IntMatrix(
-        [
-            [
-                a.rows[i][j] + x + f[i] * y + g[j] * z + f[i] * g[j] * w
-                for j in range(a.ncols)
-            ]
-            for i in range(a.nrows)
-        ]
+        [aij + b + gj * c for aij, gj in zip(row, g)]
+        for row, b, c in ((row, x + fi * y, z + fi * w) for row, fi in zip(a.rows, f))
     )
 
 
@@ -553,25 +644,29 @@ def param_det_expand(
     f: Sequence[int],
     g: Sequence[int],
     points: Sequence[tuple[int, int, int, int]],
+    alpha: int | None = None,
 ) -> tuple[ParamDet, list[int]]:
     """Expand |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| in closed form.
 
-    Requires det(a) != 0.  The five base determinants are evaluated directly
-    and assembled into the ParamDet.  Returns it with the direct determinant
-    at each of `points`, in order; comparing those with `ParamDet.evaluate`
-    (and with any closed form they bear on) is the caller's check.
+    Requires det(a) != 0; a caller that knows det(a) passes it as `alpha`.
+    The base determinants, and the direct determinant at each of `points`,
+    come from one `det_many` call that builds each shifted matrix as it
+    reads it.  Returns the ParamDet with the direct determinants, in the
+    order of `points`; comparing those with `ParamDet.evaluate` (and with
+    any closed form they bear on) is the caller's check.
     """
     _require_square(a)
     n = a.nrows
     if len(f) != n or len(g) != n:
         raise ValueError("f and g must have one value per row")
-    alpha = det(a)
+    base = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    if alpha is None:
+        base.insert(0, (0, 0, 0, 0))
+    dets = det_many(shifted_matrix(a, f, g, *pt) for pt in [*base, *points])
+    if alpha is None:
+        alpha = dets.pop(0)
     if alpha == 0:
         raise ValueError("singular matrix: the expansion requires det != 0")
-    a1 = det(shifted_matrix(a, f, g, 1, 0, 0, 0))
-    a2 = det(shifted_matrix(a, f, g, 0, 1, 0, 0))
-    a3 = det(shifted_matrix(a, f, g, 0, 0, 1, 0))
-    a4 = det(shifted_matrix(a, f, g, 0, 0, 0, 1))
+    a1, a2, a3, a4 = dets[:4]
     cross = a1 - a2 - a3 + a4 + Fraction(a2 * a3 - a1 * a4, alpha)
-    pd = ParamDet(alpha, a1, a2, a3, a4, cross)
-    return pd, [det(shifted_matrix(a, f, g, *pt)) for pt in points]
+    return ParamDet(alpha, a1, a2, a3, a4, cross), dets[4:]

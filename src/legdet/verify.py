@@ -10,12 +10,14 @@ determinants, is compared coefficient-by-coefficient against the closed form
 (a complete proof of the polynomial identity for that prime, given the
 expansion theorem), and the direct determinant at each of 20 points drawn
 from the check's seeded stream is compared with both the expansion and the
-closed form.  Each per-prime value (symbol table, invariants, A+, A-,
-det(A_p), the expansion and its sample determinants) is computed once per
-prime and seed and shared by every check that reads it; only the last
-prime's values are kept.  The two seed-only suites run once per seed in a
-process.  Check ids, prime ranges and scan tallies are parsed and counted
-here (`parse_ids`, `require_range`, `ScanSummary.add`) for every caller.
+closed form.  Each per-prime value (symbol table, invariants, A+, A-, the
+determinants of A+, A- and A_p, the expansion and its sample determinants)
+is computed once per prime and seed and shared by every check that reads
+it; only the last prime's values are kept.  Determinants that are needed
+together come from one `det_many` call.  The two seed-only suites run once
+per seed in a process.  Check ids, prime ranges and scan tallies are parsed
+and counted here (`parse_ids`, `require_range`, `ScanSummary.add`) for every
+caller.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .exactla import (
     adjugate_apply,
     charpoly,
     det,
+    det_many,
     mdl_check,
     param_det_expand,
     shifted_matrix,
@@ -132,10 +135,28 @@ def _aminus(p: int) -> IntMatrix:
     return build(MatrixKind.aminus(), p)
 
 
+_BASES = {
+    "aplus": _aplus,
+    "aminus": _aminus,
+    "ap": lambda p: build(MatrixKind.ap(), p),
+}
+
+
 @lru_cache(maxsize=1)
-def _det_ap(p: int) -> int:
-    """det(A_p), read by L25_AP_NEG and L25_EIGS."""
-    return det(build(MatrixKind.ap(), p))
+def _known_dets(p: int) -> dict[str, int]:
+    """The base determinants of p computed so far, filled in by `_base_dets`."""
+    return {}
+
+
+def _base_dets(p: int, *names: str) -> list[int]:
+    """The determinants of p's named base matrices (A+, A-, A_p), each
+    computed once per prime: the ones not yet known come from one
+    `det_many` call."""
+    known = _known_dets(p)
+    todo = [name for name in names if name not in known]
+    if todo:
+        known.update(zip(todo, det_many(_BASES[name](p) for name in todo)))
+    return [known[name] for name in names]
 
 
 def _det_3mod4(p: int) -> int:
@@ -144,11 +165,11 @@ def _det_3mod4(p: int) -> int:
     return _sign_pow((_invariants(p).h_neg - 1) // 2) * p ** ((p - 3) // 4)
 
 
-def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int):
+def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int, alpha: int | None = None):
     """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
-    20 points of check `name`'s seeded stream."""
+    20 points of check `name`'s seeded stream; alpha is det(a) if known."""
     points = _sample_tuples(_rng(seed, name, p))
-    pd, directs = param_det_expand(a, f, f, points)
+    pd, directs = param_det_expand(a, f, f, points, alpha)
     return pd, tuple(zip(points, directs))
 
 
@@ -157,7 +178,8 @@ def _aplus_pd(p: int, seed: int):
     """The expansion of AXYZW, sampled on T12_I's (p ≡ 1 mod 4) or T12_II's
     points; COR_AFTER_T12 and EQ_38II_QP read the same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
-    return _expand(_aplus(p), symbol_vector(p), name, p, seed)
+    [alpha] = _base_dets(p, "aplus")
+    return _expand(_aplus(p), symbol_vector(p), name, p, seed, alpha)
 
 
 @lru_cache(maxsize=1)
@@ -214,7 +236,7 @@ def _run_t11_det_1mod4(p: int, seed: int):
     two = legendre_table(p).vals[2]
     want_plus = two * p ** ((p - 5) // 4)
     want_minus = two * p ** ((p - 1) // 4)
-    dp_, dm = det(_aplus(p)), det(_aminus(p))
+    dp_, dm = _base_dets(p, "aplus", "aminus")
     ok = dp_ == want_plus and dm == want_minus
     wit = {"det_aplus": str(dp_), "det_aminus": str(dm)}
     if not ok:
@@ -224,7 +246,7 @@ def _run_t11_det_1mod4(p: int, seed: int):
 
 def _run_t11_det_3mod4(p: int, seed: int):
     want = _det_3mod4(p)
-    dp_, dm = det(_aplus(p)), det(_aminus(p))
+    dp_, dm = _base_dets(p, "aplus", "aminus")
     ok = dp_ == dm == want
     wit = {"det_aplus": str(dp_), "det_aminus": str(dm), "h_neg": _invariants(p).h_neg}
     if not ok:
@@ -298,11 +320,12 @@ def _run_cor_after_t12(p: int, seed: int):
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
     # both, one of x and w is 0, so one form covers the two restrictions
     a, f = _aplus(p), symbol_vector(p)
-    samples = (
-        (pt, det(shifted_matrix(a, f, f, *pt)))
+    points = [
+        pt
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
         for pt in ((x, y, 0, 0), (0, y, 0, w))
-    )
+    ]
+    samples = zip(points, det_many(shifted_matrix(a, f, f, *pt) for pt in points))
 
     def rhs(x, y, z, w):
         return d_det * (1 - c * (x + w) - n * y)
@@ -446,7 +469,7 @@ def _run_l24(p: int, seed: int):
 
 
 def _run_l25_ap_neg(p: int, seed: int):
-    d = _det_ap(p)
+    [d] = _base_dets(p, "ap")
     ok = d < 0
     wit = {"det_ap": str(d)}
     if not ok:
@@ -484,7 +507,7 @@ def _run_l25_eigs(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
     lam_n = sum(v[(k + 1) % p] for k in range(1, p))  # the one real eigenvalue
-    d = _det_ap(p)  # its sign is L25_AP_NEG's statement
+    [d] = _base_dets(p, "ap")  # its sign is L25_AP_NEG's statement
     ok_n = lam_n == -1
     wit = {"lambda_n": lam_n, "det_ap": str(d), "product_checked": p <= _EIG_PRODUCT_CAP}
     ok_prod = True
@@ -528,8 +551,9 @@ def _run_eq_dp_u1au0(p: int, seed: int):
     inv = _invariants(p)
     n = inv.n
     u1 = symbol_vector(p)
-    w, d = adjugate_apply(_aplus(p), [1] * n)
-    lhs = p * sum(s * wi for s, wi in zip(u1, w))
+    [d] = _base_dets(p, "aplus")
+    w, _ = adjugate_apply(_aplus(p), IntMatrix([[1]] * n), d)
+    lhs = p * sum(s * wi for s, (wi,) in zip(u1, w.rows))
     rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
     ok = lhs == rhs
     wit = {"lhs": str(lhs), "rhs": str(rhs)}

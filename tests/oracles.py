@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+import numpy as np
+
 
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
@@ -265,3 +267,35 @@ def charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
                     cur[idx] = (cur[idx] - wgt * pi[idx]) % m
         polys.append(cur)
     return [c % m for c in polys[n]]
+
+
+def eliminate_mod_np(a: np.ndarray, m: int) -> int:
+    """The one-modulus numpy elimination that legdet's stacked kernel
+    replaced: Gaussian elimination of the int64 array `a` (entries in
+    [0, m)) over GF(m), in place, with delayed reduction of the trailing
+    block; returns the determinant of its leading square block mod m."""
+    n = a.shape[0]
+    room = (2**63 - 1 - m) // (m - 1) ** 2
+    pending = 0
+    det = 1
+    for j in range(n):
+        col = a[j:, j]
+        np.remainder(col, m, out=col)
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return 0
+        piv = j + int(nz[0])
+        if piv != j:
+            a[[j, piv], j:] = a[[piv, j], j:]
+            det = -det
+        row = a[j, j + 1 :]
+        np.remainder(row, m, out=row)
+        det = det * int(a[j, j]) % m
+        f = col[1:] * pow(int(a[j, j]), -1, m) % m
+        block = a[j + 1 :, j + 1 :]
+        block -= np.multiply.outer(f, row)
+        pending += 1
+        if pending == room:
+            np.remainder(block, m, out=block)
+            pending = 0
+    return det % m

@@ -52,6 +52,30 @@ def test_compute_prime_too_large_for_a_table_usage_error(capsys, what):
     assert "too large" in err and "Traceback" not in err
 
 
+def test_matrix_dimension_guard_is_a_pure_function_of_p():
+    # the guard reads only p, so a huge p costs nothing to refuse
+    import legdet.cli as cli
+    from legdet.exactla import modulus_bits
+
+    assert modulus_bits(cli.MATRIX_DIM_MAX) == 26 > modulus_bits(cli.MATRIX_DIM_MAX + 1)
+    cli.require_matrix_prime(2 * cli.MATRIX_DIM_MAX + 1)
+    for p in (2 * cli.MATRIX_DIM_MAX + 3, 10**100 + 267):
+        with pytest.raises(ValueError, match="too large for a matrix field"):
+            cli.require_matrix_prime(p)
+
+
+@pytest.mark.parametrize("what", ["det-aplus", "det-aminus", "charpoly-aplus", "charpoly-aminus"])
+def test_compute_matrix_field_just_above_the_dimension_limit(capsys, monkeypatch, what):
+    # p = 4099 gives n = 2049: refused before any matrix is built
+    import legdet.cli as cli
+
+    monkeypatch.setattr(cli, "build", lambda *a: pytest.fail("built a matrix"))
+    code, out, err = run(capsys, "compute", "--prime", "4099", "--what", f"dp,{what}")
+    assert code == 2 and out == ""
+    assert "n = (p-1)/2 = 2049 is above 2048" in err
+    assert main(["charpoly", "--prime", "4099"]) == 2
+
+
 def test_compute_validates_every_field_before_computing(capsys, monkeypatch):
     import legdet.cli as cli
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -13,15 +15,18 @@ from legdet.exactla import (
     crt_symmetric,
     det,
     det_bareiss,
+    det_many,
     mdl_check,
     moduli,
     param_det_expand,
     modulus_bits,
     shifted_matrix,
+    _charpoly_bound,
     _charpoly_mod,
     _crt,
-    _det_crt,
-    _det_mod,
+    _crt_dets,
+    _eliminate,
+    _moduli_for,
     _solve_mod,
 )
 from legdet.charmat import MatrixKind, build
@@ -29,6 +34,20 @@ from legdet.charmat import MatrixKind, build
 
 def rand_square(rng, n, lo=-99, hi=99):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def oracles_primes(lo, hi):
+    return [q for q in range(lo, hi + 1) if oracles.trial_division_is_prime(q)]
+
+
+def column(v):
+    return IntMatrix([[x] for x in v])
+
+
+def det_mod(rows, m):
+    """det(rows) mod m by the stacked kernel, as a stack of one."""
+    a = np.array([rows], dtype=np.int64) % m
+    return _eliminate(a, np.array([m], dtype=np.int64))[0]
 
 
 # --- determinants -----------------------------------------------------------
@@ -60,14 +79,13 @@ def test_det_paths_agree_with_cofactor_oracle(rows):
     m = IntMatrix(rows)
     want = oracles.det_cofactor([list(r) for r in rows])
     assert det_bareiss(m) == want
-    assert _det_crt(m) == want
+    assert _crt_dets([m]) == [want]
 
 
 def test_bareiss_and_crt_agree_on_1000_seeded_matrices():
     rng = random.Random(42)
-    for _ in range(1000):
-        m = rand_square(rng, rng.randint(1, 8))
-        assert det_bareiss(m) == _det_crt(m)
+    ms = [rand_square(rng, rng.randint(1, 8)) for _ in range(1000)]
+    assert _crt_dets(ms) == [det_bareiss(m) for m in ms]
 
 
 def test_det_crt_path_on_larger_matrix():
@@ -85,9 +103,9 @@ def test_det_crt_path_with_huge_entries():
         [[rng.randint(-9, 9) * scale for _ in range(10)] for _ in range(10)]
     )
     assert det(m) == det_bareiss(m)
-    w, d = adjugate_apply(m, [1] * 10)
+    w, d = adjugate_apply(m, column([1] * 10))
     assert d == det(m)
-    assert m.matvec(w) == [d] * 10
+    assert (m @ w).rows == ((d,),) * 10
     f = charpoly(m)
     assert f.coeffs[0] == det(m) and f.coeffs[-1] == 1
 
@@ -154,7 +172,7 @@ def test_det_kernels_agree_above_256():
     rng = random.Random(260)
     rows = [[rng.randint(-1, 1) for _ in range(260)] for _ in range(260)]
     m = moduli(27)[0]
-    assert _det_mod(np.array(rows, dtype=np.int64), m) == [oracles.det_mod_py(rows, m)]
+    assert det_mod(rows, m) == oracles.det_mod_py(rows, m)
 
 
 # 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
@@ -182,7 +200,7 @@ def test_det_and_solve_kernels_match_pure_python(m):
     singular = 0
     for rows, vec in kernel_cases():
         want = oracles.det_mod_py(rows, m)
-        assert _det_mod(np.array(rows, dtype=np.int64), m) == [want]
+        assert det_mod(rows, m) == want
         if len(rows) * (m - 1) ** 2 < 2**63:
             aug = np.array([row + [x] for row, x in zip(rows, vec)], dtype=np.int64)
             assert _solve_mod(aug, m) == oracles.solve_mod_py(rows, vec, m)
@@ -205,6 +223,100 @@ def test_charpoly_kernel_on_derogatory_aplus(p):
     arr = np.array(rows, dtype=np.int64)
     for m in (7, moduli(27)[0]):
         assert _charpoly_mod(arr, m) == oracles.charpoly_mod_py(rows, m)
+
+
+# --- the stacked det kernel --------------------------------------------------
+
+
+def stack_of(slices):
+    """(rows, modulus) pairs of one size as an int64 stack and its moduli."""
+    a = np.array([[[x % m for x in row] for row in rows] for rows, m in slices], dtype=np.int64)
+    return a, np.array([m for _, m in slices], dtype=np.int64)
+
+
+def test_stacked_kernel_matches_both_oracles_on_mixed_stacks():
+    # per n, one stack holds every kernel modulus (so 2^31 - 1 sets the room
+    # of the small moduli too) for three matrices: a random one, the same
+    # with column 0 zero above its last row (pivot on row n-1 at step 0, so
+    # its slices pivot on other rows than their neighbours), and one with a
+    # repeated row (singular, next to the nonsingular slices)
+    for rows, _ in kernel_cases():
+        n = len(rows)
+        late = [[0 if (j == 0 and i < n - 1) else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+        late[n - 1][0] = late[n - 1][0] or 1
+        mats = [rows, late] + ([[rows[0]] + rows[:-1]] if n > 1 else [])
+        slices = [(r, m) for m in KERNEL_MODULI for r in mats]
+        a, mods = stack_of(slices)
+        got = _eliminate(a, mods)
+        want = [oracles.det_mod_py(r, m) for r, m in slices]
+        old = [oracles.eliminate_mod_np(np.array(r, dtype=np.int64) % m, m) for r, m in slices]
+        assert got == want == old
+        if n > 1:
+            assert all(got[s] == 0 for s in range(2, len(slices), 3))
+
+
+def test_stacked_kernel_at_n_209():
+    rows = build(MatrixKind.aplus(), 419).to_lists()
+    rng = random.Random(209)
+    shifted = [[x + rng.randint(-9, 9) for x in row] for row in rows]
+    slices = [(rows, moduli(27)[0]), (shifted, moduli(27)[1]), (rows, 7)]
+    a, mods = stack_of(slices)
+    got = _eliminate(a, mods)
+    assert got == [oracles.eliminate_mod_np(np.array(r, dtype=np.int64) % m, m) for r, m in slices]
+    assert got[:2] == [oracles.det_mod_py(r, m) for r, m in slices[:2]]
+
+
+def test_det_many_crosses_stack_boundaries(monkeypatch):
+    # a stack holds 40 slices of 40 x 40, about three matrices' moduli: the
+    # stream is cut inside a matrix's moduli, and again wherever the size
+    # changes
+    import legdet.exactla as ex
+
+    calls = []
+    real = ex._eliminate
+    monkeypatch.setattr(ex, "_eliminate", lambda a, mods: calls.append(a.shape) or real(a, mods))
+    rng = random.Random(88)
+    sizes = [40] * 4 + [12, 12] + [40] * 2 + [9]
+    ms = [rand_square(rng, n) for n in sizes]
+    assert det_many(ms) == [det_bareiss(m) for m in ms]
+    counts = [len(ex._moduli_for(1, 2 * (math.isqrt(ex._hadamard_squared(m.rows)) + 1))) for m in ms]
+    fit = ex._STACK_BYTES // (8 * 40 * 40)
+    first = sum(counts[:4])
+    assert fit < first < 2 * fit and fit not in itertools.accumulate(counts)
+    assert calls == [
+        (fit, 40, 40), (first - fit, 40, 40), (sum(counts[4:6]), 12, 12),
+        (sum(counts[6:8]), 40, 40), (counts[8], 9, 9),
+    ]
+
+
+def test_det_many_agrees_with_det_one_at_a_time():
+    rng = random.Random(99)
+    ms = [rand_square(rng, rng.randint(1, 30), -20, 20) for _ in range(40)]
+    ms.append(IntMatrix([[0] * 10 for _ in range(10)]))
+    ms.append(IntMatrix([[1] * 10 for _ in range(10)]))  # singular, nonzero rows
+    assert det_many(ms) == [det(m) for m in ms]
+    assert det_many([]) == []
+
+
+def test_det_many_builds_matrices_one_stack_ahead(monkeypatch):
+    import legdet.exactla as ex
+
+    built, seen = [], []
+    real = ex._eliminate
+    monkeypatch.setattr(ex, "_eliminate", lambda a, mods: seen.append(len(built)) or real(a, mods))
+    rng = random.Random(5)
+
+    def matrices():
+        for _ in range(30):
+            built.append(1)
+            yield rand_square(rng, 40)
+
+    det_many(matrices())
+    fit = ex._STACK_BYTES // (8 * 40 * 40)
+    # a stack runs as soon as it is full: no more matrices are alive than
+    # one stack's slices can come from, plus the one that overflowed it
+    assert seen[0] < 30 and all(b - a <= fit for a, b in zip(seen, seen[1:]))
 
 
 # --- characteristic polynomials ---------------------------------------------
@@ -237,6 +349,30 @@ def test_charpoly_invariants_on_200_random_matrices():
             assert f(x) == det(xi_minus_m)
 
 
+def test_charpoly_bound_covers_every_coefficient():
+    # A+ and A- at every p <= 199, and seeded random matrices
+    mats = [build(kind, p) for p in oracles_primes(3, 199)
+            for kind in (MatrixKind.aplus(), MatrixKind.aminus())]
+    rng = random.Random(419)
+    mats += [rand_square(rng, rng.randint(1, 12), -30, 30) for _ in range(100)]
+    for m in mats:
+        # the coefficients, reconstructed against the looser bound
+        # C(n,k) n^ceil(k/2) B^k that charpoly used before
+        n, b = m.nrows, m.max_abs()
+        loose = max(math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1))
+        coeffs = _crt(_charpoly_mod, np.array(m.rows, dtype=np.int64), n, 2 * loose)
+        assert coeffs[-1] == 1
+        assert max(abs(c) for c in coeffs) <= _charpoly_bound(m)
+
+
+def test_charpoly_bound_saves_moduli_at_n_198_and_209():
+    # 36 and 39 moduli with the bound C(n,k) n^ceil(k/2) B^k
+    for p, want in ((397, 33), (419, 35)):
+        for kind in (MatrixKind.aplus(), MatrixKind.aminus()):
+            m = build(kind, p)
+            assert len(_moduli_for(m.nrows, 2 * _charpoly_bound(m))) == want
+
+
 def test_charpoly_rejects_nonsquare():
     with pytest.raises(ValueError):
         charpoly(IntMatrix([[1, 2]]))
@@ -253,16 +389,17 @@ def test_adjugate_apply_matches_rational_inverse():
         d = det(m)
         if d == 0:
             continue
-        v = [rng.randint(-9, 9) for _ in range(n)]
-        w, d2 = adjugate_apply(m, v)
+        u = rand_square(rng, n, -9, 9).rows[: rng.randint(1, n)]
+        u = IntMatrix(zip(*u))  # n x k, k = 1..n
+        w, d2 = adjugate_apply(m, u)
         assert d2 == d
-        # m @ w must equal det * v, i.e. w = det * m^{-1} v
-        assert m.matvec(w) == [d * t for t in v]
+        # m @ w must equal det * u, i.e. w = det * m^{-1} u
+        assert (m @ w).rows == tuple(tuple(d * t for t in row) for row in u.rows)
 
 
 def test_adjugate_apply_rejects_singular():
     with pytest.raises(ValueError):
-        adjugate_apply(IntMatrix([[1, 1], [1, 1]]), [1, 1])
+        adjugate_apply(IntMatrix([[1, 1], [1, 1]]), column([1, 1]))
 
 
 def test_adjugate_apply_skips_a_modulus_dividing_det():
@@ -272,9 +409,9 @@ def test_adjugate_apply_skips_a_modulus_dividing_det():
     q = moduli(modulus_bits(n))[0]
     m = IntMatrix([[(q if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)])
     v = [random.Random(11).randint(-99, 99) for _ in range(n)]
-    w, d = adjugate_apply(m, v)
+    w, d = adjugate_apply(m, column(v))
     assert d == q
-    assert m.matvec(w) == [d * t for t in v]
+    assert m.matvec([t for (t,) in w.rows]) == [d * t for t in v]
 
 
 # --- matrix-determinant lemma -------------------------------------------------

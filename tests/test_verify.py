@@ -217,24 +217,25 @@ def fresh_caches():
 
 
 def _patch_det(monkeypatch, replacement):
-    """Replace exactla.det in every legdet namespace that imported it."""
-    real = legdet.exactla.det
+    """Replace exactla.det_many, through which every determinant goes, in
+    every legdet namespace that imported it, by one that returns
+    replacement(m, det(m)) for each matrix m."""
+    real = legdet.exactla.det_many
+
+    def patched(matrices):
+        ms = list(matrices)
+        return [replacement(m, d) for m, d in zip(ms, real(ms))]
+
     for modname, mod in list(sys.modules.items()):
         if modname == "legdet" or modname.startswith("legdet."):
             for key, value in list(vars(mod).items()):
                 if value is real:
-                    monkeypatch.setattr(mod, key, replacement)
-    return real
+                    monkeypatch.setattr(mod, key, patched)
 
 
 def test_closed_form_checks_compute_each_determinant_once(monkeypatch, fresh_caches):
     calls = []
-
-    def counting(m):
-        calls.append(m.nrows)
-        return real(m)
-
-    real = _patch_det(monkeypatch, counting)
+    _patch_det(monkeypatch, lambda m, d: calls.append(m.nrows) or d)
 
     def dets(cid, p):
         before = len(calls)
@@ -259,7 +260,7 @@ def _first_sample_off_by_one(monkeypatch, cid, p, seed=0):
     point = v._sample_tuples(v._rng(seed, cid.name, p))[0]
     kind = MatrixKind.sun_half_plus if cid is CheckId.SUN_C31_I else MatrixKind.axyzw
     target = build(kind(*point), p)
-    real = _patch_det(monkeypatch, lambda m: real(m) + (m == target))
+    _patch_det(monkeypatch, lambda m, d: d + (m == target))
     return point
 
 
@@ -288,9 +289,11 @@ def test_wrong_adjugate_fails_the_matrix_determinant_lemma(monkeypatch, fresh_ca
     # wrong solve
     real = legdet.exactla.adjugate_apply
 
-    def off_by_one(m, vec):
-        w, d = real(m, vec)
-        return [w[0] + 1] + w[1:], d
+    def off_by_one(m, u, d=None):
+        w, d = real(m, u, d)
+        rows = w.to_lists()
+        rows[0][0] += 1
+        return IntMatrix(rows), d
 
     monkeypatch.setattr(legdet.exactla, "adjugate_apply", off_by_one)
     e1 = IntMatrix([[1], [0]])
@@ -375,11 +378,39 @@ def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
 
 def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
     calls = []
-    real = _patch_det(monkeypatch, lambda m: calls.append(m.nrows) or real(m))
+    _patch_det(monkeypatch, lambda m, d: calls.append(m.nrows) or d)
     assert check(CheckId.L25_AP_NEG, 103).passed
     r = check(CheckId.L25_EIGS, 103)
     assert r.passed and int(r.witness["det_ap"]) < 0
     assert calls == [51]
+
+
+def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, capsys):
+    # T11_DET_3MOD4, T12_II's expansion and EQ_DP_U1AU0's adjugate all read
+    # one det(A+)
+    aplus = build(MatrixKind.aplus(), 103)
+    calls = []
+    _patch_det(monkeypatch, lambda m, d: calls.append(m == aplus) or d)
+    assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
+    assert calls.count(True) == 1
+
+
+def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_caches):
+    calls = []
+    real = legdet.exactla.det_many
+    monkeypatch.setattr(v, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
+    assert check(CheckId.T11_DET_3MOD4, 103).passed
+    assert calls == [[build(MatrixKind.aplus(), 103), build(MatrixKind.aminus(), 103)]]
+
+
+def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
+    calls = []
+    real = legdet.exactla.adjugate_apply
+    monkeypatch.setattr(legdet.exactla, "adjugate_apply", lambda *a: calls.append(a) or real(*a))
+    a = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    u = IntMatrix([[1, 0, 2], [0, 1, 1], [1, 1, 0]])
+    assert legdet.exactla.mdl_check(a, u, u)
+    assert [(m, w) for m, w in calls] == [(a, u)]
 
 
 def test_scan_runs_each_seed_only_suite_once(monkeypatch, fresh_caches, tmp_path, capsys):
@@ -408,7 +439,7 @@ def test_per_prime_caches_hold_one_prime(fresh_caches):
         if hasattr(obj, "cache_info") and obj.__module__ == v.__name__
         and obj is not v._seeded_suite  # per seed, not per prime
     }
-    assert set(caches) == {"_invariants", "_aplus", "_aminus", "_det_ap", "_aplus_pd", "_sun_pd"}
+    assert set(caches) == {"_invariants", "_aplus", "_aminus", "_known_dets", "_aplus_pd", "_sun_pd"}
     assert all(c.maxsize == 1 and c.currsize <= 1 for c in caches.values())
     assert caches["_aplus"].currsize == 1
 
