@@ -4,7 +4,8 @@ The files under tests/golden/ were written by the command lines below, run
 with `python -m legdet.cli` from a source checkout, and are not edited by
 hand.  A change that alters any of these outputs must say why and write the
 files again.  The one float that depends on the platform's libm, L25_EIGS's
-`product_relative_error`, is masked on both sides.
+`product_relative_error`, is masked on both sides, and so are the per-check
+timings of the text output.
 """
 
 import re
@@ -16,10 +17,11 @@ from legdet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 _FLOAT = re.compile(r'("product_relative_error": )[-+0-9.eE]+')
+_TIMING = re.compile(r"\([0-9.]+ ms\)$", re.MULTILINE)
 
 
 def _mask(text: str) -> str:
-    return _FLOAT.sub(r"\1<masked>", text)
+    return _TIMING.sub("(<masked> ms)", _FLOAT.sub(r"\1<masked>", text))
 
 
 def _run(capsys, *argv) -> str:
@@ -32,6 +34,9 @@ def _run(capsys, *argv) -> str:
     [
         (("verify", "--from", "3", "--to", "60", "--suite", "all", "--json"),
          "verify_3_60.json"),
+        (("verify", "--prime", "101"), "verify_101.txt"),
+        (("verify", "--prime", "103", "--suite", "all", "--seed", "7", "--json"),
+         "verify_103_all_s7.json"),
         (("charpoly", "--prime", "101", "--json"), "charpoly_101.json"),
         (("compute", "--prime", "101", "--what",
           "dp,cp,qp,det-aplus,det-aminus,unit,hreal", "--json"), "compute_101.json"),
