@@ -14,6 +14,7 @@ from .exactla import (
     det_bareiss,
     mdl_check,
     param_det_expand,
+    shifted_dets,
     shifted_matrix,
 )
 from .ntheory import (

@@ -3,7 +3,8 @@ them.  All entries come from the one cached symbol table
 (`ntheory.legendre_table`), so construction is O(size) once the prime's
 table exists.  Each base matrix (A+, A-, A_p and the two (n+1)-square Sun
 matrices) has one entry formula; a parametric kind is its base matrix
-shifted by `exactla.shifted_matrix`, the one four-parameter formula.
+shifted by `exactla.shifted_matrix`, the one-point case of the broadcast
+that `exactla.shifted_dets` computes its samples with.
 
 With n = (p-1)/2 and (a/p) the Legendre symbol:
 

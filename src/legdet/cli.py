@@ -20,7 +20,7 @@ from typing import Callable
 from . import verify as _verify
 from .charmat import MatrixKind, build
 from .errors import InternalError
-from .exactla import IntPoly, charpoly, det
+from .exactla import IntPoly, charpoly, det_many
 from .ntheory import (
     PrimeInvariants,
     prime_invariants,
@@ -39,19 +39,26 @@ EXIT_CONJECTURE = 4
 
 SCHEMA_VERSION = 1
 
-# each compute field as a function of (p, p's invariant record); the record
-# is computed only when a field in _INVARIANT_FIELDS is asked for
-_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None], object]] = {
-    "dp": lambda p, inv: inv.d_p,
-    "cp": lambda p, inv: inv.c_p,
-    "qp": lambda p, inv: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
-    "hneg": lambda p, inv: inv.h_neg,
-    "det-aplus": lambda p, inv: det(build(MatrixKind.aplus(), p)),
-    "det-aminus": lambda p, inv: det(build(MatrixKind.aminus(), p)),
-    "charpoly-aplus": lambda p, inv: charpoly(build(MatrixKind.aplus(), p)),
-    "charpoly-aminus": lambda p, inv: charpoly(build(MatrixKind.aminus(), p)),
-    "unit": lambda p, inv: fundamental_unit(p),
-    "hreal": lambda p, inv: class_number_real(p),
+def _matrix(p: int, name: str):
+    return build(getattr(MatrixKind, name)(), p)
+
+
+# each compute field as a function of (p, p's invariant record, the
+# determinants its det fields ask for); the record is computed only when a
+# field in _INVARIANT_FIELDS is asked for, and the determinants of A+ and A-
+# in one det_many call, which a charpoly field of the same matrix then takes
+# for its constant-term cross-check instead of computing it again
+_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int]], object]] = {
+    "dp": lambda p, inv, dets: inv.d_p,
+    "cp": lambda p, inv, dets: inv.c_p,
+    "qp": lambda p, inv, dets: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
+    "hneg": lambda p, inv, dets: inv.h_neg,
+    "det-aplus": lambda p, inv, dets: dets["aplus"],
+    "det-aminus": lambda p, inv, dets: dets["aminus"],
+    "charpoly-aplus": lambda p, inv, dets: charpoly(_matrix(p, "aplus"), dets.get("aplus")),
+    "charpoly-aminus": lambda p, inv, dets: charpoly(_matrix(p, "aminus"), dets.get("aminus")),
+    "unit": lambda p, inv, dets: fundamental_unit(p),
+    "hreal": lambda p, inv, dets: class_number_real(p),
 }
 COMPUTE_FIELDS = tuple(_COMPUTE)
 _INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
@@ -85,7 +92,9 @@ def _cmd_compute(args) -> int:
         if name in _MATRIX_FIELDS:
             require_matrix_prime(p)
     inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
-    out = {name: _COMPUTE[name](p, inv) for name in args.what}
+    names = [name for name in ("aplus", "aminus") if f"det-{name}" in args.what]
+    dets = dict(zip(names, det_many(_matrix(p, name) for name in names)))
+    out = {name: _COMPUTE[name](p, inv, dets) for name in args.what}
     if args.json:
         print(json.dumps({
             k: [str(c) for c in v.coeffs] if isinstance(v, IntPoly) else str(v)

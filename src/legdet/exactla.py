@@ -2,27 +2,33 @@
 
 Determinants and characteristic polynomials are computed modulo a fixed
 descending list of word-sized primes and CRT-reconstructed into the symmetric
-range; the number of moduli is chosen per call from a Hadamard-type bound, so
-results are exact and deterministic.  Small determinants (n <= 8) go through
-fraction-free Bareiss elimination instead.  Rational arithmetic appears only
-in `ParamDet`; the matrix-determinant lemma is checked in integers, through
-the adjugate.
+range; the number of moduli is chosen per call from a bound on the result,
+so results are exact and deterministic.  Small determinants (n <= 8) go
+through fraction-free Bareiss elimination instead.  Rational arithmetic
+appears only in `ParamDet`; the matrix-determinant lemma is checked in
+integers, through the adjugate.
 
 Each modular operation has one numpy int64 kernel.  The moduli are sized
 from the number of residue products an intermediate sums (`modulus_bits`),
 so no kernel can overflow: 27 bits for det, and for charpoly and solve up
 to n = 512, then fewer; `_moduli_for` picks them for every operation.
-Determinants go through `det_many`, which stacks every (matrix, modulus)
-pair of a batch as one slice of an int64 array and eliminates the whole
-stack at once (`_eliminate`), each slice with its own modulus and its own
-pivot rows, so that numpy's per-call cost is paid once per step of the
-stack rather than once per step of each modulus.  The elimination delays
-reduction until int64 headroom runs out, a headroom computed from the
-stack's largest modulus, which bounds every slice's updates whatever mix
-of moduli it holds.  The solve runs the same elimination on [A | V] as a
-stack of one, and one CRT loop (`_crt`) runs the solve and charpoly
-kernels over their moduli; the Hessenberg reduction behind the
-characteristic polynomial reduces every step, on the active block only.
+Every determinant goes through one door (`_dets`), which takes each matrix
+as an array with a bound on |det|: `det_many` sizes a matrix by its row
+Hadamard bound, and `shifted_dets` sizes each four-parameter sample
+a + s 1^T + t g^T by a column-multilinear bound (`_shifted_bounds`), which
+does not count the shift once per row and so takes about a third fewer
+moduli.  The samples are broadcast from a, f, g and the points in small
+chunks (`_shifted_samples`).  The door stacks every (matrix, modulus) pair
+of a batch as one slice of an int64 array and eliminates the whole stack at
+once (`_eliminate`), each slice with its own modulus and its own pivot rows,
+so that numpy's per-call cost is paid once per step of the stack rather
+than once per step of each modulus.  The elimination delays reduction until
+int64 headroom runs out, a headroom computed from the stack's largest
+modulus, which bounds every slice's updates whatever mix of moduli it
+holds.  The solve runs the same elimination on [A | V] as a stack of one,
+and one CRT loop (`_crt`) runs the solve and charpoly kernels over their
+moduli; the Hessenberg reduction behind the characteristic polynomial
+reduces every step, on the active block only.
 """
 
 from __future__ import annotations
@@ -85,8 +91,9 @@ def _int_array(rows: Sequence[Sequence[int]], max_abs: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64 if max_abs < 2**62 else object)
 
 
-def _residues(a: np.ndarray, m: int) -> np.ndarray:
-    """a mod m as a fresh int64 array, entries in [0, m)."""
+def _residues(a: np.ndarray, m) -> np.ndarray:
+    """a mod m as a fresh int64 array, entries in [0, m); m is an int or an
+    int64 array that broadcasts against a (one modulus per slice)."""
     return (a % m).astype(np.int64, copy=False)
 
 
@@ -378,7 +385,11 @@ def _require_square(m: IntMatrix) -> None:
 def det_bareiss(m: IntMatrix) -> int:
     """Fraction-free Bareiss elimination; every intermediate stays integral."""
     _require_square(m)
-    a = m.to_lists()
+    return _bareiss(m.to_lists())
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """det of the square list of rows `a`, which it overwrites, by Bareiss."""
     n = len(a)
     sign = 1
     prev = 1
@@ -434,29 +445,34 @@ def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> l
 #: Bytes of one stack of the det kernel.  Eliminating it needs one
 #: temporary as large again, so a call adds about twice this to the heap;
 #: at n = 53 it holds 23 slices, and a larger stack is not faster there.
+#: A chunk of shifted samples (`_shifted_samples`) is held to an eighth of
+#: it: at n = 53, three samples, whose 7 or so moduli each fill most of a
+#: stack, so that the next chunk adds little to the stack and its temporary.
 _STACK_BYTES = 1 << 19
 
 
-def _crt_dets(matrices: Iterable[IntMatrix]) -> list[int]:
-    """Exact determinants of the square `matrices`, in order, by the stacked
-    kernel and CRT, whatever their size.
+def _crt_dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
+    """Exact determinants of the square arrays of `pairs`, in order, by the
+    stacked kernel and CRT, whatever their size.  Each pair is an int64 (or
+    Python-int object) array and a bound on |det|; a bound of 0 gives 0.
 
-    Each matrix gets its own moduli from its own Hadamard bound, and each
-    (matrix, modulus) pair is one slice of an int64 stack.  Consecutive
-    slices of equal size are packed, in order, into stacks of at most
-    _STACK_BYTES (one slice, if a slice is larger), and each stack is one
-    `_eliminate` call.  `matrices` is read lazily: a generator has at most
-    one stack's matrices alive.
+    Each array gets its own moduli from its own bound, and each (array,
+    modulus) pair is one slice of an int64 stack.  Consecutive slices of
+    equal size are packed, in order, into stacks of at most _STACK_BYTES (one
+    slice, if a slice is larger), and each stack is one `_eliminate` call.
+    `pairs` is read lazily: a generator has at most one stack's arrays alive.
     """
     out: list[int] = []
     owners: dict[int, tuple[list[int], list[int]]] = {}  # index: residues, moduli
     slices: list[tuple[int, np.ndarray, int]] = []  # index, array, modulus
 
     def run() -> None:
-        stack = np.empty((len(slices), *slices[0][1].shape), dtype=np.int64)
-        for s, (_, data, mod) in enumerate(slices):
-            stack[s] = data % mod
         mods = np.array([mod for _, _, mod in slices], dtype=np.int64)
+        stack = np.stack([data for _, data, _ in slices])
+        if stack.dtype == object:  # an entry reaches 2^62
+            stack = _residues(stack, mods[:, None, None])
+        else:  # in place: a fresh array of this size costs as much again
+            np.remainder(stack, mods[:, None, None], out=stack)
         for (i, _, _), r in zip(slices, _eliminate(stack, mods)):
             residues, used = owners[i]
             residues.append(r)
@@ -465,13 +481,11 @@ def _crt_dets(matrices: Iterable[IntMatrix]) -> list[int]:
                 del owners[i]
         slices.clear()
 
-    for i, m in enumerate(matrices):
+    for i, (data, bound) in enumerate(pairs):
         out.append(0)
-        h2 = _hadamard_squared(m.rows)
-        if h2 == 0:
+        if bound == 0:
             continue
-        owners[i] = ([], _moduli_for(1, 2 * (math.isqrt(h2) + 1)))
-        data = _int_array(m.rows, m.max_abs())
+        owners[i] = ([], _moduli_for(1, 2 * bound))
         fit = max(1, _STACK_BYTES // (8 * data.size))
         for mod in owners[i][1]:
             if slices and (len(slices) == fit or slices[0][1].shape != data.shape):
@@ -482,21 +496,33 @@ def _crt_dets(matrices: Iterable[IntMatrix]) -> list[int]:
     return out
 
 
-def det_many(matrices: Iterable[IntMatrix]) -> list[int]:
-    """Exact determinants of `matrices`, in order: Bareiss for n <= 8, the
-    stacked kernel (`_crt_dets`) for the rest, in one pass over
-    `matrices`."""
+def _dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
+    """Exact determinants of the square arrays of `pairs` (array, bound on
+    |det|), in order, in one pass: Bareiss for n <= 8, the stacked kernel
+    (`_crt_dets`) above.  Every determinant goes through here."""
     out: list[int | None] = []  # None: left to the stacked kernel
 
     def large():
-        for m in matrices:
-            _require_square(m)
-            out.append(det_bareiss(m) if m.nrows <= 8 else None)
+        for data, bound in pairs:
+            out.append(_bareiss(data.tolist()) if len(data) <= 8 else None)
             if out[-1] is None:
-                yield m
+                yield data, bound
 
     crt = iter(_crt_dets(large()))
     return [next(crt) if d is None else d for d in out]
+
+
+def _row_bound_pair(m: IntMatrix) -> tuple[np.ndarray, int]:
+    """m as an array, with its row Hadamard bound (0 for a zero row)."""
+    _require_square(m)
+    h2 = _hadamard_squared(m.rows)
+    return _int_array(m.rows, m.max_abs()), math.isqrt(h2) + 1 if h2 else 0
+
+
+def det_many(matrices: Iterable[IntMatrix]) -> list[int]:
+    """Exact determinants of the square `matrices`, in order, each sized
+    by its row Hadamard bound, in one pass over `matrices` (`_dets`)."""
+    return _dets(map(_row_bound_pair, matrices))
 
 
 def det(m: IntMatrix) -> int:
@@ -544,13 +570,13 @@ def _charpoly_bound(m: IntMatrix) -> int:
     return bound
 
 
-def charpoly(m: IntMatrix) -> IntPoly:
+def charpoly(m: IntMatrix, d: int | None = None) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 
     Computed modulo word-sized primes via Hessenberg reduction over each
     prime field, with coefficients CRT-reconstructed against
     `_charpoly_bound`.  The constant term is cross-checked against
-    (-1)^n * det(m).
+    (-1)^n * d, d = det(m), computed here unless the caller passes it.
     """
     _require_square(m)
     n = m.nrows
@@ -560,7 +586,9 @@ def charpoly(m: IntMatrix) -> IntPoly:
     poly = IntPoly(_crt(_charpoly_mod, _int_array(m.rows, b), n, 2 * _charpoly_bound(m)))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
-    if poly.coeffs[0] != (-1) ** n * det(m):
+    if d is None:
+        d = det(m)
+    if poly.coeffs[0] != (-1) ** n * d:
         raise InternalError("charpoly constant term disagrees with determinant")
     return poly
 
@@ -631,12 +659,84 @@ class ParamDet:
         )
 
 
+def _shifted_samples(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
+    """The shifted matrix of `a` at each of `points`, in order, as (n, n)
+    arrays: a + s 1^T + t g^T, entry (i, j) = a_ij + x + f_i y + g_j z
+    + f_i g_j w, with s = x + f y and t = z + f w.
+
+    The samples are broadcast from a, g, s and t, a chunk of at most
+    _STACK_BYTES / 8 at a time, as int64, or as Python ints when
+    max|a| + max|s| + max|g| max|t| may reach 2^62 (`_int_array`'s rule).
+    """
+    _require_square(a)
+    n = a.nrows
+    if len(f) != n or len(g) != n:
+        raise ValueError("f and g must have one value per row")
+    # every input and every partial sum or product is at most this total
+    fa = max(1, *map(abs, f))
+    most = [max((abs(pt[c]) for pt in points), default=0) for c in range(4)]
+    s_max = most[0] + fa * max(1, most[1])
+    t_max = most[2] + fa * max(1, most[3])
+    big = a.max_abs() + s_max + max(1, *map(abs, g)) * t_max >= 2**62
+    dtype = object if big else np.int64
+    av = np.array(a.rows, dtype=dtype)
+    fv, gv = np.array(f, dtype=dtype), np.array(g, dtype=dtype)
+    pts = np.array(points, dtype=dtype).reshape(-1, 4)
+    s = pts[:, :1] + pts[:, 1:2] * fv
+    t = pts[:, 2:3] + pts[:, 3:4] * fv
+    chunk = max(1, _STACK_BYTES // (64 * n * n))
+    for lo in range(0, len(pts), chunk):
+        block = t[lo : lo + chunk, :, None] * gv
+        block += s[lo : lo + chunk, :, None]
+        block += av
+        yield from block
+
+
+def _ceil_sqrt(q: int) -> int:
+    return math.isqrt(q - 1) + 1 if q else 0
+
+
+def _shifted_bounds(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
+    """A bound on |det| of the shifted matrix of `a` at each of `points`
+    (`_shifted_samples`), in order, from multilinearity in the columns.
+
+    Column k is a_k + s + g_k t.  The terms of the expansion that take s
+    twice or t twice vanish, and Hadamard's inequality bounds the rest, so
+    with integers c_k = max(1, ceil |a_k|) and C = prod c_k,
+
+        |det| <= C + |s| sum C/c_k + |t| sum |g_k| C/c_k
+                 + |s| |t| ceil((sum C/c_k)(sum |g_l| C/c_l) / C),
+
+    the last term covering the sum over k != l of |s| |g_l| |t| C/(c_k c_l).
+    |s| and |t| are rounded up, from |u + f v|^2 = n u^2 + 2uv sum f
+    + v^2 sum f^2; everything is in Python ints.
+    """
+    n = a.nrows
+    c = [max(1, _ceil_sqrt(sum(x * x for x in col))) for col in zip(*a.rows)]
+    prod = math.prod(c)
+    sum_s = sum(prod // ck for ck in c)
+    sum_t = sum(abs(gk) * (prod // ck) for gk, ck in zip(g, c))
+    both = -(-sum_s * sum_t // prod)
+    f1, f2 = sum(f), sum(fi * fi for fi in f)
+    for x, y, z, w in points:
+        ns = _ceil_sqrt(n * x * x + 2 * x * y * f1 + y * y * f2)
+        nt = _ceil_sqrt(n * z * z + 2 * z * w * f1 + w * w * f2)
+        yield prod + ns * sum_s + nt * sum_t + ns * nt * both
+
+
+def shifted_dets(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]) -> list[int]:
+    """Exact determinants of |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| at
+    each of `points`, in order, each sized by its column-multilinear bound
+    (`_shifted_bounds`): Bareiss for n <= 8, the stacked kernel above."""
+    samples = _shifted_samples(a, f, g, points)
+    return _dets(zip(samples, _shifted_bounds(a, f, g, points)))
+
+
 def shifted_matrix(a: IntMatrix, f: Sequence[int], g: Sequence[int], x: int, y: int, z: int, w: int) -> IntMatrix:
-    # a_ij + x + f_i y + g_j z + f_i g_j w = a_ij + (x + f_i y) + g_j (z + f_i w)
-    return IntMatrix(
-        [aij + b + gj * c for aij, gj in zip(row, g)]
-        for row, b, c in ((row, x + fi * y, z + fi * w) for row, fi in zip(a.rows, f))
-    )
+    """The matrix a_ij + x + f_i y + g_j z + f_i g_j w: `_shifted_samples`
+    at one point."""
+    [sample] = _shifted_samples(a, f, g, [(x, y, z, w)])
+    return IntMatrix(sample.tolist())
 
 
 def param_det_expand(
@@ -650,19 +750,15 @@ def param_det_expand(
 
     Requires det(a) != 0; a caller that knows det(a) passes it as `alpha`.
     The base determinants, and the direct determinant at each of `points`,
-    come from one `det_many` call that builds each shifted matrix as it
-    reads it.  Returns the ParamDet with the direct determinants, in the
-    order of `points`; comparing those with `ParamDet.evaluate` (and with
-    any closed form they bear on) is the caller's check.
+    come from one `shifted_dets` call.  Returns the ParamDet with the direct
+    determinants, in the order of `points`; comparing those with
+    `ParamDet.evaluate` (and with any closed form they bear on) is the
+    caller's check.
     """
-    _require_square(a)
-    n = a.nrows
-    if len(f) != n or len(g) != n:
-        raise ValueError("f and g must have one value per row")
     base = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     if alpha is None:
         base.insert(0, (0, 0, 0, 0))
-    dets = det_many(shifted_matrix(a, f, g, *pt) for pt in [*base, *points])
+    dets = shifted_dets(a, f, g, [*base, *points])
     if alpha is None:
         alpha = dets.pop(0)
     if alpha == 0:

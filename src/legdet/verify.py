@@ -13,8 +13,12 @@ from the check's seeded stream is compared with both the expansion and the
 closed form.  Each per-prime value (symbol table, invariants, A+, A-, the
 determinants of A+, A- and A_p, the expansion and its sample determinants)
 is computed once per prime and seed and shared by every check that reads
-it; only the last prime's values are kept.  Determinants that are needed
-together come from one `det_many` call.  The two seed-only suites run once
+it; only the last prime's values are kept, and charpoly takes the known
+determinants of A+ and A- for its cross-check.  Determinants that are
+needed together come from one call: the base matrices' from `det_many`,
+sized by the row Hadamard bound, and the shifted samples' from
+`shifted_dets` (through `param_det_expand` or directly), sized by the
+column-multilinear bound.  The two seed-only suites run once
 per seed in a process.  Check ids, prime ranges and scan tallies are parsed
 and counted here (`parse_ids`, `require_range`, `ScanSummary.add`) for every
 caller.
@@ -47,7 +51,7 @@ from .exactla import (
     det_many,
     mdl_check,
     param_det_expand,
-    shifted_matrix,
+    shifted_dets,
 )
 from .ntheory import (
     PrimeInvariants,
@@ -223,8 +227,9 @@ def _two_layer(wit: dict, ok: bool, note: str, pd: ParamDet, samples, closed_for
 def _run_t11_charpoly(p: int, seed: int):
     want_plus = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
     want_minus = IntPoly((-p, 0, 1)) ** ((p - 1) // 4)
-    got_plus = charpoly(_aplus(p))
-    got_minus = charpoly(_aminus(p))
+    d_plus, d_minus = _base_dets(p, "aplus", "aminus")
+    got_plus = charpoly(_aplus(p), d_plus)
+    got_minus = charpoly(_aminus(p), d_minus)
     ok = got_plus == want_plus and got_minus == want_minus
     wit = {"charpoly_aplus": str(got_plus), "charpoly_aminus": str(got_minus)}
     if not ok:
@@ -325,7 +330,7 @@ def _run_cor_after_t12(p: int, seed: int):
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
         for pt in ((x, y, 0, 0), (0, y, 0, w))
     ]
-    samples = zip(points, det_many(shifted_matrix(a, f, f, *pt) for pt in points))
+    samples = zip(points, shifted_dets(a, f, f, points))
 
     def rhs(x, y, z, w):
         return d_det * (1 - c * (x + w) - n * y)

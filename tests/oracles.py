@@ -299,3 +299,13 @@ def eliminate_mod_np(a: np.ndarray, m: int) -> int:
             np.remainder(block, m, out=block)
             pending = 0
     return det % m
+
+
+def shifted_rows(rows, f, g, x: int, y: int, z: int, w: int) -> list[list[int]]:
+    """The four-parameter shifted matrix a_ij + x + f_i y + g_j z + f_i g_j w,
+    built entry by entry: the tuple-building path that legdet's broadcast
+    sample path replaced."""
+    return [
+        [aij + b + gj * c for aij, gj in zip(row, g)]
+        for row, b, c in ((row, x + fi * y, z + fi * w) for row, fi in zip(rows, f))
+    ]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from legdet.charmat import (
     MatrixKind,
     build,
@@ -9,7 +10,7 @@ from legdet.charmat import (
     symbol_vector,
     theta_vector,
 )
-from legdet.exactla import shifted_matrix
+from legdet.exactla import IntMatrix, shifted_matrix
 from legdet.ntheory import legendre_table, primes_in_range
 
 
@@ -130,7 +131,8 @@ def test_matrix_kind_validation():
 
 def test_parametric_kinds_are_shifted_base_matrices():
     # the catalog takes the sample determinants of AXYZW and the Sun kinds
-    # from shifted_matrix on the zero-parameter base, so the two must agree
+    # from the broadcast shift of the zero-parameter base, so build, its
+    # one-point case shifted_matrix and the entry-by-entry oracle must agree
     rng = random.Random(59)
     for p in primes_in_range(3, 59):
         t = legendre_table(p)
@@ -140,7 +142,9 @@ def test_parametric_kinds_are_shifted_base_matrices():
         aplus = build(MatrixKind.aplus(), p)
         for _ in range(5):
             pt = tuple(rng.randint(-9, 9) for _ in range(4))
-            assert build(MatrixKind.axyzw(*pt), p) == shifted_matrix(aplus, u1, u1, *pt)
+            want = IntMatrix(oracles.shifted_rows(aplus.rows, u1, u1, *pt))
+            assert build(MatrixKind.axyzw(*pt), p) == shifted_matrix(aplus, u1, u1, *pt) == want
             for kind in (MatrixKind.sun_half_plus, MatrixKind.sun_half_minus):
                 base = build(kind(0, 0, 0, 0), p)
-                assert build(kind(*pt), p) == shifted_matrix(base, fg, fg, *pt)
+                want = IntMatrix(oracles.shifted_rows(base.rows, fg, fg, *pt))
+                assert build(kind(*pt), p) == shifted_matrix(base, fg, fg, *pt) == want

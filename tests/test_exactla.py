@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from legdet.exactla import (
     IntMatrix,
     IntPoly,
+    ParamDet,
     adjugate_apply,
     charpoly,
     crt_symmetric,
@@ -20,6 +22,7 @@ from legdet.exactla import (
     moduli,
     param_det_expand,
     modulus_bits,
+    shifted_dets,
     shifted_matrix,
     _charpoly_bound,
     _charpoly_mod,
@@ -27,9 +30,12 @@ from legdet.exactla import (
     _crt_dets,
     _eliminate,
     _moduli_for,
+    _row_bound_pair,
     _solve_mod,
 )
-from legdet.charmat import MatrixKind, build
+import legdet.exactla as ex
+from legdet.charmat import MatrixKind, build, symbol_vector
+from legdet.ntheory import primes_in_range
 
 
 def rand_square(rng, n, lo=-99, hi=99):
@@ -79,13 +85,13 @@ def test_det_paths_agree_with_cofactor_oracle(rows):
     m = IntMatrix(rows)
     want = oracles.det_cofactor([list(r) for r in rows])
     assert det_bareiss(m) == want
-    assert _crt_dets([m]) == [want]
+    assert _crt_dets([_row_bound_pair(m)]) == [want]
 
 
 def test_bareiss_and_crt_agree_on_1000_seeded_matrices():
     rng = random.Random(42)
     ms = [rand_square(rng, rng.randint(1, 8)) for _ in range(1000)]
-    assert _crt_dets(ms) == [det_bareiss(m) for m in ms]
+    assert _crt_dets(map(_row_bound_pair, ms)) == [det_bareiss(m) for m in ms]
 
 
 def test_det_crt_path_on_larger_matrix():
@@ -493,6 +499,134 @@ def test_shifted_matrix_entries():
     # entry (i, j) = a(i, j) + x + f(i) y + g(j) z + f(i) g(j) w
     assert s.rows[0][0] == 1 + 1 + 1 + 2 + 2
     assert s.rows[1][1] == 4 + 1 - 1 + 0 + 0
+
+
+# --- shifted samples: broadcast and column-multilinear bound ------------------
+
+
+def shifted_oracle(a, f, g, pt):
+    return IntMatrix(oracles.shifted_rows(a.rows, f, g, *pt))
+
+
+def expansion_from_row_bound_dets(a, f, g):
+    """The ParamDet of a shifted by f and g, from its five base determinants
+    taken by det_many on the oracle's matrices (row Hadamard moduli)."""
+    base = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    al, a1, a2, a3, a4 = det_many(shifted_oracle(a, f, g, pt) for pt in base)
+    return ParamDet(al, a1, a2, a3, a4, a1 - a2 - a3 + a4 + Fraction(a2 * a3 - a1 * a4, al))
+
+
+def catalog_families(p, seed):
+    """(a, f, points) for each shifted family the catalog samples at p: A+
+    on T12's and COR_AFTER_T12's points, and the two Sun matrices, each with
+    the base points its expansion takes (A+'s own det comes from det_many)."""
+    import legdet.verify as v
+
+    u1 = symbol_vector(p)
+    base = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    pts = lambda name: [*base, *v._sample_tuples(v._rng(seed, name, p))]
+    if p > 3:
+        aplus_pts = pts("T12_I" if p % 4 == 1 else "T12_II")
+        if p % 4 == 3:
+            cor = v._sample_tuples(v._rng(seed, "COR_AFTER_T12", p))
+            aplus_pts += [pt for x, y, _, w in cor for pt in ((x, y, 0, 0), (0, y, 0, w))]
+        yield build(MatrixKind.aplus(), p), u1, aplus_pts
+        sun = [(0, 0, 0, 0), *pts("SUN_C31_I")]
+        yield build(MatrixKind.sun_half_plus(0, 0, 0, 0), p), [0, *u1], sun
+    sun = [(0, 0, 0, 0), *pts("SUN_C31_II")]
+    yield build(MatrixKind.sun_half_minus(0, 0, 0, 0), p), [0, *u1], sun
+
+
+def test_shifted_bound_covers_every_catalog_sample_to_199():
+    # each sample's determinant, from the expansion over base determinants
+    # that the row Hadamard path computed, lies within its bound
+    for p in primes_in_range(3, 199):
+        for (a, f, seed0), (_, _, seed7) in zip(catalog_families(p, 0), catalog_families(p, 7)):
+            pd = expansion_from_row_bound_dets(a, f, f)
+            points = seed0 + seed7
+            for pt, bound in zip(points, ex._shifted_bounds(a, f, f, points)):
+                assert abs(pd.evaluate(*pt)) <= bound, (p, pt)
+
+
+def random_shift_case(rng, trial):
+    """(a, f, g, points) at n = 1..12, each trial one of: plain, zero
+    columns, singular a, f = g = 0, and entries large enough for the
+    object-array path."""
+    n = rng.randint(1, 12)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    f = [rng.randint(-9, 9) for _ in range(n)]
+    g = [rng.randint(-9, 9) for _ in range(n)]
+    points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4)]
+    case = trial % 5
+    if case == 1:
+        for k in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[k] = 0
+    elif case == 2 and n > 1:
+        rows[-1] = [2 * x for x in rows[0]]
+    elif case == 3:
+        f, g = [0] * n, [0] * n
+    elif case == 4:
+        big = 10 ** rng.randint(15, 30)
+        which = rng.randrange(3)
+        if which == 0:
+            rows = [[x * big for x in row] for row in rows]
+        elif which == 1:
+            points = [(x * big, y, z * big, w) for x, y, z, w in points]
+        else:
+            f = [x * big for x in f]
+    return IntMatrix(rows), f, g, points
+
+
+def test_shifted_bound_and_dets_on_random_cases():
+    rng = random.Random(1213)
+    paths = set()
+    for trial in range(250):
+        a, f, g, points = random_shift_case(rng, trial)
+        want = [det_bareiss(shifted_oracle(a, f, g, pt)) for pt in points]
+        bounds = list(ex._shifted_bounds(a, f, g, points))
+        assert all(abs(d) <= b for d, b in zip(want, bounds)), (trial, want, bounds)
+        samples = list(ex._shifted_samples(a, f, g, points))
+        assert [s.tolist() for s in samples] == [shifted_oracle(a, f, g, pt).to_lists() for pt in points]
+        assert shifted_dets(a, f, g, points) == want
+        paths.add((samples[0].dtype == object, a.nrows > 8))
+    assert paths == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_shifted_dets_match_det_many_across_chunks_and_stacks(monkeypatch):
+    rng = random.Random(77)
+
+    def case(n, count):
+        a = rand_square(rng, n, -9, 9)
+        f = [rng.randint(-1, 1) for _ in range(n)]
+        g = [rng.randint(-9, 9) for _ in range(n)]
+        points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(count)]
+        want = det_many(shifted_oracle(a, f, g, pt) for pt in points)
+        assert shifted_dets(a, f, g, points) == want
+        return a, f, g, points
+
+    # at n = 40 a chunk holds 5 samples and a stack 40 slices: 50 points
+    # take ten chunks, and each sample's moduli are cut across stacks
+    a, f, g, points = case(40, 50)
+    first = next(ex._shifted_samples(a, f, g, points))
+    assert first.base.shape == (ex._STACK_BYTES // (64 * 40 * 40), 40, 40) == (5, 40, 40)
+    # stacks of 3 slices and chunks of one sample at n = 20, stacks of one
+    # slice above that
+    monkeypatch.setattr(ex, "_STACK_BYTES", 8 * 20 * 20 * 3)
+    for n in (1, 5, 9, 20, 24):
+        case(n, 11)
+    assert shifted_dets(IntMatrix.identity(3), [0] * 3, [0] * 3, []) == []
+
+
+def test_shifted_bound_takes_fewer_slices_than_row_hadamard():
+    for p in (97, 101, 103, 107):
+        for a, f, points in catalog_families(p, 0):
+            col = sum(len(_moduli_for(1, 2 * b)) for b in ex._shifted_bounds(a, f, f, points))
+            row = sum(
+                len(_moduli_for(1, 2 * _row_bound_pair(shifted_oracle(a, f, f, pt))[1]))
+                for pt in points
+            )
+            assert col < row, (p, col, row)
 
 
 # --- IntMatrix / IntPoly basics -----------------------------------------------

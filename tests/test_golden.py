@@ -34,12 +34,12 @@ def _run(capsys, *argv) -> str:
     [
         (("verify", "--from", "3", "--to", "60", "--suite", "all", "--json"),
          "verify_3_60.json"),
-        (("verify", "--prime", "101"), "verify_101.txt"),
-        (("verify", "--prime", "103", "--suite", "all", "--seed", "7", "--json"),
-         "verify_103_all_s7.json"),
         (("charpoly", "--prime", "101", "--json"), "charpoly_101.json"),
         (("compute", "--prime", "101", "--what",
           "dp,cp,qp,det-aplus,det-aminus,unit,hreal", "--json"), "compute_101.json"),
+        (("verify", "--prime", "101"), "verify_101.txt"),
+        (("verify", "--prime", "103", "--suite", "all", "--seed", "7", "--json"),
+         "verify_103_all_s7.json"),
     ],
 )
 def test_stdout_matches_golden(capsys, argv, golden):

@@ -7,6 +7,7 @@ import legdet.ntheory as ntheory
 import legdet.verify as v
 import legdet.charmat as charmat
 from legdet.charmat import MatrixKind, build
+from legdet.errors import InternalError
 from legdet.exactla import IntMatrix
 from legdet.cli import main
 from legdet.verify import (
@@ -217,20 +218,16 @@ def fresh_caches():
 
 
 def _patch_det(monkeypatch, replacement):
-    """Replace exactla.det_many, through which every determinant goes, in
-    every legdet namespace that imported it, by one that returns
-    replacement(m, det(m)) for each matrix m."""
-    real = legdet.exactla.det_many
+    """Replace exactla._dets, the one door of every determinant (det_many's
+    and shifted_dets' alike), by one that returns replacement(m, det(m)) for
+    each matrix m, as an IntMatrix."""
+    real = legdet.exactla._dets
 
-    def patched(matrices):
-        ms = list(matrices)
-        return [replacement(m, d) for m, d in zip(ms, real(ms))]
+    def patched(pairs):
+        pairs = list(pairs)
+        return [replacement(IntMatrix(data.tolist()), d) for (data, _), d in zip(pairs, real(pairs))]
 
-    for modname, mod in list(sys.modules.items()):
-        if modname == "legdet" or modname.startswith("legdet."):
-            for key, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, key, patched)
+    monkeypatch.setattr(legdet.exactla, "_dets", patched)
 
 
 def test_closed_form_checks_compute_each_determinant_once(monkeypatch, fresh_caches):
@@ -393,6 +390,50 @@ def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, cap
     _patch_det(monkeypatch, lambda m, d: calls.append(m == aplus) or d)
     assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
     assert calls.count(True) == 1
+
+
+def _count_base_dets(monkeypatch, p):
+    """A dict {"aplus": n, "aminus": n} counting A+ and A- of p at the
+    determinant door."""
+    mats = {name: build(getattr(MatrixKind, name)(), p) for name in ("aplus", "aminus")}
+    counts = dict.fromkeys(mats, 0)
+
+    def seen(m, d):
+        for name, want in mats.items():
+            counts[name] += m == want
+        return d
+
+    _patch_det(monkeypatch, seen)
+    return counts
+
+
+def test_verify_computes_det_aplus_and_aminus_once_at_1mod4(monkeypatch, fresh_caches, capsys):
+    # T11_CHARPOLY_1MOD4 takes the two determinants that T11_DET_1MOD4 and
+    # T12_I's expansion read for its constant-term cross-checks
+    counts = _count_base_dets(monkeypatch, 101)
+    assert main(["verify", "--prime", "101", "--suite", "all"]) == 0
+    assert counts == {"aplus": 1, "aminus": 1}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["compute", "--prime", "101", "--what", "charpoly-aplus,det-aplus,det-aminus,charpoly-aminus"],
+     {"aplus": 1, "aminus": 1}),
+    (["compute", "--prime", "101", "--what", "charpoly-aplus"], {"aplus": 1, "aminus": 0}),
+    (["charpoly", "--prime", "101"], {"aplus": 1, "aminus": 1}),
+])
+def test_compute_shares_det_with_charpoly(monkeypatch, fresh_caches, capsys, argv, want):
+    # charpoly alone computes its own cross-check determinant
+    counts = _count_base_dets(monkeypatch, 101)
+    assert main(argv) == 0
+    assert counts == want
+
+
+def test_charpoly_cross_checks_the_determinant_it_is_given():
+    a = build(MatrixKind.aplus(), 13)
+    d = legdet.exactla.det(a)
+    assert legdet.exactla.charpoly(a, d) == legdet.exactla.charpoly(a)
+    with pytest.raises(InternalError):
+        legdet.exactla.charpoly(a, d + 1)
 
 
 def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_caches):
