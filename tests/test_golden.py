@@ -40,6 +40,9 @@ def _run(capsys, *argv) -> str:
         (("verify", "--prime", "101"), "verify_101.txt"),
         (("verify", "--prime", "103", "--suite", "all", "--seed", "7", "--json"),
          "verify_103_all_s7.json"),
+        (("verify", "--from", "61", "--to", "113", "--suite",
+          "T12_I,T12_II,COR_AFTER_T12,EQ_38II_QP,SUN_C31_I,SUN_C31_II,T31_RANDOM,MDL_RANDOM",
+          "--seed", "7", "--json"), "verify_61_113_closed_forms_s7.json"),
     ],
 )
 def test_stdout_matches_golden(capsys, argv, golden):
