@@ -4,9 +4,10 @@ Determinants and characteristic polynomials are computed modulo a fixed
 descending list of word-sized primes and CRT-reconstructed into the symmetric
 range; the number of moduli is chosen per call from a bound on the result,
 so results are exact and deterministic.  Small determinants (n <= 8) go
-through fraction-free Bareiss elimination instead.  Rational arithmetic
-appears only in `ParamDet`; the matrix-determinant lemma is checked in
-integers, through the adjugate.
+through fraction-free Bareiss elimination instead.  There is no rational
+arithmetic: `ParamDet` holds its expansion times det(a), an integer
+polynomial, and the matrix-determinant lemma is checked in integers,
+through the adjugate.
 
 Each modular operation has one numpy int64 kernel.  The moduli are sized
 from the number of residue products an intermediate sums (`modulus_bits`),
@@ -34,8 +35,7 @@ reduces every step, on the active block only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -421,6 +421,10 @@ def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
     return h2
 
 
+def _ceil_sqrt(q: int) -> int:
+    return math.isqrt(q - 1) + 1 if q else 0
+
+
 def _moduli_for(terms: int, target: int, avoid: int = 1) -> list[int]:
     """The moduli sized for `terms` that do not divide `avoid`, taken in
     order until their product exceeds target."""
@@ -566,7 +570,7 @@ def _charpoly_bound(m: IntMatrix) -> int:
         prod *= norm
         if prod == 0:
             break
-        bound = max(bound, math.comb(len(norms), k) * (math.isqrt(prod - 1) + 1))
+        bound = max(bound, math.comb(len(norms), k) * _ceil_sqrt(prod))
     return bound
 
 
@@ -598,19 +602,19 @@ def charpoly(m: IntMatrix, d: int | None = None) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix) -> bool:
+def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix, d: int | None = None) -> bool:
     """Test the matrix-determinant lemma |a + u v^T| = |a| |I_m + v^T a^{-1} u|
     in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
     a must be invertible; u and v are n x m.  The left side is a direct
-    determinant; the right side takes d and adj(a) u from one
-    `adjugate_apply` call on [a | u], so this doubles as a property test of
-    the modular solve.
+    determinant; the right side takes adj(a) u, and d unless the caller
+    passes it, from one `adjugate_apply` call on [a | u], so this doubles as
+    a property test of the modular solve.
     """
     _require_square(a)
     if u.nrows != a.nrows or v.nrows != a.nrows or u.ncols != v.ncols:
         raise ValueError("u and v must be n x m with n matching a")
-    w, d = adjugate_apply(a, u)
+    w, d = adjugate_apply(a, u, d)
     uv = (u @ v.transpose()).rows
     lhs = IntMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, uv)])
     vw = (v.transpose() @ w).rows
@@ -620,13 +624,15 @@ def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ParamDet:
-    """Closed form of |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| as an affine
-    combination of the five base determinants:
+    """Closed form of |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| from the
+    five base determinants alpha = det(a) != 0 and alpha1..alpha4 at the
+    unit points, held as alpha times the determinant, an integer polynomial,
+    so that no rational arithmetic is needed:
 
-        alpha (1-x-y-z-w) + alpha1 x + alpha2 y + alpha3 z + alpha4 w
-            + cross * (y z - w x),
+        alpha (alpha (1-x-y-z-w) + alpha1 x + alpha2 y + alpha3 z + alpha4 w)
+            + cross_num (y z - w x),
 
-    cross = alpha1 - alpha2 - alpha3 + alpha4 + (alpha2 alpha3 - alpha1 alpha4) / alpha.
+    cross_num = alpha (alpha1 - alpha2 - alpha3 + alpha4) + alpha2 alpha3 - alpha1 alpha4.
     """
 
     alpha: int
@@ -634,29 +640,17 @@ class ParamDet:
     alpha2: int
     alpha3: int
     alpha4: int
-    cross: Fraction
+    cross_num: int = field(init=False)
 
-    def evaluate(self, x: int, y: int, z: int, w: int) -> Fraction:
-        return (
-            self.alpha * (1 - x - y - z - w)
-            + self.alpha1 * x
-            + self.alpha2 * y
-            + self.alpha3 * z
-            + self.alpha4 * w
-            + self.cross * (y * z - w * x)
-        )
+    def __post_init__(self):
+        a, a1, a2, a3, a4 = self.alpha, self.alpha1, self.alpha2, self.alpha3, self.alpha4
+        object.__setattr__(self, "cross_num", a * (a1 - a2 - a3 + a4) + a2 * a3 - a1 * a4)
 
-    def basis_coeffs(self) -> tuple[Fraction, ...]:
-        """Coefficients in the basis {1, x, y, z, w, yz - wx}."""
+    def scaled(self, x: int, y: int, z: int, w: int) -> int:
+        """alpha times the determinant at (x, y, z, w)."""
         a = self.alpha
-        return (
-            Fraction(a),
-            Fraction(self.alpha1 - a),
-            Fraction(self.alpha2 - a),
-            Fraction(self.alpha3 - a),
-            Fraction(self.alpha4 - a),
-            self.cross,
-        )
+        affine = a * (1 - x - y - z - w) + self.alpha1 * x + self.alpha2 * y + self.alpha3 * z + self.alpha4 * w
+        return a * affine + self.cross_num * (y * z - w * x)
 
 
 def _shifted_samples(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
@@ -690,10 +684,6 @@ def _shifted_samples(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: S
         block += s[lo : lo + chunk, :, None]
         block += av
         yield from block
-
-
-def _ceil_sqrt(q: int) -> int:
-    return math.isqrt(q - 1) + 1 if q else 0
 
 
 def _shifted_bounds(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
@@ -751,8 +741,8 @@ def param_det_expand(
     Requires det(a) != 0; a caller that knows det(a) passes it as `alpha`.
     The base determinants, and the direct determinant at each of `points`,
     come from one `shifted_dets` call.  Returns the ParamDet with the direct
-    determinants, in the order of `points`; comparing those with
-    `ParamDet.evaluate` (and with any closed form they bear on) is the
+    determinants, in the order of `points`; comparing alpha times those with
+    `ParamDet.scaled` (and with any closed form they bear on) is the
     caller's check.
     """
     base = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -763,6 +753,4 @@ def param_det_expand(
         alpha = dets.pop(0)
     if alpha == 0:
         raise ValueError("singular matrix: the expansion requires det != 0")
-    a1, a2, a3, a4 = dets[:4]
-    cross = a1 - a2 - a3 + a4 + Fraction(a2 * a3 - a1 * a4, alpha)
-    return ParamDet(alpha, a1, a2, a3, a4, cross), dets[4:]
+    return ParamDet(alpha, *dets[:4]), dets[4:]

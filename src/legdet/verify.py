@@ -5,29 +5,32 @@ A check takes a prime in the right residue class (the two random-instance
 suites take only a seed) and returns a CheckResult whose witness carries the
 computed quantities, or a re-runnable counterexample when it fails.  The
 determinant closed forms are checked in two layers per prime, by one helper
-(`_two_layer`): the four-parameter expansion, assembled from five base
-determinants, is compared coefficient-by-coefficient against the closed form
-(a complete proof of the polynomial identity for that prime, given the
-expansion theorem), and the direct determinant at each of 20 points drawn
-from the check's seeded stream is compared with both the expansion and the
-closed form.  Each per-prime value (symbol table, invariants, A+, A-, the
-determinants of A+, A- and A_p, the expansion and its sample determinants)
-is computed once per prime and seed and shared by every check that reads
-it; only the last prime's values are kept, and charpoly takes the known
-determinants of A+ and A- for its cross-check.  Determinants that are
-needed together come from one call: the base matrices' from `det_many`,
-sized by the row Hadamard bound, and the shifted samples' from
-`shifted_dets` (through `param_det_expand` or directly), sized by the
-column-multilinear bound.  The two seed-only suites run once
-per seed in a process.  Check ids, prime ranges and scan tallies are parsed
-and counted here (`parse_ids`, `require_range`, `ScanSummary.add`) for every
-caller.
+(`_two_layer`), from the one statement of each closed form (`rhs`): the
+four-parameter expansion, assembled from five base determinants, is compared
+with the closed form at the 15 points of coordinate sum <= 2, on which two
+polynomials of degree <= 2 that agree are equal (a complete proof of the
+polynomial identity for that prime, given the expansion theorem), and the
+direct determinant at each of 20 points drawn from the check's seeded stream
+is compared with both the expansion and the closed form.  All comparisons
+are in integers, multiplied through by det(a).  Each per-prime value (symbol
+table, invariants, A+, A-, the determinants of A+, A- and A_p, the expansion
+and its sample determinants) is computed once per prime and seed and shared
+by every check that reads it; only the last prime's values are kept, and
+charpoly takes the known determinants of A+ and A- for its cross-check.
+Determinants that are needed together come from one call: the base
+matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
+samples' from `shifted_dets` (through `param_det_expand` or directly), sized
+by the column-multilinear bound.  The two seed-only suites run once per seed
+in a process, and take each instance's det(a) once.  Check ids, prime ranges
+and scan tallies are parsed and counted here (`parse_ids`, `require_range`,
+`ScanSummary.add`) for every caller.
 """
 
 from __future__ import annotations
 
 import cmath
 import copy
+import itertools
 import math
 import multiprocessing
 import os
@@ -194,26 +197,44 @@ def _sun_pd(p: int, plus: bool, seed: int):
     return _expand(build(kind(0, 0, 0, 0), p), [0, *symbol_vector(p)], name, p, seed)
 
 
-def _two_layer(wit: dict, ok: bool, note: str, pd: ParamDet, samples, closed_form):
+#: The 15 points of N^4 with coordinate sum <= 2, which are unisolvent for
+#: the polynomials of degree <= 2 in (x, y, z, w): two such polynomials
+#: that agree on them are equal.
+_DEGREE_2 = tuple(pt for pt in itertools.product(range(3), repeat=4) if sum(pt) <= 2)
+#: 0 and the four unit points, where the expansion is its base determinants.
+_BASE = tuple(pt for pt in _DEGREE_2 if sum(pt) <= 1)
+
+
+def _two_layer(
+    wit: dict, pd: ParamDet, samples, rhs, note="coefficient comparison failed", sampled=True, **layer1
+):
     """The verdict of a closed-form check, as (passed, witness).
 
-    `ok` is layer 1 (the expansion's coefficients, or its base determinants,
-    against the statement), reported with `note` when it alone fails.  Layer
-    2 compares each (point, direct determinant) in `samples` with both
-    pd.evaluate(point) and closed_form(point); the first disagreement
-    becomes the witness's re-runnable counterexample.
+    `rhs(x, y, z, w)` is the check's closed form, of degree <= 2.  Layer 1
+    sets each witness field of `layer1` to whether alpha * rhs and the
+    expansion times alpha (`ParamDet.scaled`) agree on that field's points;
+    on `_DEGREE_2` that proves the two polynomials equal.  `note` reports
+    a layer-1 failure alone.  Layer 2 compares each (point, direct
+    determinant) in `samples` with the expansion and, when `sampled`, with
+    rhs, all times alpha; the first disagreement becomes the witness's
+    re-runnable counterexample.
     """
+    alpha = pd.alpha
+    for key, points in layer1.items():
+        wit[key] = all(pd.scaled(*pt) == alpha * rhs(*pt) for pt in points)
     for point, direct in samples:
-        expansion, want = pd.evaluate(*point), closed_form(*point)
-        if not direct == expansion == want:
+        scaled = pd.scaled(*point)
+        if alpha * direct != scaled or sampled and alpha * rhs(*point) != scaled:
+            expansion = str(Fraction(scaled, alpha))
             wit["note"] = f"sample mismatch at {list(point)}"
             wit["counterexample"] = {
                 "point": list(point),
                 "direct": str(direct),
-                "closed_form": str(want),
-                "expansion": str(expansion),
+                "closed_form": str(rhs(*point)) if sampled else expansion,
+                "expansion": expansion,
             }
             return False, wit
+    ok = all(wit[key] for key in layer1)
     if not ok:
         wit["note"] = note
     return ok, wit
@@ -263,20 +284,12 @@ def _run_t12_i(p: int, seed: int):
     n = (p - 1) // 2
     pd, samples = _aplus_pd(p, seed)
     m = (-p) ** ((p - 5) // 4)
-    want = (-m, 0, n * m, n * m, 0, -n * n * m)
-    coeff_ok = pd.basis_coeffs() == tuple(Fraction(c) for c in want)
-    base_ok = (
-        pd.alpha1 == pd.alpha == pd.alpha4
-        and pd.alpha2 == pd.alpha3 == pd.alpha * (1 - n)
-    )
 
     def rhs(x, y, z, w):
         return m * (n * n * w * x - (n * y - 1) * (n * z - 1))
 
-    wit = {"alpha": str(pd.alpha), "coeffs_match": coeff_ok, "base_dets_match": base_ok}
-    return _two_layer(
-        wit, coeff_ok and base_ok, "coefficient comparison failed", pd, samples, rhs
-    )
+    wit = {"alpha": str(pd.alpha)}
+    return _two_layer(wit, pd, samples, rhs, coeffs_match=_DEGREE_2, base_dets_match=_BASE)
 
 
 def _run_t12_ii(p: int, seed: int):
@@ -285,31 +298,14 @@ def _run_t12_ii(p: int, seed: int):
     d_det = _det_3mod4(p)
     e = (d_det // p) * (n + 2 * (d_p - c * c))  # p^((p-3)/4) >= p here
     pd, samples = _aplus_pd(p, seed)
-    want = (d_det, -c * d_det, -n * d_det, e, -c * d_det, -c * c * d_det - n * e)
-    coeff_ok = pd.basis_coeffs() == tuple(Fraction(t) for t in want)
-    base_ok = (
-        pd.alpha == d_det
-        and pd.alpha1 == d_det * (1 - c)
-        and pd.alpha2 == d_det * (1 - n)
-        and pd.alpha3 == d_det + e
-        and pd.alpha4 == d_det * (1 - c)
-    )
 
     def rhs(x, y, z, w):
         return d_det * (1 - n * y - c * (w + x) + c * c * (w * x - y * z)) + e * (
             z + n * (w * x - y * z)
         )
 
-    wit = {
-        "det": str(d_det),
-        "c_p": c,
-        "d_p": d_p,
-        "coeffs_match": coeff_ok,
-        "base_dets_match": base_ok,
-    }
-    return _two_layer(
-        wit, coeff_ok and base_ok, "coefficient comparison failed", pd, samples, rhs
-    )
+    wit = {"det": str(d_det), "c_p": c, "d_p": d_p}
+    return _two_layer(wit, pd, samples, rhs, coeffs_match=_DEGREE_2, base_dets_match=_BASE)
 
 
 def _run_cor_after_t12(p: int, seed: int):
@@ -317,13 +313,9 @@ def _run_cor_after_t12(p: int, seed: int):
     n, c = inv.n, inv.c_p
     d_det = _det_3mod4(p)
     pd, _ = _aplus_pd(p, seed)
-    base_ok = (
-        pd.alpha == d_det
-        and pd.alpha1 == pd.alpha4 == d_det * (1 - c)
-        and pd.alpha2 == d_det * (1 - n)
-    )
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
-    # both, one of x and w is 0, so one form covers the two restrictions
+    # both, one of x and w is 0, so one form covers the two restrictions, and
+    # it is affine on each, so 0, e1, e2 and e4 prove it
     a, f = _aplus(p), symbol_vector(p)
     points = [
         pt
@@ -335,8 +327,11 @@ def _run_cor_after_t12(p: int, seed: int):
     def rhs(x, y, z, w):
         return d_det * (1 - c * (x + w) - n * y)
 
-    wit = {"det": str(d_det), "base_dets_match": base_ok}
-    return _two_layer(wit, base_ok, "base determinant relations failed", pd, samples, rhs)
+    wit = {"det": str(d_det)}
+    return _two_layer(
+        wit, pd, samples, rhs, "base determinant relations failed",
+        base_dets_match=[pt for pt in _BASE if pt[2] == 0],
+    )
 
 
 def _run_eq_38ii_qp(p: int, seed: int):
@@ -345,35 +340,19 @@ def _run_eq_38ii_qp(p: int, seed: int):
     two = legendre_table(p).vals[2]
     d_det = _det_3mod4(p)
     pd, samples = _aplus_pd(p, seed)
-    # restriction of the expansion to z = 0, in the basis {1, x, y, w, wx}
-    got = (
-        Fraction(pd.alpha),
-        Fraction(pd.alpha1 - pd.alpha),
-        Fraction(pd.alpha2 - pd.alpha),
-        Fraction(pd.alpha4 - pd.alpha),
-        -pd.cross,
-    )
-    want = (
-        Fraction(d_det),
-        Fraction(-c * d_det),
-        Fraction(-n * d_det),
-        Fraction(-c * d_det),
-        Fraction(d_det) * two * 16 * q / p,
-    )
-    # equal coefficients make the two forms agree at every (x, y, w)
-    coeff_ok = got == want
-    wit = {
-        "q_p": f"{q.numerator}/{q.denominator}",
-        "q_p_integral": q.denominator == 1,
-        "coeffs_match": coeff_ok,
-    }
-    if not q.denominator == 1:
-        wit["note"] = f"finding: q_p = {q} is not an integer"
+
+    def rhs(x, y, z, w):  # stated on z = 0 only
+        return d_det * (1 - c * x - n * y - c * w) + d_det * two * 16 * q / p * w * x
+
+    wit = {"q_p": f"{q.numerator}/{q.denominator}", "q_p_integral": q.denominator == 1}
     # the expansion read here is held to its own sample determinants
-    return _two_layer(
-        wit, coeff_ok, "closed form with q_p does not match the expansion",
-        pd, samples, pd.evaluate,
+    ok, wit = _two_layer(
+        wit, pd, samples, rhs, "closed form with q_p does not match the expansion",
+        sampled=False, coeffs_match=[pt for pt in _DEGREE_2 if pt[2] == 0],
     )
+    if not q.denominator == 1:
+        wit.setdefault("note", f"finding: q_p = {q} is not an integer")
+    return ok, wit
 
 
 def _run_t13(p: int, seed: int):
@@ -598,19 +577,25 @@ def _random_int_matrix(rng: random.Random, n: int, lo: int = -9, hi: int = 9) ->
     return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
+def _nonsingular_matrix(rng: random.Random, n: int) -> tuple[IntMatrix, int]:
+    """The first n x n draw with a nonzero determinant, with that determinant."""
+    while True:
+        a = _random_int_matrix(rng, n)
+        d = det(a)
+        if d != 0:
+            return a, d
+
+
 def _t31_instances(rng: random.Random, count: int):
     for i in range(count):
         n = rng.randint(1, 6)
-        while True:
-            a = _random_int_matrix(rng, n)
-            if det(a) != 0:
-                break
+        a, d = _nonsingular_matrix(rng, n)
         f = [rng.randint(-9, 9) for _ in range(n)]
         g = [rng.randint(-9, 9) for _ in range(n)]
         points = _sample_tuples(rng)
-        pd, directs = param_det_expand(a, f, g, points)
+        pd, directs = param_det_expand(a, f, g, points, alpha=d)
         wit = {"instance": i, "matrix": a.to_lists(), "f": f, "g": g}
-        ok, wit = _two_layer(wit, True, "", pd, zip(points, directs), pd.evaluate)
+        ok, wit = _two_layer(wit, pd, zip(points, directs), None, sampled=False)
         if not ok:
             return False, wit
     return True, {"instances": count}
@@ -620,13 +605,10 @@ def _mdl_instances(rng: random.Random, count: int):
     for i in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
-        while True:
-            a = _random_int_matrix(rng, n)
-            if det(a) != 0:
-                break
+        a, d = _nonsingular_matrix(rng, n)
         u = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
         v = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
-        if not mdl_check(a, u, v):
+        if not mdl_check(a, u, v, d):
             return False, {
                 "note": f"matrix-determinant lemma failed at instance {i}",
                 "matrix": a.to_lists(),
@@ -672,34 +654,27 @@ def _run_sun(p: int, seed: int, plus: bool):
         two = legendre_table(p).vals[2]
         if plus:
             k = Fraction(two * 2**n)
-            want = (-a * k, p * b * k, -a * k, -a * k, Fraction(0), -a * k)
 
             def rhs(x, y, z, w):
                 return k * (p * b * x + a * (w * x - (y + 1) * (z + 1)))
 
         else:
-            want = (-a2, two * p * b2, -a2, -a2, Fraction(0), -a2)
-
             def rhs(x, y, z, w):
                 return a2 * (w * x - (y + 1) * (z + 1)) + two * p * b2 * x
 
     else:
         if plus:
             k = 2**n
-            want = tuple(Fraction(c) for c in (k, 0, k, k, 0, k))
 
             def rhs(x, y, z, w):
                 return k * ((y + 1) * (z + 1) - w * x)
 
         else:
-            want = tuple(Fraction(c) for c in (1, 0, 1, -1, 0, -1))
-
             def rhs(x, y, z, w):
                 return w * x + (1 + y) * (1 - z)
 
-    coeff_ok = pd.basis_coeffs() == tuple(want)
-    wit = {"alpha": str(pd.alpha), "coeffs_match": coeff_ok}
-    return _two_layer(wit, coeff_ok, "coefficient comparison failed", pd, samples, rhs)
+    wit = {"alpha": str(pd.alpha)}
+    return _two_layer(wit, pd, samples, rhs, coeffs_match=_DEGREE_2)
 
 
 def _run_mordell(p: int, seed: int):

@@ -89,7 +89,7 @@ def test_criterion_04_four_parameter_closed_forms():
         e = (d // p) * (inv.n + 2 * (inv.d_p - inv.c_p**2))
         pd, samples = _aplus_pd(p, 0)
         ok = ok and len(samples) == 20
-        ok = ok and all(d == pd.evaluate(*pt) for pt, d in samples)
+        ok = ok and all(pd.alpha * d == pd.scaled(*pt) for pt, d in samples)
         ok = ok and (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4) == (
             d, d * (1 - inv.c_p), d * (1 - inv.n), d + e, d * (1 - inv.c_p),
         )

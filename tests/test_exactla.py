@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,14 +456,14 @@ def test_param_det_identity_example():
     rng = random.Random("paramdet|0")
     points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(20)]
     pd, directs = param_det_expand(IntMatrix.identity(2), [0, 0], [0, 0], points)
-    # |I + x J| = 1 + 2x for the 2x2 all-ones J
-    assert directs == [pd.evaluate(*pt) for pt in points] == [1 + 2 * pt[0] for pt in points]
-    assert (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4) == (1, 3, 1, 1, 1)
-    assert pd.evaluate(0, 0, 0, 0) == pd.alpha
-    assert pd.evaluate(1, 0, 0, 0) == pd.alpha1
-    assert pd.evaluate(0, 1, 0, 0) == pd.alpha2
-    assert pd.evaluate(0, 0, 1, 0) == pd.alpha3
-    assert pd.evaluate(0, 0, 0, 1) == pd.alpha4
+    # |I + x J| = 1 + 2x for the 2x2 all-ones J; scaled is alpha times it
+    assert directs == [pd.scaled(*pt) for pt in points] == [1 + 2 * pt[0] for pt in points]
+    assert (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4, pd.cross_num) == (1, 3, 1, 1, 1, 0)
+    assert pd.scaled(0, 0, 0, 0) == pd.alpha * pd.alpha
+    assert pd.scaled(1, 0, 0, 0) == pd.alpha * pd.alpha1
+    assert pd.scaled(0, 1, 0, 0) == pd.alpha * pd.alpha2
+    assert pd.scaled(0, 0, 1, 0) == pd.alpha * pd.alpha3
+    assert pd.scaled(0, 0, 0, 1) == pd.alpha * pd.alpha4
 
 
 def test_param_det_rejects_singular():
@@ -486,10 +485,11 @@ def test_param_det_random_postcondition():
         pts_rng = random.Random(f"paramdet|{done}")
         points = [tuple(pts_rng.randint(-9, 9) for _ in range(4)) for _ in range(20)]
         pd, directs = param_det_expand(a, f, g, points)
-        assert pd.evaluate(0, 0, 0, 0) == pd.alpha
+        assert pd.scaled(0, 0, 0, 0) == pd.alpha * pd.alpha
         assert len(directs) == len(points)
         for pt, d in zip(points, directs):
-            assert d == det(shifted_matrix(a, f, g, *pt)) == pd.evaluate(*pt)
+            assert d == det(shifted_matrix(a, f, g, *pt))
+            assert pd.alpha * d == pd.scaled(*pt)
         done += 1
 
 
@@ -512,8 +512,7 @@ def expansion_from_row_bound_dets(a, f, g):
     """The ParamDet of a shifted by f and g, from its five base determinants
     taken by det_many on the oracle's matrices (row Hadamard moduli)."""
     base = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    al, a1, a2, a3, a4 = det_many(shifted_oracle(a, f, g, pt) for pt in base)
-    return ParamDet(al, a1, a2, a3, a4, a1 - a2 - a3 + a4 + Fraction(a2 * a3 - a1 * a4, al))
+    return ParamDet(*det_many(shifted_oracle(a, f, g, pt) for pt in base))
 
 
 def catalog_families(p, seed):
@@ -545,7 +544,7 @@ def test_shifted_bound_covers_every_catalog_sample_to_199():
             pd = expansion_from_row_bound_dets(a, f, f)
             points = seed0 + seed7
             for pt, bound in zip(points, ex._shifted_bounds(a, f, f, points)):
-                assert abs(pd.evaluate(*pt)) <= bound, (p, pt)
+                assert abs(pd.scaled(*pt)) <= abs(pd.alpha) * bound, (p, pt)
 
 
 def random_shift_case(rng, trial):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import sys
 
 import pytest
@@ -8,7 +10,7 @@ import legdet.verify as v
 import legdet.charmat as charmat
 from legdet.charmat import MatrixKind, build
 from legdet.errors import InternalError
-from legdet.exactla import IntMatrix
+from legdet.exactla import IntMatrix, ParamDet, param_det_expand
 from legdet.cli import main
 from legdet.verify import (
     CONJECTURE_IDS,
@@ -309,6 +311,61 @@ def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
     assert res.witness["counterexample"]["point"] == list(point)
 
 
+def test_wrong_c_p_fails_both_layers_of_t12_ii(monkeypatch, fresh_caches, capsys):
+    # T12_II states its closed form once; with c_p off by one at p = 103,
+    # both layer-1 fields and the samples disagree with it
+    real = v._invariants
+
+    def off_by_one(p):
+        inv = real(p)
+        return dataclasses.replace(inv, c_p=inv.c_p + 1) if p == 103 else inv
+
+    monkeypatch.setattr(v, "_invariants", off_by_one)
+    res = check(CheckId.T12_II, 103, seed=0)
+    assert res.passed is False
+    assert res.witness["coeffs_match"] is False and res.witness["base_dets_match"] is False
+    bad = res.witness["counterexample"]
+    assert res.witness["note"] == f"sample mismatch at {bad['point']}"
+    assert bad["direct"] == bad["expansion"] != bad["closed_form"]
+    assert main(["verify", "--prime", "103", "--suite", "T12_II"]) == 1
+    assert "FAIL T12_II p=103" in capsys.readouterr().out
+
+
+def test_degree_2_points_catch_a_term_the_basis_points_miss():
+    # |I + x J| = 1 + 2x for the 2x2 all-ones J; an extra x y vanishes at 0,
+    # the unit points and (0, 1, 1, 0), where the six basis coefficients are read
+    pd, _ = param_det_expand(IntMatrix.identity(2), [0, 0], [0, 0], [])
+
+    def rhs(x, y, z, w):
+        return 1 + 2 * x
+
+    def off(x, y, z, w):
+        return 1 + 2 * x + x * y
+
+    assert all(off(*pt) == rhs(*pt) for pt in [*v._BASE, (0, 1, 1, 0)])
+    assert v._two_layer({}, pd, [], rhs, coeffs_match=v._DEGREE_2) == (True, {"coeffs_match": True})
+    ok, wit = v._two_layer({}, pd, [], off, coeffs_match=v._DEGREE_2, base_dets_match=v._BASE)
+    assert not ok
+    assert wit == {
+        "coeffs_match": False, "base_dets_match": True, "note": "coefficient comparison failed",
+    }
+
+
+def test_non_integral_expansion_is_a_sample_mismatch(monkeypatch, fresh_caches, capsys):
+    # alpha = 2 does not divide alpha2 alpha3 - alpha1 alpha4 = 1: the
+    # expansion at (0, 1, 1, 0) is -1/2, which no determinant equals
+    pd = ParamDet(2, 1, 1, 1, 0)
+    assert pd.scaled(0, 1, 1, 0) == -1
+    ok, wit = v._two_layer({}, pd, [((0, 1, 1, 0), 0)], None, sampled=False)
+    assert not ok and wit["counterexample"]["expansion"] == "-1/2"
+    monkeypatch.setattr(v, "_aplus_pd", lambda p, seed: (pd, (((0, 1, 1, 0), 0),)))
+    assert main(["verify", "--prime", "103", "--suite", "T12_II", "--json"]) == 1
+    [res] = json.loads(capsys.readouterr().out)["results"]
+    assert res["passed"] is False
+    assert res["witness"]["note"] == "sample mismatch at [0, 1, 1, 0]"
+    assert res["witness"]["counterexample"]["expansion"] == "-1/2"
+
+
 @pytest.mark.parametrize("cid", [CheckId.T13_DPMOD4, CheckId.L21_QUADSUM, CheckId.L41_SUMS])
 def test_wrong_symbol_table_is_a_check_failure(monkeypatch, fresh_caches, capsys, cid):
     # with (12/13) = (-1/13) flipped in the table ntheory sums over, d_p comes
@@ -451,7 +508,22 @@ def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
     a = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     u = IntMatrix([[1, 0, 2], [0, 1, 1], [1, 1, 0]])
     assert legdet.exactla.mdl_check(a, u, u)
-    assert [(m, w) for m, w in calls] == [(a, u)]
+    assert calls == [(a, u, None)]
+
+
+def test_seed_only_instances_compute_each_det_once(monkeypatch, fresh_caches):
+    # det(a), taken to reject a singular draw, is handed on to the expansion
+    # and to the adjugate, so each drawn a reaches the det door once
+    drawn, seen = [], []
+    real = v._random_int_matrix
+    monkeypatch.setattr(v, "_random_int_matrix", lambda *args: drawn.append(real(*args)) or drawn[-1])
+    _patch_det(monkeypatch, lambda m, d: seen.append(m) or d)
+    assert t31_random_suite(20).passed and mdl_random_suite(20).passed
+    # a 1 x 1 sample or product can equal a 1 x 1 draw by value, so only the
+    # larger draws are counted
+    large = [a for a in drawn if a.nrows > 1]
+    assert len(large) >= 30
+    assert [seen.count(a) for a in large] == [1] * len(large)
 
 
 def test_scan_runs_each_seed_only_suite_once(monkeypatch, fresh_caches, tmp_path, capsys):
