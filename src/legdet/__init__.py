@@ -2,7 +2,7 @@
 Legendre-symbol matrices, the scalar invariants behind their closed forms,
 and an executable catalog of the identities they satisfy."""
 
-from .charmat import MatrixKind, build, special_eigvecs, symbol_vector, theta_vector
+from .charmat import build, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
     IntMatrix,
@@ -15,7 +15,6 @@ from .exactla import (
     mdl_check,
     param_det_expand,
     shifted_dets,
-    shifted_matrix,
 )
 from .ntheory import (
     LegendreTable,

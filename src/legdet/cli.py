@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from . import verify as _verify
-from .charmat import MatrixKind, build
+from .charmat import build
 from .errors import InternalError
 from .exactla import IntPoly, charpoly, det_many
 from .ntheory import (
@@ -39,10 +39,6 @@ EXIT_CONJECTURE = 4
 
 SCHEMA_VERSION = 1
 
-def _matrix(p: int, name: str):
-    return build(getattr(MatrixKind, name)(), p)
-
-
 # each compute field as a function of (p, p's invariant record, the
 # determinants its det fields ask for); the record is computed only when a
 # field in _INVARIANT_FIELDS is asked for, and the determinants of A+ and A-
@@ -55,8 +51,8 @@ _COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int]], obje
     "hneg": lambda p, inv, dets: inv.h_neg,
     "det-aplus": lambda p, inv, dets: dets["aplus"],
     "det-aminus": lambda p, inv, dets: dets["aminus"],
-    "charpoly-aplus": lambda p, inv, dets: charpoly(_matrix(p, "aplus"), dets.get("aplus")),
-    "charpoly-aminus": lambda p, inv, dets: charpoly(_matrix(p, "aminus"), dets.get("aminus")),
+    "charpoly-aplus": lambda p, inv, dets: charpoly(build("aplus", p), dets.get("aplus")),
+    "charpoly-aminus": lambda p, inv, dets: charpoly(build("aminus", p), dets.get("aminus")),
     "unit": lambda p, inv, dets: fundamental_unit(p),
     "hreal": lambda p, inv, dets: class_number_real(p),
 }
@@ -93,7 +89,7 @@ def _cmd_compute(args) -> int:
             require_matrix_prime(p)
     inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
     names = [name for name in ("aplus", "aminus") if f"det-{name}" in args.what]
-    dets = dict(zip(names, det_many(_matrix(p, name) for name in names)))
+    dets = dict(zip(names, det_many(build(name, p) for name in names)))
     out = {name: _COMPUTE[name](p, inv, dets) for name in args.what}
     if args.json:
         print(json.dumps({

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
-Determinants and characteristic polynomials are computed modulo a fixed
+Determinants and characteristic polynomials are computed modulo a
 descending list of word-sized primes and CRT-reconstructed into the symmetric
 range; the number of moduli is chosen per call from a bound on the result,
-so results are exact and deterministic.  Small determinants (n <= 8) go
-through fraction-free Bareiss elimination instead.  There is no rational
+and as many are taken as the bound needs, so results are exact and
+deterministic at every size.  Small determinants (n <= 8) go through
+fraction-free Bareiss elimination instead.  There is no rational
 arithmetic: `ParamDet` holds its expansion times det(a), an integer
 polynomial, and the matrix-determinant lemma is checked in integers,
 through the adjugate.
@@ -19,7 +20,8 @@ Hadamard bound, and `shifted_dets` sizes each four-parameter sample
 a + s 1^T + t g^T by a column-multilinear bound (`_shifted_bounds`), which
 does not count the shift once per row and so takes about a third fewer
 moduli.  The samples are broadcast from a, f, g and the points in small
-chunks (`_shifted_samples`).  The door stacks every (matrix, modulus) pair
+chunks (`_shifted_samples`, the one builder of shifted matrices).  The door
+stacks every (matrix, modulus) pair
 of a batch as one slice of an int64 array and eliminates the whole stack at
 once (`_eliminate`), each slice with its own modulus and its own pivot rows,
 so that numpy's per-call cost is paid once per step of the stack rather
@@ -34,17 +36,22 @@ reduces every step, on the active block only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InternalError
 from .ntheory import is_prime
 
-_MODULI_COUNT = 256
+#: How many moduli of each size `moduli` keeps.  They cover 6,912 bits at
+#: 27 bits a modulus and 6,656 at 26, which the det and charpoly bounds of
+#: A+ pass at n of about 1,200; at n = 2,046 they need 12,276 and 12,318
+#: bits, and `_moduli_for` takes the primes below the kept ones.
+_MODULI_KEPT = 256
 
 
 def modulus_bits(terms: int) -> int:
@@ -56,16 +63,17 @@ def modulus_bits(terms: int) -> int:
     return min(27, (63 - (terms - 1).bit_length()) // 2)
 
 
+def _primes_below(m: int) -> Iterator[int]:
+    """The odd primes below the odd number m, in descending order."""
+    for q in range(m - 2, 2, -2):
+        if is_prime(q):
+            yield q
+
+
 @lru_cache(maxsize=8)
 def moduli(bits: int) -> tuple[int, ...]:
-    """The fixed descending list of primes just below 2**bits."""
-    out = []
-    m = (1 << bits) - 1
-    while len(out) < _MODULI_COUNT and m > 2:
-        if is_prime(m):
-            out.append(m)
-        m -= 2
-    return tuple(out)
+    """The first _MODULI_KEPT primes below 2**bits, in descending order."""
+    return tuple(itertools.islice(_primes_below((1 << bits) + 1), _MODULI_KEPT))
 
 
 def crt_symmetric(residues: Sequence[int], mods: Sequence[int]) -> int:
@@ -315,15 +323,6 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -427,9 +426,11 @@ def _ceil_sqrt(q: int) -> int:
 
 def _moduli_for(terms: int, target: int, avoid: int = 1) -> list[int]:
     """The moduli sized for `terms` that do not divide `avoid`, taken in
-    order until their product exceeds target."""
+    descending order until their product exceeds target: the kept ones
+    (`moduli`), then as many primes below them as the target needs."""
+    kept = moduli(modulus_bits(terms))
     used, prod = [], 1
-    for mod in moduli(modulus_bits(terms)):
+    for mod in itertools.chain(kept, _primes_below(kept[-1])):
         if avoid % mod:
             used.append(mod)
             prod *= mod
@@ -720,13 +721,6 @@ def shifted_dets(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Seque
     (`_shifted_bounds`): Bareiss for n <= 8, the stacked kernel above."""
     samples = _shifted_samples(a, f, g, points)
     return _dets(zip(samples, _shifted_bounds(a, f, g, points)))
-
-
-def shifted_matrix(a: IntMatrix, f: Sequence[int], g: Sequence[int], x: int, y: int, z: int, w: int) -> IntMatrix:
-    """The matrix a_ij + x + f_i y + g_j z + f_i g_j w: `_shifted_samples`
-    at one point."""
-    [sample] = _shifted_samples(a, f, g, [(x, y, z, w)])
-    return IntMatrix(sample.tolist())
 
 
 def param_det_expand(

@@ -12,11 +12,13 @@ polynomials of degree <= 2 that agree are equal (a complete proof of the
 polynomial identity for that prime, given the expansion theorem), and the
 direct determinant at each of 20 points drawn from the check's seeded stream
 is compared with both the expansion and the closed form.  All comparisons
-are in integers, multiplied through by det(a).  Each per-prime value (symbol
-table, invariants, A+, A-, the determinants of A+, A- and A_p, the expansion
-and its sample determinants) is computed once per prime and seed and shared
-by every check that reads it; only the last prime's values are kept, and
-charpoly takes the known determinants of A+ and A- for its cross-check.
+are in integers, multiplied through by det(a).  Each per-prime value is
+computed once per prime and seed and shared by every check that reads it:
+the symbol table, the invariants, the expansions with their sample
+determinants, and one record (`_named`) of the named matrices
+(`charmat.build`) built so far and their determinants.  Only the last
+prime's values are kept, and charpoly takes the known determinants of A+
+and A- for its cross-check.
 Determinants that are needed together come from one call: the base
 matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
 samples' from `shifted_dets` (through `param_det_expand` or directly), sized
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable
 
-from .charmat import MatrixKind, build, special_eigvecs, symbol_vector, theta_vector
+from .charmat import build, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
     IntMatrix,
@@ -133,36 +135,27 @@ def _invariants(p: int) -> PrimeInvariants:
 
 
 @lru_cache(maxsize=1)
-def _aplus(p: int) -> IntMatrix:
-    return build(MatrixKind.aplus(), p)
+def _named(p: int) -> tuple[dict[str, IntMatrix], dict[str, int]]:
+    """p's record: the named matrices (`charmat.build`) built so far and the
+    determinants computed so far, filled in by `_matrix` and `_base_dets`."""
+    return {}, {}
 
 
-@lru_cache(maxsize=1)
-def _aminus(p: int) -> IntMatrix:
-    return build(MatrixKind.aminus(), p)
-
-
-_BASES = {
-    "aplus": _aplus,
-    "aminus": _aminus,
-    "ap": lambda p: build(MatrixKind.ap(), p),
-}
-
-
-@lru_cache(maxsize=1)
-def _known_dets(p: int) -> dict[str, int]:
-    """The base determinants of p computed so far, filled in by `_base_dets`."""
-    return {}
+def _matrix(p: int, name: str) -> IntMatrix:
+    """p's matrix `name`, built once per prime."""
+    built, _ = _named(p)
+    if name not in built:
+        built[name] = build(name, p)
+    return built[name]
 
 
 def _base_dets(p: int, *names: str) -> list[int]:
-    """The determinants of p's named base matrices (A+, A-, A_p), each
-    computed once per prime: the ones not yet known come from one
-    `det_many` call."""
-    known = _known_dets(p)
+    """The determinants of p's named matrices, each computed once per prime:
+    the ones not yet known come from one `det_many` call."""
+    _, known = _named(p)
     todo = [name for name in names if name not in known]
     if todo:
-        known.update(zip(todo, det_many(_BASES[name](p) for name in todo)))
+        known.update(zip(todo, det_many(_matrix(p, name) for name in todo)))
     return [known[name] for name in names]
 
 
@@ -182,19 +175,20 @@ def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int, alpha: int
 
 @lru_cache(maxsize=1)
 def _aplus_pd(p: int, seed: int):
-    """The expansion of AXYZW, sampled on T12_I's (p ≡ 1 mod 4) or T12_II's
-    points; COR_AFTER_T12 and EQ_38II_QP read the same one."""
+    """The expansion of A+ shifted by the symbol vector, sampled on T12_I's
+    (p ≡ 1 mod 4) or T12_II's points; COR_AFTER_T12 and EQ_38II_QP read the
+    same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
     [alpha] = _base_dets(p, "aplus")
-    return _expand(_aplus(p), symbol_vector(p), name, p, seed, alpha)
+    return _expand(_matrix(p, "aplus"), symbol_vector(p), name, p, seed, alpha)
 
 
 @lru_cache(maxsize=1)
 def _sun_pd(p: int, plus: bool, seed: int):
-    kind = MatrixKind.sun_half_plus if plus else MatrixKind.sun_half_minus
     name = "SUN_C31_I" if plus else "SUN_C31_II"
     # the symbol vector over 0..n, with (0/p) = 0
-    return _expand(build(kind(0, 0, 0, 0), p), [0, *symbol_vector(p)], name, p, seed)
+    a = _matrix(p, "sun_plus" if plus else "sun_minus")
+    return _expand(a, [0, *symbol_vector(p)], name, p, seed)
 
 
 #: The 15 points of N^4 with coordinate sum <= 2, which are unisolvent for
@@ -249,8 +243,8 @@ def _run_t11_charpoly(p: int, seed: int):
     want_plus = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
     want_minus = IntPoly((-p, 0, 1)) ** ((p - 1) // 4)
     d_plus, d_minus = _base_dets(p, "aplus", "aminus")
-    got_plus = charpoly(_aplus(p), d_plus)
-    got_minus = charpoly(_aminus(p), d_minus)
+    got_plus = charpoly(_matrix(p, "aplus"), d_plus)
+    got_minus = charpoly(_matrix(p, "aminus"), d_minus)
     ok = got_plus == want_plus and got_minus == want_minus
     wit = {"charpoly_aplus": str(got_plus), "charpoly_aminus": str(got_minus)}
     if not ok:
@@ -316,7 +310,7 @@ def _run_cor_after_t12(p: int, seed: int):
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
     # both, one of x and w is 0, so one form covers the two restrictions, and
     # it is affine on each, so 0, e1, e2 and e4 prove it
-    a, f = _aplus(p), symbol_vector(p)
+    a, f = _matrix(p, "aplus"), symbol_vector(p)
     points = [
         pt
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
@@ -400,7 +394,7 @@ def _run_l22(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
     sgn = 1 if p % 4 == 1 else -1
-    ap, am = _aplus(p), _aminus(p)
+    ap, am = _matrix(p, "aplus"), _matrix(p, "aminus")
     want_plus = IntMatrix(
         [
             [(p if j == k else 0) - 2 - (1 + sgn) * v[j * k % p] for k in range(1, n + 1)]
@@ -427,7 +421,7 @@ def _run_l23(p: int, seed: int):
     # v1 is zero exactly at the residues; half of 1..n makes v1 and v2 nonzero
     if v1.count(0) != (p - 1) // 4:
         return False, {"note": "residues do not fill half of 1..n"}
-    ap = _aplus(p)
+    ap = _matrix(p, "aplus")
     wit = {"v1_fixed": ap.matvec(v1) == v1, "v2_negated": ap.matvec(v2) == [-t for t in v2]}
     ok = wit["v1_fixed"] and wit["v2_negated"]
     if not ok:
@@ -438,7 +432,8 @@ def _run_l23(p: int, seed: int):
 def _run_l24(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
-    sq = _aplus(p) @ _aplus(p)
+    ap = _matrix(p, "aplus")
+    sq = ap @ ap
     for want_sym in (1, -1):
         group = [j for j in range(1, n + 1) if v[j] == want_sym]
         j0 = group[0]
@@ -523,7 +518,7 @@ def _run_l25_eigs(p: int, seed: int):
 def _run_atheta(p: int, seed: int):
     th = theta_vector(p)
     n = (p - 1) // 2
-    got = _aplus(p).matvec(th)
+    got = _matrix(p, "aplus").matvec(th)
     ok = got == [p] * n
     wit = {"theta_integral": True}
     if not ok:
@@ -536,7 +531,7 @@ def _run_eq_dp_u1au0(p: int, seed: int):
     n = inv.n
     u1 = symbol_vector(p)
     [d] = _base_dets(p, "aplus")
-    w, _ = adjugate_apply(_aplus(p), IntMatrix([[1]] * n), d)
+    w, _ = adjugate_apply(_matrix(p, "aplus"), IntMatrix([[1]] * n), d)
     lhs = p * sum(s * wi for s, (wi,) in zip(u1, w.rows))
     rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
     ok = lhs == rhs

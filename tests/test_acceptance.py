@@ -5,7 +5,7 @@ to see the lines as they complete."""
 import os
 import time
 
-from legdet.charmat import MatrixKind, build
+from legdet.charmat import build
 from legdet.exactla import det
 from legdet.ntheory import prime_invariants, primes_in_range
 from legdet.verify import (
@@ -171,5 +171,5 @@ def test_criterion_11_unit_coefficient_forms():
         ok = ok and check(CheckId.SUN_C31_II, p).passed
     # spot value: at p = 5 the closed form is -4(5 b x + a (wx - (y+1)(z+1)))
     # with (a, b) = (1/2, 1/2), so the base determinant is -4 * (-1/2) = 2
-    ok = ok and det(build(MatrixKind.sun_half_plus(0, 0, 0, 0), 5)) == 2
+    ok = ok and det(build("sun_plus", 5)) == 2
     _report(11, "(n+1)-square unit-coefficient closed forms, 5 <= p <= 61", ok)

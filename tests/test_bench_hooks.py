@@ -1,9 +1,11 @@
-"""Every function the traced benchmark wraps must exist in legdet.
+"""Every function the traced benchmark wraps must exist in legdet, and so
+must the cache it keeps.
 
 bench/run.py replaces each (layer, fn) in its TRACED table, plus
 verify.check, by a timing wrapper; a renamed function would otherwise show
-up only when the benchmark is run with --trace 1.  run.py is loaded, not
-run: nothing is traced or timed here.
+up only when the benchmark is run with --trace 1.  Every run clears each
+legdet cache before an op except `exactla.moduli`, which it finds by name.
+run.py is loaded, not run: nothing is traced or timed here.
 """
 
 import importlib
@@ -28,3 +30,6 @@ def test_traced_functions_exist(monkeypatch):
     missing = [f"{layer}.{fn}" for layer, fn in hooks
                if not callable(getattr(importlib.import_module(f"legdet.{layer}"), fn, None))]
     assert missing == []
+    moduli = importlib.import_module("legdet.exactla").moduli
+    assert callable(getattr(moduli, "cache_clear", None))
+

@@ -4,40 +4,46 @@ import pytest
 
 import oracles
 from legdet.charmat import (
-    MatrixKind,
     build,
     special_eigvecs,
     symbol_vector,
     theta_vector,
 )
-from legdet.exactla import IntMatrix, shifted_matrix
+from legdet.exactla import _shifted_samples
 from legdet.ntheory import legendre_table, primes_in_range
 
 
 def test_aplus_aminus_frozen_p5():
-    assert build(MatrixKind.aplus(), 5).to_lists() == [[-1, 0], [0, 1]]
-    assert build(MatrixKind.aminus(), 5).to_lists() == [[-1, -2], [-2, 1]]
+    assert build("aplus", 5).to_lists() == [[-1, 0], [0, 1]]
+    assert build("aminus", 5).to_lists() == [[-1, -2], [-2, 1]]
+
+
+def shifted(base, f, point):
+    """base shifted by f at one point, by the broadcast the catalog samples with."""
+    [sample] = _shifted_samples(base, f, f, [point])
+    return sample.tolist()
 
 
 def test_axyzw_zero_params_equals_aplus():
     for p in primes_in_range(3, 50):
-        assert build(MatrixKind.axyzw(0, 0, 0, 0), p) == build(MatrixKind.aplus(), p)
+        aplus = build("aplus", p)
+        assert shifted(aplus, symbol_vector(p), (0, 0, 0, 0)) == aplus.to_lists()
 
 
 def test_axyzw_entry_formula():
     p = 11
     t = legendre_table(p).vals
-    m = build(MatrixKind.axyzw(2, 3, -1, 5), p)
+    m = shifted(build("aplus", p), symbol_vector(p), (2, 3, -1, 5))
     for j in range(1, 6):
         for k in range(1, 6):
             want = 2 + t[j + k] + t[(j - k) % p] + 3 * t[j] - t[k] + 5 * t[j * k % p]
-            assert m.rows[j - 1][k - 1] == want
+            assert m[j - 1][k - 1] == want
 
 
 @pytest.mark.parametrize("p", primes_in_range(3, 200))
 def test_symmetry_by_residue_class(p):
-    ap = build(MatrixKind.aplus(), p)
-    am = build(MatrixKind.aminus(), p)
+    ap = build("aplus", p)
+    am = build("aminus", p)
     if p % 4 == 1:
         assert ap.transpose() == ap
         assert am.transpose() == am
@@ -48,10 +54,10 @@ def test_symmetry_by_residue_class(p):
 @pytest.mark.parametrize("p", primes_in_range(3, 100))
 def test_entry_bounds_and_diagonal(p):
     t = legendre_table(p).vals
-    for kind in (MatrixKind.aplus(), MatrixKind.aminus()):
-        m = build(kind, p)
+    for name in ("aplus", "aminus"):
+        m = build(name, p)
         assert all(e in (-2, -1, 0, 1, 2) for row in m.rows for e in row)
-    ap = build(MatrixKind.aplus(), p)
+    ap = build("aplus", p)
     for j in range(1, (p - 1) // 2 + 1):
         assert ap.rows[j - 1][j - 1] == t[2 * j % p]
 
@@ -60,8 +66,8 @@ def test_ap_matrix_p7():
     # entries ((j^2+jk)/p) + ((j^2-jk)/p) = (j/p) * aplus entry, row-wise
     p = 7
     t = legendre_table(p).vals
-    ap = build(MatrixKind.ap(), p)
-    plus = build(MatrixKind.aplus(), p)
+    ap = build("ap", p)
+    plus = build("aplus", p)
     for j in range(1, 4):
         for k in range(1, 4):
             assert ap.rows[j - 1][k - 1] == t[j] * plus.rows[j - 1][k - 1]
@@ -70,13 +76,13 @@ def test_ap_matrix_p7():
 def test_sun_half_shapes_and_row0():
     p = 13
     n = (p - 1) // 2
-    m = build(MatrixKind.sun_half_plus(4, 1, 2, 3), p)
-    assert m.nrows == m.ncols == n + 1
     t = legendre_table(p).vals
+    m = shifted(build("sun_plus", p), list(t[: n + 1]), (4, 1, 2, 3))
+    assert len(m) == len(m[0]) == n + 1
     # in row 0 the (j/p) y and (jk/p) w terms vanish since (0/p) = 0
     for k in range(n + 1):
-        assert m.rows[0][k] == 4 + t[k] + 2 * t[k]
-    mm = build(MatrixKind.sun_half_minus(0, 0, 0, 0), p)
+        assert m[0][k] == 4 + t[k] + 2 * t[k]
+    mm = build("sun_minus", p)
     for j in range(n + 1):
         for k in range(n + 1):
             assert mm.rows[j][k] == t[(j - k) % p]
@@ -86,7 +92,7 @@ def test_theta_vector_product():
     for p in (3, 7, 11, 19, 23):
         th = theta_vector(p)
         assert all(isinstance(c, int) for c in th)
-        got = build(MatrixKind.aplus(), p).matvec(th)
+        got = build("aplus", p).matvec(th)
         assert got == [p] * ((p - 1) // 2)
 
 
@@ -103,7 +109,7 @@ def test_special_eigvecs_frozen_p5():
 
 def test_special_eigvec_relations_p13():
     v1, v2 = special_eigvecs(13)
-    ap = build(MatrixKind.aplus(), 13)
+    ap = build("aplus", 13)
     assert ap.matvec(v1) == v1
     assert ap.matvec(v2) == [-t for t in v2]
 
@@ -119,32 +125,28 @@ def test_symbol_vector():
 
 
 def test_matrix_kind_validation():
+    # the old tags and the four-parameter matrix are not names build takes
+    for name in ("NoSuch", "APlus", "axyzw"):
+        with pytest.raises(ValueError):
+            build(name, 13)
     with pytest.raises(ValueError):
-        MatrixKind("NoSuch")
-    with pytest.raises(ValueError):
-        MatrixKind("APlus", (1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        MatrixKind("AXYZW")
-    with pytest.raises(ValueError):
-        build(MatrixKind.aplus(), 9)
+        build("aplus", 9)
 
 
 def test_parametric_kinds_are_shifted_base_matrices():
-    # the catalog takes the sample determinants of AXYZW and the Sun kinds
-    # from the broadcast shift of the zero-parameter base, so build, its
-    # one-point case shifted_matrix and the entry-by-entry oracle must agree
+    # the catalog takes the sample determinants of A+ and the Sun matrices
+    # shifted by the symbol vector from the broadcast of the base matrix, so
+    # the broadcast and the entry-by-entry oracle must agree
     rng = random.Random(59)
     for p in primes_in_range(3, 59):
         t = legendre_table(p)
         n = (p - 1) // 2
         u1 = symbol_vector(p)
         fg = list(t.vals[: n + 1])
-        aplus = build(MatrixKind.aplus(), p)
+        aplus = build("aplus", p)
         for _ in range(5):
             pt = tuple(rng.randint(-9, 9) for _ in range(4))
-            want = IntMatrix(oracles.shifted_rows(aplus.rows, u1, u1, *pt))
-            assert build(MatrixKind.axyzw(*pt), p) == shifted_matrix(aplus, u1, u1, *pt) == want
-            for kind in (MatrixKind.sun_half_plus, MatrixKind.sun_half_minus):
-                base = build(kind(0, 0, 0, 0), p)
-                want = IntMatrix(oracles.shifted_rows(base.rows, fg, fg, *pt))
-                assert build(kind(*pt), p) == shifted_matrix(base, fg, fg, *pt) == want
+            assert shifted(aplus, u1, pt) == oracles.shifted_rows(aplus.rows, u1, u1, *pt)
+            for name in ("sun_plus", "sun_minus"):
+                base = build(name, p)
+                assert shifted(base, fg, pt) == oracles.shifted_rows(base.rows, fg, fg, *pt)

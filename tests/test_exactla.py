@@ -22,7 +22,6 @@ from legdet.exactla import (
     param_det_expand,
     modulus_bits,
     shifted_dets,
-    shifted_matrix,
     _charpoly_bound,
     _charpoly_mod,
     _crt,
@@ -33,7 +32,7 @@ from legdet.exactla import (
     _solve_mod,
 )
 import legdet.exactla as ex
-from legdet.charmat import MatrixKind, build, symbol_vector
+from legdet.charmat import build, symbol_vector
 from legdet.ntheory import primes_in_range
 
 
@@ -224,7 +223,7 @@ def test_charpoly_kernel_matches_pure_python(m):
 @pytest.mark.parametrize("p", [101, 397])
 def test_charpoly_kernel_on_derogatory_aplus(p):
     # A+ is derogatory, so about half the Hessenberg steps find a zero column
-    rows = build(MatrixKind.aplus(), p).to_lists()
+    rows = build("aplus", p).to_lists()
     arr = np.array(rows, dtype=np.int64)
     for m in (7, moduli(27)[0]):
         assert _charpoly_mod(arr, m) == oracles.charpoly_mod_py(rows, m)
@@ -262,7 +261,7 @@ def test_stacked_kernel_matches_both_oracles_on_mixed_stacks():
 
 
 def test_stacked_kernel_at_n_209():
-    rows = build(MatrixKind.aplus(), 419).to_lists()
+    rows = build("aplus", 419).to_lists()
     rng = random.Random(209)
     shifted = [[x + rng.randint(-9, 9) for x in row] for row in rows]
     slices = [(rows, moduli(27)[0]), (shifted, moduli(27)[1]), (rows, 7)]
@@ -356,8 +355,7 @@ def test_charpoly_invariants_on_200_random_matrices():
 
 def test_charpoly_bound_covers_every_coefficient():
     # A+ and A- at every p <= 199, and seeded random matrices
-    mats = [build(kind, p) for p in oracles_primes(3, 199)
-            for kind in (MatrixKind.aplus(), MatrixKind.aminus())]
+    mats = [build(name, p) for p in oracles_primes(3, 199) for name in ("aplus", "aminus")]
     rng = random.Random(419)
     mats += [rand_square(rng, rng.randint(1, 12), -30, 30) for _ in range(100)]
     for m in mats:
@@ -373,9 +371,25 @@ def test_charpoly_bound_covers_every_coefficient():
 def test_charpoly_bound_saves_moduli_at_n_198_and_209():
     # 36 and 39 moduli with the bound C(n,k) n^ceil(k/2) B^k
     for p, want in ((397, 33), (419, 35)):
-        for kind in (MatrixKind.aplus(), MatrixKind.aminus()):
-            m = build(kind, p)
+        for name in ("aplus", "aminus"):
+            m = build(name, p)
             assert len(_moduli_for(m.nrows, 2 * _charpoly_bound(m))) == want
+
+
+def test_moduli_cover_the_bounds_up_to_the_largest_matrix_field():
+    # cli.MATRIX_DIM_MAX = 2048 is n = 2046 at p = 4093; the kept moduli
+    # run out at p = 2371 for charpoly and p = 2459 for det, and the primes
+    # below them follow, in the same descending order
+    for p in (2371, 2459, 4093):
+        for name in ("aplus", "aminus"):
+            m = build(name, p)
+            det_bound = math.isqrt(ex._hadamard_squared(m.rows)) + 1
+            for terms, target in ((1, 2 * det_bound), (m.nrows, 2 * _charpoly_bound(m))):
+                used = _moduli_for(terms, target)
+                assert math.prod(used) > target, (p, name, terms)
+                kept = moduli(modulus_bits(terms))
+                assert used[: len(kept)] == list(kept[: len(used)])
+                assert used == sorted(set(used), reverse=True)
 
 
 def test_charpoly_rejects_nonsquare():
@@ -488,17 +502,18 @@ def test_param_det_random_postcondition():
         assert pd.scaled(0, 0, 0, 0) == pd.alpha * pd.alpha
         assert len(directs) == len(points)
         for pt, d in zip(points, directs):
-            assert d == det(shifted_matrix(a, f, g, *pt))
+            assert d == det(shifted_oracle(a, f, g, pt))
             assert pd.alpha * d == pd.scaled(*pt)
         done += 1
 
 
 def test_shifted_matrix_entries():
     a = IntMatrix([[1, 2], [3, 4]])
-    s = shifted_matrix(a, [1, -1], [2, 0], 1, 1, 1, 1)
+    [s] = ex._shifted_samples(a, [1, -1], [2, 0], [(1, 1, 1, 1)])
+    assert s.tolist() == oracles.shifted_rows(a.rows, [1, -1], [2, 0], 1, 1, 1, 1)
     # entry (i, j) = a(i, j) + x + f(i) y + g(j) z + f(i) g(j) w
-    assert s.rows[0][0] == 1 + 1 + 1 + 2 + 2
-    assert s.rows[1][1] == 4 + 1 - 1 + 0 + 0
+    assert s[0, 0] == 1 + 1 + 1 + 2 + 2
+    assert s[1, 1] == 4 + 1 - 1 + 0 + 0
 
 
 # --- shifted samples: broadcast and column-multilinear bound ------------------
@@ -529,11 +544,11 @@ def catalog_families(p, seed):
         if p % 4 == 3:
             cor = v._sample_tuples(v._rng(seed, "COR_AFTER_T12", p))
             aplus_pts += [pt for x, y, _, w in cor for pt in ((x, y, 0, 0), (0, y, 0, w))]
-        yield build(MatrixKind.aplus(), p), u1, aplus_pts
+        yield build("aplus", p), u1, aplus_pts
         sun = [(0, 0, 0, 0), *pts("SUN_C31_I")]
-        yield build(MatrixKind.sun_half_plus(0, 0, 0, 0), p), [0, *u1], sun
+        yield build("sun_plus", p), [0, *u1], sun
     sun = [(0, 0, 0, 0), *pts("SUN_C31_II")]
-    yield build(MatrixKind.sun_half_minus(0, 0, 0, 0), p), [0, *u1], sun
+    yield build("sun_minus", p), [0, *u1], sun
 
 
 def test_shifted_bound_covers_every_catalog_sample_to_199():

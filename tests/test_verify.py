@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
+import oracles
 import legdet.exactla
 import legdet.ntheory as ntheory
 import legdet.verify as v
 import legdet.charmat as charmat
-from legdet.charmat import MatrixKind, build
+from legdet.charmat import build, symbol_vector
 from legdet.errors import InternalError
 from legdet.exactla import IntMatrix, ParamDet, param_det_expand
 from legdet.cli import main
@@ -257,8 +258,11 @@ def _first_sample_off_by_one(monkeypatch, cid, p, seed=0):
     """Make det one too large on the matrix of check cid's first sample point;
     returns that point."""
     point = v._sample_tuples(v._rng(seed, cid.name, p))[0]
-    kind = MatrixKind.sun_half_plus if cid is CheckId.SUN_C31_I else MatrixKind.axyzw
-    target = build(kind(*point), p)
+    if cid is CheckId.SUN_C31_I:
+        base, f = build("sun_plus", p), [0, *symbol_vector(p)]
+    else:
+        base, f = build("aplus", p), symbol_vector(p)
+    target = IntMatrix(oracles.shifted_rows(base.rows, f, f, *point))
     _patch_det(monkeypatch, lambda m, d: d + (m == target))
     return point
 
@@ -442,7 +446,7 @@ def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
 def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, capsys):
     # T11_DET_3MOD4, T12_II's expansion and EQ_DP_U1AU0's adjugate all read
     # one det(A+)
-    aplus = build(MatrixKind.aplus(), 103)
+    aplus = build("aplus", 103)
     calls = []
     _patch_det(monkeypatch, lambda m, d: calls.append(m == aplus) or d)
     assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
@@ -452,7 +456,7 @@ def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, cap
 def _count_base_dets(monkeypatch, p):
     """A dict {"aplus": n, "aminus": n} counting A+ and A- of p at the
     determinant door."""
-    mats = {name: build(getattr(MatrixKind, name)(), p) for name in ("aplus", "aminus")}
+    mats = {name: build(name, p) for name in ("aplus", "aminus")}
     counts = dict.fromkeys(mats, 0)
 
     def seen(m, d):
@@ -486,7 +490,7 @@ def test_compute_shares_det_with_charpoly(monkeypatch, fresh_caches, capsys, arg
 
 
 def test_charpoly_cross_checks_the_determinant_it_is_given():
-    a = build(MatrixKind.aplus(), 13)
+    a = build("aplus", 13)
     d = legdet.exactla.det(a)
     assert legdet.exactla.charpoly(a, d) == legdet.exactla.charpoly(a)
     with pytest.raises(InternalError):
@@ -498,7 +502,7 @@ def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_
     real = legdet.exactla.det_many
     monkeypatch.setattr(v, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
     assert check(CheckId.T11_DET_3MOD4, 103).passed
-    assert calls == [[build(MatrixKind.aplus(), 103), build(MatrixKind.aminus(), 103)]]
+    assert calls == [[build("aplus", 103), build("aminus", 103)]]
 
 
 def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
@@ -552,9 +556,9 @@ def test_per_prime_caches_hold_one_prime(fresh_caches):
         if hasattr(obj, "cache_info") and obj.__module__ == v.__name__
         and obj is not v._seeded_suite  # per seed, not per prime
     }
-    assert set(caches) == {"_invariants", "_aplus", "_aminus", "_known_dets", "_aplus_pd", "_sun_pd"}
+    assert set(caches) == {"_invariants", "_named", "_aplus_pd", "_sun_pd"}
     assert all(c.maxsize == 1 and c.currsize <= 1 for c in caches.values())
-    assert caches["_aplus"].currsize == 1
+    assert caches["_named"].currsize == 1
 
 
 def test_seed_only_suite_witness_is_a_copy(fresh_caches):
