@@ -40,10 +40,11 @@ EXIT_CONJECTURE = 4
 SCHEMA_VERSION = 1
 
 # each compute field as a function of (p, p's invariant record, the
-# determinants its det fields ask for); the record is computed only when a
-# field in _INVARIANT_FIELDS is asked for, and the determinants of A+ and A-
-# in one det_many call, which a charpoly field of the same matrix then takes
-# for its constant-term cross-check instead of computing it again
+# determinants of the matrices the asked fields name); the record is
+# computed only when a field in _INVARIANT_FIELDS is asked for, and the
+# determinant of every matrix that a det or charpoly field names in one
+# det_many call, so a charpoly field takes its matrix's determinant for the
+# constant-term cross-check from that batch instead of computing it alone
 _COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int]], object]] = {
     "dp": lambda p, inv, dets: inv.d_p,
     "cp": lambda p, inv, dets: inv.c_p,
@@ -51,8 +52,8 @@ _COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int]], obje
     "hneg": lambda p, inv, dets: inv.h_neg,
     "det-aplus": lambda p, inv, dets: dets["aplus"],
     "det-aminus": lambda p, inv, dets: dets["aminus"],
-    "charpoly-aplus": lambda p, inv, dets: charpoly(build("aplus", p), dets.get("aplus")),
-    "charpoly-aminus": lambda p, inv, dets: charpoly(build("aminus", p), dets.get("aminus")),
+    "charpoly-aplus": lambda p, inv, dets: charpoly(build("aplus", p), dets["aplus"]),
+    "charpoly-aminus": lambda p, inv, dets: charpoly(build("aminus", p), dets["aminus"]),
     "unit": lambda p, inv, dets: fundamental_unit(p),
     "hreal": lambda p, inv, dets: class_number_real(p),
 }
@@ -88,7 +89,8 @@ def _cmd_compute(args) -> int:
         if name in _MATRIX_FIELDS:
             require_matrix_prime(p)
     inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
-    names = [name for name in ("aplus", "aminus") if f"det-{name}" in args.what]
+    names = [name for name in ("aplus", "aminus")
+             if f"det-{name}" in args.what or f"charpoly-{name}" in args.what]
     dets = dict(zip(names, det_many(build(name, p) for name in names)))
     out = {name: _COMPUTE[name](p, inv, dets) for name in args.what}
     if args.json:

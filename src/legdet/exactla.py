@@ -21,17 +21,23 @@ a + s 1^T + t g^T by a column-multilinear bound (`_shifted_bounds`), which
 does not count the shift once per row and so takes about a third fewer
 moduli.  The samples are broadcast from a, f, g and the points in small
 chunks (`_shifted_samples`, the one builder of shifted matrices).  The door
-stacks every (matrix, modulus) pair
-of a batch as one slice of an int64 array and eliminates the whole stack at
-once (`_eliminate`), each slice with its own modulus and its own pivot rows,
-so that numpy's per-call cost is paid once per step of the stack rather
-than once per step of each modulus.  The elimination delays reduction until
-int64 headroom runs out, a headroom computed from the stack's largest
-modulus, which bounds every slice's updates whatever mix of moduli it
-holds.  The solve runs the same elimination on [A | V] as a stack of one,
-and one CRT loop (`_crt`) runs the solve and charpoly kernels over their
-moduli; the Hessenberg reduction behind the characteristic polynomial
-reduces every step, on the active block only.
+stacks every (matrix, modulus) pair of a batch as one slice of an int64
+array and eliminates the whole stack at once (`_eliminate`), each slice with
+its own modulus and its own pivot rows, so that numpy's per-call cost is
+paid once per step of the stack rather than once per step of each modulus.
+The solve runs the same elimination on [A | V] as a stack of one, and one
+CRT loop (`_crt`) runs the solve and charpoly kernels over their moduli.
+
+Both reductions, the elimination and the Hessenberg reduction behind the
+characteristic polynomial (`_charpoly_mod`), are panel-blocked.  A panel
+of up to 32 steps (`_panel_width`) stores its multipliers V and pivot rows
+R instead of applying its row operations, so that the true matrix is the
+stored one less V @ R; each step computes only the pivot column and row it
+needs, with that correction, and at the end of the panel the rest of the
+matrix takes all its updates as one int64 V @ R and is reduced once.  The
+width is as large as int64 headroom above the largest modulus M allows:
+every correction sums at most w products below (M-1)^2, plus an entry
+below M.
 """
 
 from __future__ import annotations
@@ -115,6 +121,15 @@ def _reduce_block(x: np.ndarray, m: int) -> None:
     x -= q
 
 
+def _panel_width(top: int) -> int:
+    """Steps per panel for a largest modulus `top`: at most 32, and at most
+    as many as (2^63 - 1 - top) // (top - 1)^2, so that an entry in
+    [0, top) less the sum of that many products of residues stays in int64
+    (2 at 2^31 - 1, 32 at 27 bits).  It is >= 1 whenever top^2 < 2^63,
+    which `modulus_bits` guarantees for every kernel."""
+    return min(32, (2**63 - 1 - top) // (top - 1) ** 2)
+
+
 def _eliminate(a: np.ndarray, mods: np.ndarray) -> list[int]:
     """Gaussian elimination of the (S, n, c) int64 stack `a`, slice s over
     GF(mods[s]) with its entries in [0, mods[s]), in place; returns the
@@ -123,54 +138,56 @@ def _eliminate(a: np.ndarray, mods: np.ndarray) -> list[int]:
 
     Each slice has its own modulus and its own pivot rows: where the
     diagonal entry is zero, the first nonzero entry below it.  A slice
-    without one keeps a zero pivot and gets a zero multiplier, so its det is
+    without one keeps a zero pivot and gets zero multipliers, so its det is
     0 and the later steps leave it unchanged.  Pivot inverses and the
     running determinants are Python ints, one per slice.
 
-    Reduction is delayed.  Step j reduces only pivot column j and pivot row j
-    of every slice, writes the reduced pivot rows back (so a nonsingular
-    slice ends holding its reduced upper triangle), and subtracts
-    outer(f, row) from each trailing block with no %.  Both factors lie in
-    [0, m), so an update lowers an entry by at most (m-1)^2 <= (M-1)^2, M the
-    largest modulus of the stack, and an entry that starts in [0, m) stays
-    above -(2^63 - 1 - M) for room = (2^63 - 1 - M) // (M-1)^2 updates
-    whatever mix of moduli the stack holds; the trailing blocks are reduced
-    whole only when that many are pending (512 for the largest 27-bit
-    modulus).  room >= 1 whenever M^2 < 2^63, which `modulus_bits`
-    guarantees for every kernel.
+    The steps run in panels of w = `_panel_width(M)` columns, M the largest
+    modulus of the stack.  Within a panel the trailing block is not
+    updated: step j computes only pivot column j and pivot row j, each as
+    the block stood when the panel began less the panel's stored multipliers
+    V (kept below the diagonal, in the panel's columns) times its stored
+    pivot rows R (kept in place, reduced), an int64 product of fewer than w
+    terms, then % m.  A row swap moves whole rows from the panel's first
+    column on, so it swaps the rows of V too.  At the end of a panel the
+    trailing block takes all its pending updates as one int64 V @ R and is
+    reduced once.  Every correction sums at most w products below (M-1)^2
+    and an entry below M, so none leaves int64 whatever mix of moduli the
+    stack holds.  A nonsingular slice ends holding its reduced upper
+    triangle.
     """
     n = a.shape[1]
-    top = int(mods.max())
-    room = (2**63 - 1 - top) // (top - 1) ** 2
+    width = _panel_width(int(mods.max()))
     ms = mods.tolist()
     mcol = mods[:, None]
     det = [1] * len(ms)
-    pending = 0
-    for j in range(n):
-        col = a[:, j:, j]
-        np.remainder(col, mcol, out=col)
-        piv = col[:, 0].tolist()
-        if 0 in piv:  # swap in each such slice's first nonzero row, if any
-            off = (col != 0).argmax(axis=1)
-            swap = np.flatnonzero(off)
-            lower = j + off[swap]
-            upper = a[swap, j, j:]
-            a[swap, j, j:] = a[swap, lower, j:]
-            a[swap, lower, j:] = upper
-            for s in swap.tolist():
-                det[s] = -det[s]
+    for j0 in range(0, n, width):
+        end = min(j0 + width, n)
+        for j in range(j0, end):
+            col = a[:, j:, j]
+            col -= (a[:, j:, j0:j] @ a[:, j0:j, j, None])[..., 0]
+            np.remainder(col, mcol, out=col)
             piv = col[:, 0].tolist()
-        row = a[:, j, j + 1 :]
-        np.remainder(row, mcol, out=row)
-        det = [d * x % m for d, x, m in zip(det, piv, ms)]
-        inv = [pow(x, -1, m) if x else 0 for x, m in zip(piv, ms)]
-        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % mcol
-        block = a[:, j + 1 :, j + 1 :]
-        block -= f[:, :, None] * row[:, None, :]
-        pending += 1
-        if pending == room:
-            np.remainder(block, mods[:, None, None], out=block)
-            pending = 0
+            if 0 in piv:  # swap in each such slice's first nonzero row, if any
+                off = (col != 0).argmax(axis=1)
+                swap = np.flatnonzero(off)
+                lower = j + off[swap]
+                upper = a[swap, j, j0:]
+                a[swap, j, j0:] = a[swap, lower, j0:]
+                a[swap, lower, j0:] = upper
+                for s in swap.tolist():
+                    det[s] = -det[s]
+                piv = col[:, 0].tolist()
+            row = a[:, j, j + 1 :]
+            row -= (a[:, j, None, j0:j] @ a[:, j0:j, j + 1 :])[:, 0]
+            np.remainder(row, mcol, out=row)
+            det = [d * x % m for d, x, m in zip(det, piv, ms)]
+            inv = [pow(x, -1, m) if x else 0 for x, m in zip(piv, ms)]
+            col[:, 1:] *= np.array(inv, dtype=np.int64)[:, None]
+            np.remainder(col[:, 1:], mcol, out=col[:, 1:])
+        block = a[:, end:, end:]
+        block -= a[:, end:, j0:end] @ a[:, j0:end, end:]
+        np.remainder(block, mods[:, None, None], out=block)
     return det
 
 
@@ -196,35 +213,86 @@ def _adj_mod(aug: np.ndarray, m: int) -> list[int]:
 
 
 def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
-    h = _residues(a, m)
-    n = h.shape[0]
-    for j in range(n - 2):
-        nz = np.flatnonzero(h[j + 1 :, j])
-        if nz.size == 0:
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            h[[j + 1, piv]] = h[[piv, j + 1]]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        f = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, m) % m
-        # rows j+1 and below are already zero left of column j
-        block = h[j + 2 :, j:]
-        block -= np.multiply.outer(f, h[j + 1, j:])
+    """charpoly(a) mod m, coefficients from x^0 up: Hessenberg reduction by
+    similarity over GF(m), then the charpoly of the Hessenberg form H.
+
+    Step j takes the first nonzero entry of column j below the diagonal as
+    its pivot (none: the step is skipped), swaps its row and column into
+    place, subtracts multiples l of pivot row j+1 from the rows below it,
+    and adds H[:, j+2:] @ l into column j+1.  The steps run in panels of
+    w = `_panel_width(m)` (32 for every charpoly modulus), over H and the
+    panel's multipliers V (a column l per step, nonzero below its pivot
+    row) and pivot rows R, so that the true matrix is H - V @ R; a swap
+    swaps the rows and columns of H, the rows of V and the columns of R.
+    Column j enters step j true, so the step computes only its pivot row
+    from V @ R, then its column operation, in one matvec over [H; R]:
+
+        column j+1 = (H[:, j+1:] @ [1, l] % m) - V @ (R[:, j+1:] @ [1, l] % m),
+
+    stored in H, so the next column enters true as well (a skipped step
+    brings it up to date itself), and no later step of the panel reads R
+    left of column j+2.  At the end of a panel the columns right of it take
+    V @ R as one int64 product and are reduced once.  H and R stay reduced:
+    a matvec sums fewer than n products below (m-1)^2, which
+    `modulus_bits(n)` bounds, and every correction by V sums at most w
+    products below (m-1)^2 plus an entry below m.
+    """
+    n = a.shape[0]
+    width = _panel_width(m)
+    # H in [:n, :n]; a panel's multipliers V in [:n, n:] and pivot rows R in [n:, :n]
+    buf = np.zeros((n + width, n + width), dtype=np.int64)
+    h, v, r = buf[:n, :n], buf[:n, n:], buf[n:, :n]
+    h[:] = _residues(a, m)
+    e = np.zeros(n, dtype=np.int64)  # [1, l] from entry j+1 on
+    for j0 in range(0, n - 2, width):
+        end = min(j0 + width, n - 2)
+        v[:] = 0
+        k = 0  # steps taken in this panel, rows of R written
+        for j in range(j0, end):
+            col = h[j + 1 :, j]
+            if not col[0]:
+                nz = np.flatnonzero(col)
+                if nz.size == 0:  # skipped: column j+1 takes its updates here
+                    nxt = h[:, j + 1]
+                    nxt -= v[:, :k] @ r[:k, j + 1]
+                    nxt %= m
+                    continue
+                piv = j + 1 + int(nz[0])
+                buf[[j + 1, piv]] = buf[[piv, j + 1]]
+                buf[:, [j + 1, piv]] = buf[:, [piv, j + 1]]
+            # pivot row j+1, right of column j (the rows below are zero left of it)
+            rk = r[k, j + 1 :]
+            np.subtract(h[j + 1, j + 1 :], v[j + 1, :k] @ r[:k, j + 1 :], out=rk)
+            rk %= m
+            lk = e[j + 2 :]
+            np.multiply(col[1:], pow(int(col[0]), -1, m), out=lk)
+            lk %= m
+            v[j + 2 :, k] = lk
+            k += 1
+            e[j + 1] = 1
+            hr = buf[: n + k, j + 1 : n] @ e[j + 1 :]
+            hr %= m
+            hr[j0 + 2 : n] -= v[j0 + 2 :, :k] @ hr[n:]
+            np.remainder(hr[:n], m, out=h[:, j + 1])
+        block = h[j0 + 2 :, end + 1 :]
+        block -= v[j0 + 2 :, :k] @ r[:k, end + 1 :]
         _reduce_block(block, m)
-        col = h[:, j + 1]
-        col += h[:, j + 2 :] @ f
-        np.remainder(col, m, out=col)
     diag, sub = np.diagonal(h), np.diagonal(h, -1)
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
-    beta = np.zeros(0, dtype=np.int64)  # beta[i-1] = h[i,i-1] * ... * h[k-1,k-2]
+    # beta[i-1-lo] = h[i,i-1] * ... * h[k-1,k-2] for lo < i < k; the terms
+    # with i <= lo, lo the last row whose subdiagonal entry is 0, vanish
+    beta, lo = np.zeros(0, dtype=np.int64), 0
     for k in range(1, n + 1):
         prev, cur = polys[k - 1, :k], polys[k, : k + 1]  # degrees k-1 and k
         cur[1:] = prev
         cur[:k] -= int(diag[k - 1]) * prev
         if k > 1:
-            beta = np.append(beta, 1) * int(sub[k - 2]) % m
-            cur[: k - 1] -= (h[: k - 1, k - 1] * beta % m) @ polys[: k - 1, : k - 1]
+            if sub[k - 2]:
+                beta = np.append(beta, 1) * int(sub[k - 2]) % m
+            else:
+                beta, lo = beta[:0], k - 1
+            cur[: k - 1] -= (h[lo : k - 1, k - 1] * beta % m) @ polys[lo : k - 1, : k - 1]
         np.remainder(cur, m, out=cur)
     return [int(c) for c in polys[n]]
 
@@ -448,8 +516,10 @@ def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> l
 
 
 #: Bytes of one stack of the det kernel.  Eliminating it needs one
-#: temporary as large again, so a call adds about twice this to the heap;
-#: at n = 53 it holds 23 slices, and a larger stack is not faster there.
+#: temporary as large again, each panel's V @ R over the trailing blocks
+#: (the per-step temporaries are a column and a row per slice), so a call
+#: adds about twice this to the heap; at n = 53 it holds 23 slices, and a
+#: larger stack is not faster there.
 #: A chunk of shifted samples (`_shifted_samples`) is held to an eighth of
 #: it: at n = 53, three samples, whose 7 or so moduli each fill most of a
 #: stack, so that the next chunk adds little to the stack and its temporary.

@@ -269,36 +269,82 @@ def charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:
     return [c % m for c in polys[n]]
 
 
-def eliminate_mod_np(a: np.ndarray, m: int) -> int:
-    """The one-modulus numpy elimination that legdet's stacked kernel
-    replaced: Gaussian elimination of the int64 array `a` (entries in
-    [0, m)) over GF(m), in place, with delayed reduction of the trailing
-    block; returns the determinant of its leading square block mod m."""
-    n = a.shape[0]
-    room = (2**63 - 1 - m) // (m - 1) ** 2
+def eliminate_delayed_np(a: np.ndarray, mods: np.ndarray) -> list[int]:
+    """The stacked elimination that legdet's panel-blocked kernel replaced:
+    Gaussian elimination of the (S, n, c) int64 stack `a`, slice s over
+    GF(mods[s]) with entries in [0, mods[s]), in place, one rank-1 update of
+    every trailing block per step and the blocks reduced whole only when
+    int64 headroom above the largest modulus runs out; returns the
+    determinant of each slice's leading n x n block mod its modulus."""
+    n = a.shape[1]
+    top = int(mods.max())
+    room = (2**63 - 1 - top) // (top - 1) ** 2
+    ms = mods.tolist()
+    mcol = mods[:, None]
+    det = [1] * len(ms)
     pending = 0
-    det = 1
     for j in range(n):
-        col = a[j:, j]
-        np.remainder(col, m, out=col)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            return 0
-        piv = j + int(nz[0])
-        if piv != j:
-            a[[j, piv], j:] = a[[piv, j], j:]
-            det = -det
-        row = a[j, j + 1 :]
-        np.remainder(row, m, out=row)
-        det = det * int(a[j, j]) % m
-        f = col[1:] * pow(int(a[j, j]), -1, m) % m
-        block = a[j + 1 :, j + 1 :]
-        block -= np.multiply.outer(f, row)
+        col = a[:, j:, j]
+        np.remainder(col, mcol, out=col)
+        piv = col[:, 0].tolist()
+        if 0 in piv:
+            off = (col != 0).argmax(axis=1)
+            swap = np.flatnonzero(off)
+            lower = j + off[swap]
+            upper = a[swap, j, j:]
+            a[swap, j, j:] = a[swap, lower, j:]
+            a[swap, lower, j:] = upper
+            for s in swap.tolist():
+                det[s] = -det[s]
+            piv = col[:, 0].tolist()
+        row = a[:, j, j + 1 :]
+        np.remainder(row, mcol, out=row)
+        det = [d * x % m for d, x, m in zip(det, piv, ms)]
+        inv = [pow(x, -1, m) if x else 0 for x, m in zip(piv, ms)]
+        f = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % mcol
+        block = a[:, j + 1 :, j + 1 :]
+        block -= f[:, :, None] * row[:, None, :]
         pending += 1
         if pending == room:
-            np.remainder(block, m, out=block)
+            np.remainder(block, mods[:, None, None], out=block)
             pending = 0
-    return det % m
+    return det
+
+
+def charpoly_per_step_np(a: np.ndarray, m: int) -> list[int]:
+    """The numpy charpoly kernel that legdet's panel-blocked Hessenberg
+    replaced: each step subtracts its rank-1 row update from the active
+    block, reduces the block, and adds its column update, all at once."""
+    h = a % m
+    n = h.shape[0]
+    for j in range(n - 2):
+        nz = np.flatnonzero(h[j + 1 :, j])
+        if nz.size == 0:
+            continue
+        piv = j + 1 + int(nz[0])
+        if piv != j + 1:
+            h[[j + 1, piv]] = h[[piv, j + 1]]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        f = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, m) % m
+        block = h[j + 2 :, j:]
+        block -= np.multiply.outer(f, h[j + 1, j:])
+        block %= m
+        col = h[:, j + 1]
+        col += h[:, j + 2 :] @ f
+        np.remainder(col, m, out=col)
+    diag, sub = np.diagonal(h), np.diagonal(h, -1)
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    beta = np.zeros(0, dtype=np.int64)
+    for k in range(1, n + 1):
+        prev, cur = polys[k - 1, :k], polys[k, : k + 1]
+        cur[1:] = prev
+        cur[:k] -= int(diag[k - 1]) * prev
+        if k > 1:
+            beta = np.append(beta, 1) * int(sub[k - 2]) % m
+            cur[: k - 1] -= (h[: k - 1, k - 1] * beta % m) @ polys[: k - 1, : k - 1]
+        np.remainder(cur, m, out=cur)
+    return [int(c) for c in polys[n]]
 
 
 def shifted_rows(rows, f, g, x: int, y: int, z: int, w: int) -> list[list[int]]:

@@ -86,6 +86,27 @@ def test_compute_validates_every_field_before_computing(capsys, monkeypatch):
     assert calls == []
 
 
+def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeypatch):
+    # legdet charpoly batches det(A+) and det(A-) and hands each to its
+    # charpoly for the constant-term cross-check; a det field of a matrix
+    # whose charpoly is also asked for adds nothing to the batch
+    import legdet.cli as cli
+    import legdet.exactla as ex
+
+    batches, handed = [], []
+    monkeypatch.setattr(cli, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(cli, "charpoly", lambda m, d: handed.append(d) or ex.charpoly(m, d))
+    code, out, _ = run(capsys, "charpoly", "--prime", "29", "--json")
+    assert code == 0
+    assert batches == [[cli.build("aplus", 29), cli.build("aminus", 29)]]
+    payload = json.loads(out)  # n = 14, so each constant term is the det
+    assert handed == [int(payload[f"charpoly-{name}"][0]) for name in ("aplus", "aminus")]
+    batches.clear()
+    code, out, _ = run(capsys, "compute", "--prime", "29", "--what", "det-aminus,charpoly-aminus,dp", "--json")
+    assert code == 0 and batches == [[cli.build("aminus", 29)]]
+    assert json.loads(out)["det-aminus"] == json.loads(out)["charpoly-aminus"][0]
+
+
 def test_compute_empty_what_usage_error(capsys):
     for what in ("", ","):
         for extra in ((), ("--json",)):

@@ -180,10 +180,9 @@ def test_det_kernels_agree_above_256():
 
 
 # 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
-# elimination has room for only 2 pending updates, so its periodic full
-# reduction of the trailing block runs every other step.  moduli(27)[0] and
-# moduli(26)[0] are the largest charpoly and solve moduli for n <= 512 and
-# n <= 2048.  Solve and charpoly sum n products, so they are compared only
+# elimination's panels are 2 steps wide, so the trailing block takes its
+# pending updates every other step.  moduli(27)[0] and moduli(26)[0] are
+# the largest charpoly and solve moduli for n <= 512 and n <= 2048.  Solve and charpoly sum n products, so they are compared only
 # where n * (m-1)^2 < 2^63.
 KERNEL_MODULI = (3, 5, 7, moduli(27)[0], moduli(26)[0], 2**31 - 1)
 
@@ -222,11 +221,16 @@ def test_charpoly_kernel_matches_pure_python(m):
 
 @pytest.mark.parametrize("p", [101, 397])
 def test_charpoly_kernel_on_derogatory_aplus(p):
-    # A+ is derogatory, so about half the Hessenberg steps find a zero column
+    # A+ is derogatory (at p = 397, +-sqrt(397) with multiplicity 98 each),
+    # so about half the Hessenberg steps find a zero column, inside panels
+    # as well as at their edges, and leave a zero subdiagonal entry
     rows = build("aplus", p).to_lists()
     arr = np.array(rows, dtype=np.int64)
-    for m in (7, moduli(27)[0]):
-        assert _charpoly_mod(arr, m) == oracles.charpoly_mod_py(rows, m)
+    for m in (3, 7, moduli(27)[0], moduli(27)[1]):
+        got = _charpoly_mod(arr, m)
+        assert got == oracles.charpoly_per_step_np(arr, m)
+        if m in (7, moduli(27)[0]):
+            assert got == oracles.charpoly_mod_py(rows, m)
 
 
 # --- the stacked det kernel --------------------------------------------------
@@ -252,9 +256,9 @@ def test_stacked_kernel_matches_both_oracles_on_mixed_stacks():
         mats = [rows, late] + ([[rows[0]] + rows[:-1]] if n > 1 else [])
         slices = [(r, m) for m in KERNEL_MODULI for r in mats]
         a, mods = stack_of(slices)
+        old = oracles.eliminate_delayed_np(a.copy(), mods)
         got = _eliminate(a, mods)
         want = [oracles.det_mod_py(r, m) for r, m in slices]
-        old = [oracles.eliminate_mod_np(np.array(r, dtype=np.int64) % m, m) for r, m in slices]
         assert got == want == old
         if n > 1:
             assert all(got[s] == 0 for s in range(2, len(slices), 3))
@@ -266,9 +270,93 @@ def test_stacked_kernel_at_n_209():
     shifted = [[x + rng.randint(-9, 9) for x in row] for row in rows]
     slices = [(rows, moduli(27)[0]), (shifted, moduli(27)[1]), (rows, 7)]
     a, mods = stack_of(slices)
+    old = oracles.eliminate_delayed_np(a.copy(), mods)
     got = _eliminate(a, mods)
-    assert got == [oracles.eliminate_mod_np(np.array(r, dtype=np.int64) % m, m) for r, m in slices]
+    assert got == old
     assert got[:2] == [oracles.det_mod_py(r, m) for r, m in slices[:2]]
+
+
+# --- the panel-blocked kernels against the paths they replaced ---------------
+
+# one panel less one, one panel, one panel and one step, two panels and
+# around them, and the largest benchmark matrix; kernel_cases stops at n = 40
+PANEL_SIZES = (31, 32, 33, 64, 65, 209)
+PANEL_MODULI = (3, 5, 7, moduli(27)[0], 2**31 - 1)
+
+
+def panel_matrices(n):
+    """Seeded n x n matrices for the panel tests: a dense one, a sparse one
+    (a nonzero entry in about one of six, so zero pivots and, mod 3, 5 and
+    7, zero columns fall inside panels), and the dense one with a repeated
+    row (singular)."""
+    rng = random.Random(f"panel|{n}")
+    dense = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+    sparse = [[rng.randint(-9, 9) if rng.random() < 1 / 6 else 0 for _ in range(n)] for _ in range(n)]
+    singular = [list(row) for row in dense]
+    singular[n // 2 + 1] = list(dense[n // 3])
+    return [dense, sparse, singular]
+
+
+def upper(a):
+    """The upper triangles (with the columns right of them) of a stack."""
+    return [np.triu(x).tolist() for x in a]
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+def test_panel_elimination_matches_the_replaced_path(n):
+    # one mixed-modulus stack of every panel modulus for each matrix, so the
+    # width is 2 for all of them: against the delayed-reduction path, which
+    # must also leave the same reduced upper triangles; then each modulus
+    # on its own, at its own width, against the pure-Python det
+    mats = panel_matrices(n)
+    slices = [(r, m) for m in PANEL_MODULI for r in mats]
+    a, mods = stack_of(slices)
+    b = a.copy()
+    assert _eliminate(a, mods) == oracles.eliminate_delayed_np(b, mods)
+    assert upper(a) == upper(b)
+    zero = 0
+    for m in PANEL_MODULI:
+        a, mods = stack_of([(r, m) for r in mats])
+        got = _eliminate(a, mods)
+        if n <= 65:
+            assert got == [oracles.det_mod_py(r, m) for r in mats]
+        else:
+            assert got == oracles.eliminate_delayed_np(stack_of([(r, m) for r in mats])[0], mods)
+        zero += got.count(0)
+    assert zero >= len(PANEL_MODULI)
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+def test_panel_solve_matches_pure_python(n):
+    # [A | V] with three columns of V, where n (m-1)^2 < 2^63: A X = V mod m
+    # whenever A is invertible mod m, and up to n = 65 each column agrees
+    # with the one-vector pure-Python solve
+    rng = random.Random(f"solve|{n}")
+    for rows in panel_matrices(n):
+        vs = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(n)]
+        aug = np.array([row + v for row, v in zip(rows, vs)], dtype=np.int64)
+        for m in PANEL_MODULI[:4]:
+            det_m, x = _solve_mod(aug, m)
+            assert det_m == oracles.eliminate_delayed_np(aug[None, :, :n] % m, np.array([m]))[0]
+            if det_m:
+                x = np.array(x, dtype=np.int64).reshape(n, 3)
+                assert ((aug[:, :n] % m) @ x % m == aug[:, n:] % m).all()
+            else:
+                assert x is None
+            want = [oracles.solve_mod_py(rows, col, m) for col in zip(*vs)] if n <= 65 else []
+            for i, (d, sol) in enumerate(want):
+                assert d == det_m and sol == (None if x is None else x[:, i].tolist())
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+def test_panel_hessenberg_matches_the_replaced_path(n):
+    for rows in panel_matrices(n):
+        arr = np.array(rows, dtype=np.int64)
+        for m in PANEL_MODULI[:4]:
+            got = _charpoly_mod(arr, m)
+            assert got == oracles.charpoly_per_step_np(arr, m)
+            if n <= 33:
+                assert got == oracles.charpoly_mod_py(rows, m)
 
 
 def test_det_many_crosses_stack_boundaries(monkeypatch):
