@@ -4,8 +4,8 @@ ids, ranges and tallies come from `verify`; each compute field is one
 entry of `_COMPUTE`, and every field name is checked before any is computed.
 
 Exit codes: 0 all checks passed, 1 a proved statement failed (implementation
-bug), 2 usage error, 3 internal error, 4 only conjecture checks failed
-(a mathematical finding, preserved in the output).
+bug), 2 usage error, 3 internal error or out of memory, 4 only conjecture
+checks failed (a mathematical finding, preserved in the output).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 from . import verify as _verify
 from .charmat import build
 from .errors import InternalError
-from .exactla import IntPoly, charpoly, det_many
+from .exactla import IntMatrix, IntPoly, charpoly, det_many
 from .ntheory import (
     PrimeInvariants,
     prime_invariants,
@@ -40,22 +40,24 @@ EXIT_CONJECTURE = 4
 SCHEMA_VERSION = 1
 
 # each compute field as a function of (p, p's invariant record, the
-# determinants of the matrices the asked fields name); the record is
-# computed only when a field in _INVARIANT_FIELDS is asked for, and the
-# determinant of every matrix that a det or charpoly field names in one
-# det_many call, so a charpoly field takes its matrix's determinant for the
-# constant-term cross-check from that batch instead of computing it alone
-_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int]], object]] = {
-    "dp": lambda p, inv, dets: inv.d_p,
-    "cp": lambda p, inv, dets: inv.c_p,
-    "qp": lambda p, inv, dets: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
-    "hneg": lambda p, inv, dets: inv.h_neg,
-    "det-aplus": lambda p, inv, dets: dets["aplus"],
-    "det-aminus": lambda p, inv, dets: dets["aminus"],
-    "charpoly-aplus": lambda p, inv, dets: charpoly(build("aplus", p), dets["aplus"]),
-    "charpoly-aminus": lambda p, inv, dets: charpoly(build("aminus", p), dets["aminus"]),
-    "unit": lambda p, inv, dets: fundamental_unit(p),
-    "hreal": lambda p, inv, dets: class_number_real(p),
+# determinants of the matrices the asked fields name, the charpoly of a
+# named matrix); the record is computed only when a field in
+# _INVARIANT_FIELDS is asked for.  _cmd_compute builds each named matrix
+# once; one that equals the transpose of an earlier one (A- = A+^T at
+# p ≡ 3 mod 4) takes that one's determinant and charpoly, the other
+# determinants come from one det_many call, and each charpoly, computed once,
+# takes its matrix's determinant from there for the constant-term cross-check
+_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int], Callable[[str], IntPoly]], object]] = {
+    "dp": lambda p, inv, dets, poly: inv.d_p,
+    "cp": lambda p, inv, dets, poly: inv.c_p,
+    "qp": lambda p, inv, dets, poly: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
+    "hneg": lambda p, inv, dets, poly: inv.h_neg,
+    "det-aplus": lambda p, inv, dets, poly: dets["aplus"],
+    "det-aminus": lambda p, inv, dets, poly: dets["aminus"],
+    "charpoly-aplus": lambda p, inv, dets, poly: poly("aplus"),
+    "charpoly-aminus": lambda p, inv, dets, poly: poly("aminus"),
+    "unit": lambda p, inv, dets, poly: fundamental_unit(p),
+    "hreal": lambda p, inv, dets, poly: class_number_real(p),
 }
 COMPUTE_FIELDS = tuple(_COMPUTE)
 _INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
@@ -76,6 +78,12 @@ def require_matrix_prime(p: int) -> None:
         )
 
 
+def _is_transpose(a: IntMatrix, b: IntMatrix) -> bool:
+    """a = b^T, entry by entry; b's columns are read one at a time and not
+    kept, so no transposed copy is built."""
+    return a.nrows == b.ncols and all(row == col for row, col in zip(a.rows, zip(*b.rows)))
+
+
 def _cmd_compute(args) -> int:
     p = args.prime
     require_odd_prime(p)
@@ -91,8 +99,24 @@ def _cmd_compute(args) -> int:
     inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
     names = [name for name in ("aplus", "aminus")
              if f"det-{name}" in args.what or f"charpoly-{name}" in args.what]
-    dets = dict(zip(names, det_many(build(name, p) for name in names)))
-    out = {name: _COMPUTE[name](p, inv, dets) for name in args.what}
+    mats: dict[str, IntMatrix] = {}  # the distinct matrices
+    rep: dict[str, str] = {}  # whose det and charpoly each name takes: its own, or an earlier transpose's
+    for name in names:
+        m = build(name, p)
+        rep[name] = next((e for e in mats if _is_transpose(m, mats[e])), name)
+        if rep[name] == name:
+            mats[name] = m
+    found = dict(zip(mats, det_many(mats.values())))
+    dets = {name: found[rep[name]] for name in names}
+    polys: dict[str, IntPoly] = {}
+
+    def poly(name: str) -> IntPoly:
+        name = rep[name]
+        if name not in polys:
+            polys[name] = charpoly(mats[name], dets[name])
+        return polys[name]
+
+    out = {name: _COMPUTE[name](p, inv, dets, poly) for name in args.what}
     if args.json:
         print(json.dumps({
             k: [str(c) for c in v.coeffs] if isinstance(v, IntPoly) else str(v)
@@ -408,6 +432,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -3,7 +3,9 @@ import time
 
 import oracles
 import pytest
+from legdet.charmat import build
 from legdet.cli import CSV_HEADER, main
+from legdet.exactla import IntMatrix, charpoly, det
 from legdet.ntheory import primes_in_range
 from legdet.verify import CheckId
 
@@ -105,6 +107,85 @@ def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeyp
     code, out, _ = run(capsys, "compute", "--prime", "29", "--what", "det-aminus,charpoly-aminus,dp", "--json")
     assert code == 0 and batches == [[cli.build("aminus", 29)]]
     assert json.loads(out)["det-aminus"] == json.loads(out)["charpoly-aminus"][0]
+
+
+def _count_matrix_work(monkeypatch):
+    """Patches cli and exactla so that every det_many batch cli makes, and
+    every charpoly CRT, is recorded; returns (batches, charpoly CRTs)."""
+    import legdet.cli as cli
+    import legdet.exactla as ex
+
+    batches, crts = [], []
+    real_crt = ex._crt
+    monkeypatch.setattr(cli, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(ex, "_crt", lambda kernel, *a, **kw: (
+        crts.append(kernel) if kernel is ex._charpoly_mod else None) or real_crt(kernel, *a, **kw))
+    return batches, crts
+
+
+@pytest.mark.parametrize("p, distinct", [(29, 2), (31, 1), (101, 2), (103, 1)])
+def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, monkeypatch, p, distinct):
+    # at p ≡ 3 (mod 4), A- = A+^T: det(A+) alone is batched, and one
+    # charpoly CRT serves both fields; at p ≡ 1 (mod 4) both are computed
+    import legdet.cli as cli
+
+    batches, crts = _count_matrix_work(monkeypatch)
+    code, out, _ = run(capsys, "charpoly", "--prime", str(p), "--json")
+    assert code == 0
+    assert batches == [[cli.build("aplus", p), cli.build("aminus", p)][:distinct]]
+    assert len(crts) == distinct
+    payload = json.loads(out)
+    assert (payload["charpoly-aplus"] == payload["charpoly-aminus"]) == (distinct == 1)
+
+
+@pytest.mark.parametrize("p, tamper, distinct", [
+    # an entry of A- changed: no longer A+^T at p ≡ 3 (mod 4)
+    (103, lambda m: IntMatrix([[m[0, 0] + 1, *m.rows[0][1:]], *m.rows[1:]]), 2),
+    # A- replaced by A+^T at p ≡ 1 (mod 4)
+    (29, lambda m: IntMatrix(zip(*build("aplus", 29).rows)), 1),
+])
+def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypatch, p, tamper, distinct):
+    import legdet.cli as cli
+
+    real_build = cli.build
+    monkeypatch.setattr(cli, "build", lambda name, q: tamper(real_build(name, q)) if name == "aminus" else real_build(name, q))
+    batches, crts = _count_matrix_work(monkeypatch)
+    code, out, _ = run(capsys, "compute", "--prime", str(p), "--what", "det-aminus,charpoly-aplus,charpoly-aminus", "--json")
+    assert code == 0 and len(batches) == 1 and len(batches[0]) == len(crts) == distinct
+    aminus = tamper(real_build("aminus", p))
+    payload = json.loads(out)
+    assert payload["det-aminus"] == str(det(aminus))
+    assert payload["charpoly-aminus"] == [str(c) for c in charpoly(aminus).coeffs]
+
+
+def test_reused_aminus_matches_its_own_det_and_charpoly_to_199(capsys, monkeypatch):
+    # differential: at every p ≡ 3 (mod 4) up to 199, det(A-) and
+    # charpoly(A-) taken from A+ equal those computed from A- itself
+    batches, _ = _count_matrix_work(monkeypatch)
+    for p in primes_in_range(3, 199):
+        if p % 4 != 3:
+            continue
+        batches.clear()
+        code, out, _ = run(capsys, "compute", "--prime", str(p), "--what",
+                           "det-aplus,det-aminus,charpoly-aplus,charpoly-aminus", "--json")
+        assert code == 0 and len(batches) == 1 and len(batches[0]) == 1, p
+        aminus = build("aminus", p)
+        payload = json.loads(out)
+        assert payload["det-aminus"] == str(det(aminus)), p
+        assert payload["charpoly-aminus"] == [str(c) for c in charpoly(aminus).coeffs], p
+
+
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch):
+    # exit 1 means a proved statement failed; running out of memory is exit 3
+    import legdet.cli as cli
+
+    def exhausted(p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "prime_invariants", exhausted)
+    code, out, err = run(capsys, "compute", "--prime", "7", "--what", "dp")
+    assert (code, out) == (3, "")
+    assert err == "internal error: out of memory\n"
 
 
 def test_compute_empty_what_usage_error(capsys):

@@ -35,6 +35,9 @@ def _run(capsys, *argv) -> str:
         (("verify", "--from", "3", "--to", "60", "--suite", "all", "--json"),
          "verify_3_60.json"),
         (("charpoly", "--prime", "101", "--json"), "charpoly_101.json"),
+        (("charpoly", "--prime", "103", "--json"), "charpoly_103.json"),
+        (("compute", "--prime", "103", "--what", "det-aplus,det-aminus,charpoly-aminus", "--json"),
+         "compute_103.json"),
         (("compute", "--prime", "101", "--what",
           "dp,cp,qp,det-aplus,det-aminus,unit,hreal", "--json"), "compute_101.json"),
         (("verify", "--prime", "101"), "verify_101.txt"),
