@@ -1,7 +1,9 @@
 """Command-line front end: compute invariants, verify the identity catalog,
-and run resumable prime-range scans with machine-readable output.  Check
-ids, ranges and tallies come from `verify`; each compute field is one
-entry of `_COMPUTE`, and every field name is checked before any is computed.
+and run resumable prime-range scans with machine-readable output.  `verify`
+(where --prime P is the range [P, P]) and `scan` both run their primes
+through `verify.run_range` and write each prime's output as soon as it is
+done; each compute field is one entry of `_COMPUTE`, and every field name
+is checked before any is computed.
 
 Exit codes: 0 all checks passed, 1 a proved statement failed (implementation
 bug), 2 usage error, 3 internal error or out of memory, 4 only conjecture
@@ -21,13 +23,7 @@ from . import verify as _verify
 from .charmat import build
 from .errors import InternalError
 from .exactla import IntMatrix, IntPoly, charpoly, det_many
-from .ntheory import (
-    PrimeInvariants,
-    prime_invariants,
-    primes_in_range,
-    require_hneg_prime,
-    require_odd_prime,
-)
+from .ntheory import PrimeInvariants, prime_invariants, require_hneg_prime, require_odd_prime
 from .realquad import class_number_real, fundamental_unit
 from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, json_safe, scan
 
@@ -131,67 +127,52 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     ids = _verify.parse_ids(args.suite)
     if args.prime is not None:
+        if args.p_from is not None or args.p_to is not None:
+            raise ValueError("verify takes --prime or --from and --to, not both")
         require_odd_prime(args.prime)
-        primes = [args.prime]
-    elif args.p_from is not None and args.p_to is not None:
-        _verify.require_range(args.p_from, args.p_to)
-        primes = primes_in_range(args.p_from, args.p_to)
-    else:
+        args.p_from = args.p_to = args.prime
+    if args.p_from is None or args.p_to is None:
         raise ValueError("verify needs --prime or both --from and --to")
-
     prime_ids = [i for i in ids if i not in _verify.RANDOM_IDS]
-    random_ids = [i for i in ids if i in _verify.RANDOM_IDS]
+    shown = 0  # results written so far
+    last = None  # the last prime worked on
+
+    def show(results: list[CheckResult]) -> None:
+        # the JSON form streams json.dumps' bytes of the whole payload
+        nonlocal shown
+        for r in results:
+            if args.json:
+                entry = {"id": r.id.name, "p": r.p, "passed": r.passed, "witness": json_safe(r.witness)}
+                sys.stdout.write(('{"results": [' if shown == 0 else ", ") + json.dumps(entry))
+            else:
+                where = f" p={r.p}" if r.p is not None else ""
+                note = f"  [{r.witness['note']}]" if r.witness.get("note") and not r.passed else ""
+                print(f"{'PASS' if r.passed else 'FAIL'} {r.id.name}{where} ({r.elapsed * 1000:.1f} ms){note}")
+            shown += 1
+        sys.stdout.flush()
+
+    def work(p: int):
+        nonlocal last
+        last = p
+        return _verify.checks_at(p, prime_ids, args.seed)
+
+    summary = _verify.run_range(args.p_from, args.p_to, work, show)
     # a single explicitly named check on a single prime surfaces the residue
     # class error instead of silently skipping
-    strict = len(ids) == 1 and len(primes) == 1 and args.suite != "all"
-
-    results: list[CheckResult] = []
-    skipped = 0
-    for p in primes:
-        for cid in prime_ids:
-            if not _verify.applicable(cid, p):
-                if strict:
-                    check(cid, p, args.seed)  # raises the usage error
-                skipped += 1
-                continue
-            results.append(check(cid, p, args.seed))
-    for cid in random_ids:
-        results.append(check(cid, seed=args.seed))
-
-    failures = [r for r in results if not r.passed]
-    code = exit_code_for(r.id for r in failures)
+    if len(ids) == 1 and args.suite != "all" and summary.primes == 1 and summary.skipped:
+        check(ids[0], last, args.seed)  # raises the usage error
+    for cid in ids:
+        if cid in _verify.RANDOM_IDS:  # the seed-only suites, once, after the primes
+            r = check(cid, seed=args.seed)
+            summary.count(None, cid.name, r.passed)
+            show([r])
+    code = exit_code_for(name for _, name in summary.failures)
     if args.json:
-        payload = {
-            "results": [
-                {
-                    "id": r.id.name,
-                    "p": r.p,
-                    "passed": r.passed,
-                    "witness": json_safe(r.witness),
-                }
-                for r in results
-            ],
-            "summary": {
-                "passed": len(results) - len(failures),
-                "failed": len(failures),
-                "skipped": skipped,
-            },
-            "exit_code": code,
-        }
-        print(json.dumps(payload))
+        tally = {"passed": summary.passed, "failed": summary.failed, "skipped": summary.skipped}
+        print(('{"results": [' if shown == 0 else "")
+              + f'], "summary": {json.dumps(tally)}, "exit_code": {json.dumps(code)}}}')
     else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            where = f" p={r.p}" if r.p is not None else ""
-            line = f"{mark} {r.id.name}{where} ({r.elapsed * 1000:.1f} ms)"
-            note = r.witness.get("note")
-            if note and not r.passed:
-                line += f"  [{note}]"
-            print(line)
-        print(
-            f"summary: {len(results) - len(failures)} passed, "
-            f"{len(failures)} failed, {skipped} skipped"
-        )
+        print(f"summary: {summary.passed} passed, {summary.failed} failed, {summary.skipped} skipped")
     return code
 
 
@@ -276,14 +257,13 @@ def _read_resume(path: str, lo: int, hi: int, names: list[str]):
                             f"resume file {path!r} has no {name} result for p={p} "
                             f"(line {lineno}); write the new checks to another file"
                         )
-                tally.add(p, checks, names)
+                tally.add(p, [(n, bool(checks[n].get("passed")) if n in checks else None)
+                              for n in names])
     return done, tally
 
 
 def _cmd_scan(args) -> int:
-    if args.p_from is None or args.p_to is None:
-        raise ValueError("scan needs both --from and --to")
-    _verify.require_range(args.p_from, args.p_to)
+    _verify.require_range(args.p_from, args.p_to)  # before --out is opened, and maybe truncated
     ids = _verify.parse_ids(args.ids)
     names = sorted(i.name for i in ids)
     if args.resume and args.format == "csv":
@@ -313,15 +293,7 @@ def _cmd_scan(args) -> int:
                 new_lines += 1
             fh.flush()
 
-        summary = scan(
-            ids,
-            args.p_from,
-            args.p_to,
-            sink,
-            seed=args.seed,
-            jobs=args.jobs,
-            skip=done,
-        )
+        summary = scan(ids, args.p_from, args.p_to, sink, seed=args.seed, jobs=args.jobs, skip=done)
     elapsed = time.perf_counter() - start
     passed = summary.passed + pre.passed
     failed = summary.failed + pre.failed

@@ -94,13 +94,17 @@ class LegendreTable:
     vals: tuple[int, ...]
 
 
+#: Symbol tables, so prime checks and ranges, stop below this p.
+TABLE_P_LIMIT = 2**31
+
+
 @lru_cache(maxsize=1)
 def legendre_table(p: int) -> LegendreTable:
     """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1.
     Cached for the last prime only: callers visit one prime at a time, and a
     larger cache would keep O(p) tables alive across a whole range.  p >= 2^31
     is refused before anything is allocated."""
-    if p >= 2**31:
+    if p >= TABLE_P_LIMIT:
         raise ValueError(f"p = {p} is too large for an O(p) symbol table (need p < 2^31)")
     require_odd_prime(p)
     vals = [-1] * p

@@ -23,9 +23,10 @@ Determinants that are needed together come from one call: the base
 matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
 samples' from `shifted_dets` (through `param_det_expand` or directly), sized
 by the column-multilinear bound.  The two seed-only suites run once per seed
-in a process, and take each instance's det(a) once.  Check ids, prime ranges
-and scan tallies are parsed and counted here (`parse_ids`, `require_range`,
-`ScanSummary.add`) for every caller.
+in a process, and take each instance's det(a) once.  Every prime range,
+`scan`'s and the CLI's `verify`'s, runs through one loop (`run_range`): one
+sieve, primes in ascending order, each prime's record delivered as soon as
+it is done, and one tally of the outcomes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .charmat import build, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
@@ -59,6 +60,7 @@ from .exactla import (
     shifted_dets,
 )
 from .ntheory import (
+    TABLE_P_LIMIT,
     PrimeInvariants,
     factorial_half_mod,
     half_range_sums,
@@ -825,9 +827,12 @@ def parse_ids(raw: str | Iterable[CheckId | str]) -> list[CheckId]:
 
 
 def require_range(p_from: int, p_to: int) -> None:
-    """Raises ValueError unless 3 <= p_from <= p_to."""
+    """Raises ValueError unless 3 <= p_from <= p_to < TABLE_P_LIMIT (no symbol
+    table above it), before anything is sieved."""
     if not 3 <= p_from <= p_to:
         raise ValueError(f"need 3 <= from <= to, got [{p_from}, {p_to}]")
+    if p_to >= TABLE_P_LIMIT:
+        raise ValueError(f"need to < 2^31 for a symbol table, got to = {p_to}")
 
 
 def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> CheckResult:
@@ -887,43 +892,53 @@ class ScanRecord:
     checks: dict[str, dict]
 
 
+#: (check name, passed) as a tally counts it; passed is None where skipped
+Outcome = tuple[str, bool | None]
+
+
 @dataclass
 class ScanSummary:
     primes: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
-    failures: list[tuple[int, str]] = field(default_factory=list)
+    failures: list[tuple[int | None, str]] = field(default_factory=list)
 
-    def add(self, p: int, checks: dict[str, dict], names: Iterable[str]) -> None:
-        """Count one prime's record: each name in `names` absent from
-        `checks` was skipped there."""
+    def add(self, p: int, outcomes: Iterable[Outcome]) -> None:
+        """Count one prime and its checks' outcomes."""
         self.primes += 1
-        for name in names:
-            entry = checks.get(name)
-            if entry is None:
-                self.skipped += 1
-            elif entry.get("passed"):
-                self.passed += 1
-            else:
-                self.failed += 1
-                self.failures.append((p, name))
+        for name, passed in outcomes:
+            self.count(p, name, passed)
+
+    def count(self, p: int | None, name: str, passed: bool | None) -> None:
+        """Count one outcome; p is None for a seed-only suite."""
+        if passed is None:
+            self.skipped += 1
+        elif passed:
+            self.passed += 1
+        else:
+            self.failed += 1
+            self.failures.append((p, name))
 
 
-def _scan_one(p: int, ids: tuple[str, ...], seed: int) -> ScanRecord:
+def checks_at(p: int, ids: Sequence[CheckId], seed: int) -> tuple[list[CheckResult], list[Outcome]]:
+    """Run each of `ids` that applies to p, in order and with any repeats:
+    (their results, and every id's outcome at p for the tally)."""
+    found = [check(cid, p, seed) if applicable(cid, p) else None for cid in ids]
+    return [r for r in found if r], [(cid.name, r.passed if r else None) for cid, r in zip(ids, found)]
+
+
+def _scan_one(p: int, ids: tuple[CheckId, ...], seed: int) -> tuple[ScanRecord, list[Outcome]]:
     inv = _invariants(p)  # shared with the per-check cache in this process
+    results, outcomes = checks_at(p, ids, seed)
     checks: dict[str, dict] = {}
-    for name in ids:
-        cid = CheckId[name]
-        if not applicable(cid, p):
-            continue
-        res = check(cid, p, seed)
+    for res in results:
         if res.passed:
             note = res.witness.get("note")
-            checks[name] = {"passed": True, "note": note} if note else {"passed": True}
+            checks[res.id.name] = {"passed": True, "note": note} if note else {"passed": True}
         else:  # the full witness, so that a counterexample can be re-run
-            checks[name] = {"passed": False, **json_safe(res.witness)}
-    return ScanRecord(p, inv, checks)
+            checks[res.id.name] = {"passed": False, **json_safe(res.witness)}
+    return ScanRecord(p, inv, checks), outcomes
 
 
 def pool_size(jobs: int | None, cores: int, primes: int) -> int:
@@ -936,45 +951,45 @@ def pool_size(jobs: int | None, cores: int, primes: int) -> int:
     return max(1, min(jobs, cores, primes))
 
 
-def scan(
-    ids: Iterable[CheckId | str],
-    p_from: int,
-    p_to: int,
-    sink: Callable[[ScanRecord], None],
-    *,
-    seed: int = 0,
-    jobs: int | None = 1,
-    skip: set[int] | None = None,
-) -> ScanSummary:
-    """Run the requested checks over every prime in [p_from, p_to].
-
-    Records are delivered to `sink` in ascending order of p, one per prime,
-    regardless of `jobs`; a record lists only the checks applicable to its
-    prime.  Primes in `skip` (already present in a resumed output) are not
-    recomputed.  Because delivery is ordered and incremental, an aborted scan
-    leaves a valid prefix that a later resume can extend.
-    """
+def run_range(p_from: int, p_to: int, work: Callable[[int], tuple[object, list[Outcome]]],
+              sink: Callable[[object], None], *, jobs: int | None = 1, skip: set[int] | None = None) -> ScanSummary:
+    """The one prime-range loop, under `scan` and `legdet verify`.  work(p)
+    returns (p's record, its checks' outcomes) for each prime in [p_from,
+    p_to] not in `skip`, in `pool_size` processes (work must then pickle);
+    each record goes to `sink` in ascending order of p as soon as it and every
+    smaller prime are done, and the outcomes are tallied in the returned
+    summary.  Nothing is kept per prime."""
     require_range(p_from, p_to)
-    names = tuple(sorted({i.name for i in parse_ids(ids)}))
     ps = primes_in_range(p_from, p_to)
     if skip:
         ps = [q for q in ps if q not in skip]
     workers = pool_size(jobs, os.cpu_count() or 1, len(ps))
     summary = ScanSummary()
 
-    def emit(rec: ScanRecord) -> None:
-        summary.add(rec.p, rec.checks, names)
-        sink(rec)
+    def deliver(done: Iterable[tuple[object, list[Outcome]]]) -> None:
+        for p, (rec, outcomes) in zip(ps, done):
+            summary.add(p, outcomes)
+            sink(rec)
 
-    worker = partial(_scan_one, ids=names, seed=seed)
     if workers > 1:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         chunk = max(1, len(ps) // (workers * 8))
         with ctx.Pool(workers) as pool:
-            for rec in pool.imap(worker, ps, chunksize=chunk):
-                emit(rec)
+            deliver(pool.imap(work, ps, chunksize=chunk))
     else:
-        for q in ps:
-            emit(worker(q))
+        deliver(map(work, ps))
     return summary
+
+
+def scan(ids: Iterable[CheckId | str], p_from: int, p_to: int, sink: Callable[[ScanRecord], None], *,
+         seed: int = 0, jobs: int | None = 1, skip: set[int] | None = None) -> ScanSummary:
+    """Run the requested checks, sorted by name and each once, over every
+    prime in [p_from, p_to] (`run_range`).  Records are delivered to `sink`
+    in ascending order of p, one per prime, regardless of `jobs`; a record
+    lists only the checks applicable to its prime.  Primes in `skip` (already
+    present in a resumed output) are not recomputed.  Because delivery is
+    ordered and incremental, an aborted scan leaves a valid prefix that a
+    later resume can extend."""
+    ids = tuple(sorted(set(parse_ids(ids)), key=lambda cid: cid.name))
+    return run_range(p_from, p_to, partial(_scan_one, ids=ids, seed=seed), sink, jobs=jobs, skip=skip)

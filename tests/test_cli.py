@@ -5,6 +5,7 @@ import oracles
 import pytest
 from legdet.charmat import build
 from legdet.cli import CSV_HEADER, main
+from legdet.errors import InternalError
 from legdet.exactla import IntMatrix, charpoly, det
 from legdet.ntheory import primes_in_range
 from legdet.verify import CheckId
@@ -262,8 +263,10 @@ def test_verify_range_suite(capsys):
 
 
 def test_verify_strict_single_check_wrong_class(capsys):
-    code, _, err = run(capsys, "verify", "--prime", "13", "--suite", "T11_DET_3MOD4")
-    assert code == 2 and "3 (mod 4)" in err
+    for form in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "--prime", "13", "--suite", "T11_DET_3MOD4", *form)
+        assert code == 2 and "3 (mod 4)" in err
+        assert out == ""
 
 
 def test_verify_json(capsys):
@@ -279,6 +282,76 @@ def test_verify_json(capsys):
 def test_verify_needs_prime_or_range(capsys):
     code, _, err = run(capsys, "verify", "--suite", "all")
     assert code == 2 and "--prime" in err
+
+
+@pytest.mark.parametrize("bounds", [("--from", "3", "--to", "200"), ("--from", "3"), ("--to", "200")])
+def test_verify_prime_and_range_exclude_each_other(capsys, bounds):
+    code, out, err = run(capsys, "verify", "--prime", "13", *bounds)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--prime" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--from", "3", "--to", str(2**31)),
+    ("verify", "--prime", "2147483659"),
+    ("scan", "--from", "3", "--to", str(2**31), "--ids", "T13_DPMOD4"),
+])
+def test_range_above_the_table_limit_is_refused_before_sieving(capsys, monkeypatch, tmp_path, argv):
+    import legdet.cli as cli
+    import legdet.verify as v
+
+    def sieve(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi}]")
+
+    monkeypatch.setattr(v, "primes_in_range", sieve)
+    monkeypatch.setattr(cli, "primes_in_range", sieve, raising=False)
+    if argv[0] == "scan":
+        argv += ("--out", str(tmp_path / "s.jsonl"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "2^31" in err and len(err.splitlines()) == 1
+
+
+def test_verify_streams_each_prime_before_the_next(capsys, monkeypatch):
+    # the first prime's line is on stdout before any check of the last prime
+    import legdet.verify as v
+
+    original, seen = v.check, []
+
+    def check(cid, p=None, seed=0):
+        if p == 29 and not seen:
+            seen.append(capsys.readouterr().out)
+        return original(cid, p, seed)
+
+    monkeypatch.setattr(v, "check", check)
+    code, out, _ = run(capsys, "verify", "--from", "3", "--to", "30", "--suite", "T13_DPMOD4,L41_SUMS")
+    assert code == 0 and len(seen) == 1
+    assert seen[0].startswith("PASS T13_DPMOD4 p=3 ")
+    assert "p=29" not in seen[0] and out.startswith("PASS T13_DPMOD4 p=29 ")
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)])
+def test_verify_internal_error_mid_range_keeps_the_finished_primes(capsys, monkeypatch, form):
+    import legdet.verify as v
+
+    original = v.check
+
+    def check(cid, p=None, seed=0):
+        if p == 7:  # the third prime
+            raise InternalError("synthetic")
+        return original(cid, p, seed)
+
+    monkeypatch.setattr(v, "check", check)
+    argv = ("verify", "--from", "3", "--to", "30", "--suite", "T13_DPMOD4,L41_SUMS", *form)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err == "internal error: synthetic\n"
+    if form:
+        assert out.startswith('{"results": [') and not out.endswith("\n")
+        assert [(r["id"], r["p"]) for r in json.loads(out + "]}")["results"]] == [
+            ("T13_DPMOD4", 3), ("L41_SUMS", 3), ("T13_DPMOD4", 5), ("L41_SUMS", 5)]
+    else:
+        assert [line.split(" (")[0] for line in out.splitlines()] == [
+            "PASS T13_DPMOD4 p=3", "PASS L41_SUMS p=3", "PASS T13_DPMOD4 p=5", "PASS L41_SUMS p=5"]
 
 
 def test_scan_writes_one_record_per_prime(tmp_path, capsys):

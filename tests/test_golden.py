@@ -46,6 +46,10 @@ def _run(capsys, *argv) -> str:
         (("charpoly", "--prime", "103", "--json"), "charpoly_103.json"),
         (("compute", "--prime", "103", "--what", "det-aplus,det-aminus,charpoly-aminus", "--json"),
          "compute_103.json"),
+        (("verify", "--from", "3", "--to", "60", "--suite", "all"), "verify_3_60.txt"),
+        (("verify", "--from", "24", "--to", "28", "--suite", "all", "--json"),
+         "verify_24_28_all.json"),
+        (("verify", "--prime", "7", "--suite", "T13_DPMOD4,T13_DPMOD4"), "verify_7_repeat.txt"),
     ],
 )
 def test_stdout_matches_golden(capsys, argv, golden):
