@@ -14,12 +14,20 @@ The four-parameter matrices of the catalog, a_jk + x + (j/p) y + (k/p) z
 + (jk/p) w with a one of A+ and the two (n+1)-square Sun matrices, are
 never built one at a time: `exactla.shifted_dets` broadcasts their samples
 from the base matrix and the symbol vector.
+
+`at(p)` is p's one record, read by `legdet compute` and the catalog alike:
+its invariants, and each named matrix, determinant and charpoly, each
+computed once.  A matrix equal, entry by entry, to the transpose of one
+built before it (A- = A+^T at p ≡ 3 mod 4) shares that one's determinant
+and charpoly; the entries decide, never p mod 4.
 """
 
 from __future__ import annotations
 
-from .exactla import IntMatrix
-from .ntheory import legendre_table
+from functools import cached_property, lru_cache
+
+from .exactla import IntMatrix, IntPoly, charpoly, det_many
+from .ntheory import PrimeInvariants, legendre_table, prime_invariants
 
 _NAMES = ("aplus", "aminus", "ap", "sun_plus", "sun_minus")
 
@@ -73,3 +81,58 @@ def special_eigvecs(p: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"eigenvector pair requires p ≡ 1 (mod 4), got {p}")
     half = symbol_vector(p)
     return [s - 1 for s in half], [s + 1 for s in half]
+
+
+def _is_transpose(a: IntMatrix, b: IntMatrix) -> bool:
+    """a = b^T, entry by entry; b's columns are read one at a time and not
+    kept, so no transposed copy is built."""
+    return a.nrows == b.ncols and all(row == col for row, col in zip(a.rows, zip(*b.rows)))
+
+
+class PrimeRecord:
+    """p's values, each computed on first read and kept."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self._mats: dict[str, IntMatrix] = {}
+        self._rep: dict[str, str] = {}  # whose det and charpoly each name takes
+        self._dets: dict[str, int] = {}
+        self._polys: dict[str, IntPoly] = {}
+
+    @cached_property
+    def invariants(self) -> PrimeInvariants:
+        return prime_invariants(self.p)
+
+    def matrix(self, name: str) -> IntMatrix:
+        """The matrix `name`, built once.  The one place that decides sharing:
+        it takes the det and charpoly of an earlier matrix whose transpose it is."""
+        if name not in self._mats:
+            m = build(name, self.p)
+            self._rep[name] = next((self._rep[e] for e, a in self._mats.items() if _is_transpose(m, a)), name)
+            self._mats[name] = m
+        return self._mats[name]
+
+    def dets(self, *names: str) -> list[int]:
+        """The named matrices' determinants; the unknown ones from one `det_many` call."""
+        for name in names:
+            self.matrix(name)
+        reps = [self._rep[name] for name in names]
+        todo = [r for r in dict.fromkeys(reps) if r not in self._dets]
+        if todo:
+            self._dets.update(zip(todo, det_many(self._mats[r] for r in todo)))
+        return [self._dets[r] for r in reps]
+
+    def charpoly(self, name: str) -> IntPoly:
+        """The charpoly of `name`, computed once and cross-checked against its det."""
+        [d] = self.dets(name)
+        rep = self._rep[name]
+        if rep not in self._polys:
+            self._polys[rep] = charpoly(self._mats[rep], d)
+        return self._polys[rep]
+
+
+@lru_cache(maxsize=1)
+def at(p: int) -> PrimeRecord:
+    """p's record.  Only the last prime's is kept: callers visit one prime at
+    a time, and its matrices are O(p^2)."""
+    return PrimeRecord(p)

@@ -20,10 +20,10 @@ import time
 from typing import Callable
 
 from . import verify as _verify
-from .charmat import build
+from .charmat import PrimeRecord, at
 from .errors import InternalError
-from .exactla import IntMatrix, IntPoly, charpoly, det_many
-from .ntheory import PrimeInvariants, prime_invariants, require_hneg_prime, require_odd_prime
+from .exactla import IntPoly
+from .ntheory import require_hneg_prime, require_odd_prime
 from .realquad import class_number_real, fundamental_unit
 from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, json_safe, scan
 
@@ -35,28 +35,21 @@ EXIT_CONJECTURE = 4
 
 SCHEMA_VERSION = 1
 
-# each compute field as a function of (p, p's invariant record, the
-# determinants of the matrices the asked fields name, the charpoly of a
-# named matrix); the record is computed only when a field in
-# _INVARIANT_FIELDS is asked for.  _cmd_compute builds each named matrix
-# once; one that equals the transpose of an earlier one (A- = A+^T at
-# p ≡ 3 mod 4) takes that one's determinant and charpoly, the other
-# determinants come from one det_many call, and each charpoly, computed once,
-# takes its matrix's determinant from there for the constant-term cross-check
-_COMPUTE: dict[str, Callable[[int, PrimeInvariants | None, dict[str, int], Callable[[str], IntPoly]], object]] = {
-    "dp": lambda p, inv, dets, poly: inv.d_p,
-    "cp": lambda p, inv, dets, poly: inv.c_p,
-    "qp": lambda p, inv, dets, poly: f"{inv.q_p.numerator}/{inv.q_p.denominator}",
-    "hneg": lambda p, inv, dets, poly: inv.h_neg,
-    "det-aplus": lambda p, inv, dets, poly: dets["aplus"],
-    "det-aminus": lambda p, inv, dets, poly: dets["aminus"],
-    "charpoly-aplus": lambda p, inv, dets, poly: poly("aplus"),
-    "charpoly-aminus": lambda p, inv, dets, poly: poly("aminus"),
-    "unit": lambda p, inv, dets, poly: fundamental_unit(p),
-    "hreal": lambda p, inv, dets, poly: class_number_real(p),
+# each compute field as a function of p's record (`charmat.at`), which
+# computes each invariant, determinant and charpoly once
+_COMPUTE: dict[str, Callable[[PrimeRecord], object]] = {
+    "dp": lambda rec: rec.invariants.d_p,
+    "cp": lambda rec: rec.invariants.c_p,
+    "qp": lambda rec: f"{rec.invariants.q_p.numerator}/{rec.invariants.q_p.denominator}",
+    "hneg": lambda rec: rec.invariants.h_neg,
+    "det-aplus": lambda rec: rec.dets("aplus")[0],
+    "det-aminus": lambda rec: rec.dets("aminus")[0],
+    "charpoly-aplus": lambda rec: rec.charpoly("aplus"),
+    "charpoly-aminus": lambda rec: rec.charpoly("aminus"),
+    "unit": lambda rec: fundamental_unit(rec.p),
+    "hreal": lambda rec: class_number_real(rec.p),
 }
 COMPUTE_FIELDS = tuple(_COMPUTE)
-_INVARIANT_FIELDS = frozenset({"dp", "cp", "qp", "hneg"})
 _MATRIX_FIELDS = frozenset({"det-aplus", "det-aminus", "charpoly-aplus", "charpoly-aminus"})
 
 #: The largest n = (p-1)/2 a matrix field takes: up to here charpoly and
@@ -74,12 +67,6 @@ def require_matrix_prime(p: int) -> None:
         )
 
 
-def _is_transpose(a: IntMatrix, b: IntMatrix) -> bool:
-    """a = b^T, entry by entry; b's columns are read one at a time and not
-    kept, so no transposed copy is built."""
-    return a.nrows == b.ncols and all(row == col for row, col in zip(a.rows, zip(*b.rows)))
-
-
 def _cmd_compute(args) -> int:
     p = args.prime
     require_odd_prime(p)
@@ -92,27 +79,10 @@ def _cmd_compute(args) -> int:
             require_hneg_prime(p)
         if name in _MATRIX_FIELDS:
             require_matrix_prime(p)
-    inv = prime_invariants(p) if _INVARIANT_FIELDS.intersection(args.what) else None
-    names = [name for name in ("aplus", "aminus")
-             if f"det-{name}" in args.what or f"charpoly-{name}" in args.what]
-    mats: dict[str, IntMatrix] = {}  # the distinct matrices
-    rep: dict[str, str] = {}  # whose det and charpoly each name takes: its own, or an earlier transpose's
-    for name in names:
-        m = build(name, p)
-        rep[name] = next((e for e in mats if _is_transpose(m, mats[e])), name)
-        if rep[name] == name:
-            mats[name] = m
-    found = dict(zip(mats, det_many(mats.values())))
-    dets = {name: found[rep[name]] for name in names}
-    polys: dict[str, IntPoly] = {}
-
-    def poly(name: str) -> IntPoly:
-        name = rep[name]
-        if name not in polys:
-            polys[name] = charpoly(mats[name], dets[name])
-        return polys[name]
-
-    out = {name: _COMPUTE[name](p, inv, dets, poly) for name in args.what}
+    rec = at(p)
+    # the determinants the fields need, det and charpoly alike, in one batch
+    rec.dets(*(m for m in ("aplus", "aminus") if {f"det-{m}", f"charpoly-{m}"} & set(args.what)))
+    out = {name: _COMPUTE[name](rec) for name in args.what}
     if args.json:
         print(json.dumps({
             k: [str(c) for c in v.coeffs] if isinstance(v, IntPoly) else str(v)

@@ -4,10 +4,11 @@ identity checks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .errors import InternalError
 
@@ -59,20 +60,25 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by a byte sieve."""
-    if hi < 2 or hi < lo:
+    """All primes p with lo <= p <= hi, by a byte sieve of [lo, hi] alone and
+    the primes up to sqrt(hi) (Bays and Hudson, BIT 17, 1977)."""
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if sieve[q]:
-            start = q * q
-            sieve[start :: q] = b"\x00" * ((hi - start) // q + 1)
-    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)  # base[q]: no prime below q divides q
+    window = bytearray([1]) * (hi - lo + 1)  # window[i]: lo + i
+    for q in range(2, root + 1):
+        if base[q]:
+            base[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+            start = max(q * q, -(-lo // q) * q)  # a smaller multiple has a smaller factor
+            window[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), window))
 
 
+@lru_cache(maxsize=1)
 def require_odd_prime(p: int) -> None:
-    """Usage error unless p is an odd prime."""
+    """Usage error unless p is an odd prime; the last p that passed is kept."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 

@@ -14,11 +14,10 @@ direct determinant at each of 20 points drawn from the check's seeded stream
 is compared with both the expansion and the closed form.  All comparisons
 are in integers, multiplied through by det(a).  Each per-prime value is
 computed once per prime and seed and shared by every check that reads it:
-the symbol table, the invariants, the expansions with their sample
-determinants, and one record (`_named`) of the named matrices
-(`charmat.build`) built so far and their determinants.  Only the last
-prime's values are kept, and charpoly takes the known determinants of A+
-and A- for its cross-check.
+the symbol table, the expansions with their sample determinants, and p's
+record (`charmat.at`) of invariants, named matrices, dets and charpolys,
+which `legdet compute` reads too: at p ≡ 3 (mod 4), A- = A+^T entry by
+entry, so det(A-) is det(A+).  Only the last prime's values are kept.
 Determinants that are needed together come from one call: the base
 matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
 samples' from `shifted_dets` (through `param_det_expand` or directly), sized
@@ -45,16 +44,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
-from .charmat import build, special_eigvecs, symbol_vector, theta_vector
+from .charmat import at, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
     IntMatrix,
     IntPoly,
     ParamDet,
     adjugate_apply,
-    charpoly,
     det,
-    det_many,
     mdl_check,
     param_det_expand,
     shifted_dets,
@@ -66,7 +63,6 @@ from .ntheory import (
     half_range_sums,
     legendre_table,
     mordell_residue,
-    prime_invariants,
     primes_in_range,
     quad_char_sum,
     require_odd_prime,
@@ -131,40 +127,10 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=1)
-def _invariants(p: int) -> PrimeInvariants:
-    return prime_invariants(p)
-
-
-@lru_cache(maxsize=1)
-def _named(p: int) -> tuple[dict[str, IntMatrix], dict[str, int]]:
-    """p's record: the named matrices (`charmat.build`) built so far and the
-    determinants computed so far, filled in by `_matrix` and `_base_dets`."""
-    return {}, {}
-
-
-def _matrix(p: int, name: str) -> IntMatrix:
-    """p's matrix `name`, built once per prime."""
-    built, _ = _named(p)
-    if name not in built:
-        built[name] = build(name, p)
-    return built[name]
-
-
-def _base_dets(p: int, *names: str) -> list[int]:
-    """The determinants of p's named matrices, each computed once per prime:
-    the ones not yet known come from one `det_many` call."""
-    _, known = _named(p)
-    todo = [name for name in names if name not in known]
-    if todo:
-        known.update(zip(todo, det_many(_matrix(p, name) for name in todo)))
-    return [known[name] for name in names]
-
-
 def _det_3mod4(p: int) -> int:
     """|A+| = |A-| = (-1)^((h(-p)-1)/2) p^((p-3)/4) for p ≡ 3 (mod 4), p > 3,
     the value T11_DET_3MOD4, T12_II, COR_AFTER_T12 and EQ_38II_QP build on."""
-    return _sign_pow((_invariants(p).h_neg - 1) // 2) * p ** ((p - 3) // 4)
+    return _sign_pow((at(p).invariants.h_neg - 1) // 2) * p ** ((p - 3) // 4)
 
 
 def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int, alpha: int | None = None):
@@ -181,15 +147,15 @@ def _aplus_pd(p: int, seed: int):
     (p ≡ 1 mod 4) or T12_II's points; COR_AFTER_T12 and EQ_38II_QP read the
     same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
-    [alpha] = _base_dets(p, "aplus")
-    return _expand(_matrix(p, "aplus"), symbol_vector(p), name, p, seed, alpha)
+    [alpha] = at(p).dets("aplus")
+    return _expand(at(p).matrix("aplus"), symbol_vector(p), name, p, seed, alpha)
 
 
 @lru_cache(maxsize=1)
 def _sun_pd(p: int, plus: bool, seed: int):
     name = "SUN_C31_I" if plus else "SUN_C31_II"
     # the symbol vector over 0..n, with (0/p) = 0
-    a = _matrix(p, "sun_plus" if plus else "sun_minus")
+    a = at(p).matrix("sun_plus" if plus else "sun_minus")
     return _expand(a, [0, *symbol_vector(p)], name, p, seed)
 
 
@@ -244,9 +210,9 @@ def _two_layer(
 def _run_t11_charpoly(p: int, seed: int):
     want_plus = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
     want_minus = IntPoly((-p, 0, 1)) ** ((p - 1) // 4)
-    d_plus, d_minus = _base_dets(p, "aplus", "aminus")
-    got_plus = charpoly(_matrix(p, "aplus"), d_plus)
-    got_minus = charpoly(_matrix(p, "aminus"), d_minus)
+    rec = at(p)
+    rec.dets("aplus", "aminus")  # both cross-check determinants in one batch
+    got_plus, got_minus = rec.charpoly("aplus"), rec.charpoly("aminus")
     ok = got_plus == want_plus and got_minus == want_minus
     wit = {"charpoly_aplus": str(got_plus), "charpoly_aminus": str(got_minus)}
     if not ok:
@@ -258,7 +224,7 @@ def _run_t11_det_1mod4(p: int, seed: int):
     two = legendre_table(p).vals[2]
     want_plus = two * p ** ((p - 5) // 4)
     want_minus = two * p ** ((p - 1) // 4)
-    dp_, dm = _base_dets(p, "aplus", "aminus")
+    dp_, dm = at(p).dets("aplus", "aminus")
     ok = dp_ == want_plus and dm == want_minus
     wit = {"det_aplus": str(dp_), "det_aminus": str(dm)}
     if not ok:
@@ -268,9 +234,9 @@ def _run_t11_det_1mod4(p: int, seed: int):
 
 def _run_t11_det_3mod4(p: int, seed: int):
     want = _det_3mod4(p)
-    dp_, dm = _base_dets(p, "aplus", "aminus")
+    dp_, dm = at(p).dets("aplus", "aminus")
     ok = dp_ == dm == want
-    wit = {"det_aplus": str(dp_), "det_aminus": str(dm), "h_neg": _invariants(p).h_neg}
+    wit = {"det_aplus": str(dp_), "det_aminus": str(dm), "h_neg": at(p).invariants.h_neg}
     if not ok:
         wit["note"] = f"expected both determinants = {want}"
     return ok, wit
@@ -289,7 +255,7 @@ def _run_t12_i(p: int, seed: int):
 
 
 def _run_t12_ii(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     n, c, d_p = inv.n, inv.c_p, inv.d_p
     d_det = _det_3mod4(p)
     e = (d_det // p) * (n + 2 * (d_p - c * c))  # p^((p-3)/4) >= p here
@@ -305,14 +271,14 @@ def _run_t12_ii(p: int, seed: int):
 
 
 def _run_cor_after_t12(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     n, c = inv.n, inv.c_p
     d_det = _det_3mod4(p)
     pd, _ = _aplus_pd(p, seed)
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
     # both, one of x and w is 0, so one form covers the two restrictions, and
     # it is affine on each, so 0, e1, e2 and e4 prove it
-    a, f = _matrix(p, "aplus"), symbol_vector(p)
+    a, f = at(p).matrix("aplus"), symbol_vector(p)
     points = [
         pt
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
@@ -331,7 +297,7 @@ def _run_cor_after_t12(p: int, seed: int):
 
 
 def _run_eq_38ii_qp(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     n, c, q = inv.n, inv.c_p, inv.q_p
     two = legendre_table(p).vals[2]
     d_det = _det_3mod4(p)
@@ -352,7 +318,7 @@ def _run_eq_38ii_qp(p: int, seed: int):
 
 
 def _run_t13(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     ok = (inv.d_p + inv.n) % 4 == 0
     wit = {"d_p": inv.d_p, "n": inv.n}
     if not ok:
@@ -361,7 +327,7 @@ def _run_t13(p: int, seed: int):
 
 
 def _run_conj11(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     d_p = inv.d_p
     if p % 8 == 1:
         want, mod = 4 * (1 - _sign_pow((p - 1) // 8)), 16
@@ -396,7 +362,7 @@ def _run_l22(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
     sgn = 1 if p % 4 == 1 else -1
-    ap, am = _matrix(p, "aplus"), _matrix(p, "aminus")
+    ap, am = at(p).matrix("aplus"), at(p).matrix("aminus")
     want_plus = IntMatrix(
         [
             [(p if j == k else 0) - 2 - (1 + sgn) * v[j * k % p] for k in range(1, n + 1)]
@@ -423,7 +389,7 @@ def _run_l23(p: int, seed: int):
     # v1 is zero exactly at the residues; half of 1..n makes v1 and v2 nonzero
     if v1.count(0) != (p - 1) // 4:
         return False, {"note": "residues do not fill half of 1..n"}
-    ap = _matrix(p, "aplus")
+    ap = at(p).matrix("aplus")
     wit = {"v1_fixed": ap.matvec(v1) == v1, "v2_negated": ap.matvec(v2) == [-t for t in v2]}
     ok = wit["v1_fixed"] and wit["v2_negated"]
     if not ok:
@@ -434,7 +400,7 @@ def _run_l23(p: int, seed: int):
 def _run_l24(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
-    ap = _matrix(p, "aplus")
+    ap = at(p).matrix("aplus")
     sq = ap @ ap
     for want_sym in (1, -1):
         group = [j for j in range(1, n + 1) if v[j] == want_sym]
@@ -450,7 +416,7 @@ def _run_l24(p: int, seed: int):
 
 
 def _run_l25_ap_neg(p: int, seed: int):
-    [d] = _base_dets(p, "ap")
+    [d] = at(p).dets("ap")
     ok = d < 0
     wit = {"det_ap": str(d)}
     if not ok:
@@ -488,7 +454,7 @@ def _run_l25_eigs(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
     lam_n = sum(v[(k + 1) % p] for k in range(1, p))  # the one real eigenvalue
-    [d] = _base_dets(p, "ap")  # its sign is L25_AP_NEG's statement
+    [d] = at(p).dets("ap")  # its sign is L25_AP_NEG's statement
     ok_n = lam_n == -1
     wit = {"lambda_n": lam_n, "det_ap": str(d), "product_checked": p <= _EIG_PRODUCT_CAP}
     ok_prod = True
@@ -520,7 +486,7 @@ def _run_l25_eigs(p: int, seed: int):
 def _run_atheta(p: int, seed: int):
     th = theta_vector(p)
     n = (p - 1) // 2
-    got = _matrix(p, "aplus").matvec(th)
+    got = at(p).matrix("aplus").matvec(th)
     ok = got == [p] * n
     wit = {"theta_integral": True}
     if not ok:
@@ -529,11 +495,11 @@ def _run_atheta(p: int, seed: int):
 
 
 def _run_eq_dp_u1au0(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     n = inv.n
     u1 = symbol_vector(p)
-    [d] = _base_dets(p, "aplus")
-    w, _ = adjugate_apply(_matrix(p, "aplus"), IntMatrix([[1]] * n), d)
+    [d] = at(p).dets("aplus")
+    w, _ = adjugate_apply(at(p).matrix("aplus"), IntMatrix([[1]] * n), d)
     lhs = p * sum(s * wi for s, (wi,) in zip(u1, w.rows))
     rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
     ok = lhs == rhs
@@ -556,7 +522,7 @@ def _run_l41(p: int, seed: int):
 
 
 def _run_eq_dcount(p: int, seed: int):
-    inv = _invariants(p)
+    inv = at(p).invariants
     v = legendre_table(p).vals
     n = inv.n
     s1 = inv.sum_half
@@ -675,13 +641,7 @@ def _run_sun(p: int, seed: int, plus: bool):
 
 
 def _run_mordell(p: int, seed: int):
-    v = legendre_table(p).vals
-    n = (p - 1) // 2
-    s = sum(v[1 : n + 1])
-    denom = 2 - v[2]
-    if s % denom != 0:
-        return False, {"note": f"character sum {s} not divisible by {denom}"}
-    h = s // denom
+    h = at(p).invariants.h_neg
     fact = factorial_half_mod(p)
     want = mordell_residue(p, h)
     ok = fact == want
@@ -929,7 +889,7 @@ def checks_at(p: int, ids: Sequence[CheckId], seed: int) -> tuple[list[CheckResu
 
 
 def _scan_one(p: int, ids: tuple[CheckId, ...], seed: int) -> tuple[ScanRecord, list[Outcome]]:
-    inv = _invariants(p)  # shared with the per-check cache in this process
+    inv = at(p).invariants
     results, outcomes = checks_at(p, ids, seed)
     checks: dict[str, dict] = {}
     for res in results:

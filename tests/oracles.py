@@ -24,6 +24,19 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def primes_in_range_by_full_sieve(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, by a byte sieve of all of [0, hi]."""
+    if hi < 2 or hi < lo:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for q in range(2, int(hi**0.5) + 1):
+        if sieve[q]:
+            start = q * q
+            sieve[start :: q] = b"\x00" * ((hi - start) // q + 1)
+    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+
+
 def euler_legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:

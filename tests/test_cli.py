@@ -3,6 +3,7 @@ import time
 
 import oracles
 import pytest
+import legdet.charmat as charmat
 from legdet.charmat import build
 from legdet.cli import CSV_HEADER, main
 from legdet.errors import InternalError
@@ -68,72 +69,66 @@ def test_matrix_dimension_guard_is_a_pure_function_of_p():
 
 
 @pytest.mark.parametrize("what", ["det-aplus", "det-aminus", "charpoly-aplus", "charpoly-aminus"])
-def test_compute_matrix_field_just_above_the_dimension_limit(capsys, monkeypatch, what):
+def test_compute_matrix_field_just_above_the_dimension_limit(capsys, monkeypatch, fresh_caches, what):
     # p = 4099 gives n = 2049: refused before any matrix is built
-    import legdet.cli as cli
-
-    monkeypatch.setattr(cli, "build", lambda *a: pytest.fail("built a matrix"))
+    monkeypatch.setattr(charmat, "build", lambda *a: pytest.fail("built a matrix"))
     code, out, err = run(capsys, "compute", "--prime", "4099", "--what", f"dp,{what}")
     assert code == 2 and out == ""
     assert "n = (p-1)/2 = 2049 is above 2048" in err
     assert main(["charpoly", "--prime", "4099"]) == 2
 
 
-def test_compute_validates_every_field_before_computing(capsys, monkeypatch):
-    import legdet.cli as cli
-
+def test_compute_validates_every_field_before_computing(capsys, monkeypatch, fresh_caches):
     calls = []
-    monkeypatch.setattr(cli, "charpoly", calls.append)
+    monkeypatch.setattr(charmat, "charpoly", calls.append)
     code, out, err = run(capsys, "compute", "--prime", "419", "--what", "charpoly-aplus,nope")
     assert code == 2 and out == "" and "unknown field 'nope'" in err
     assert calls == []
 
 
-def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeypatch):
+def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeypatch, fresh_caches):
     # legdet charpoly batches det(A+) and det(A-) and hands each to its
     # charpoly for the constant-term cross-check; a det field of a matrix
     # whose charpoly is also asked for adds nothing to the batch
-    import legdet.cli as cli
     import legdet.exactla as ex
 
     batches, handed = [], []
-    monkeypatch.setattr(cli, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
-    monkeypatch.setattr(cli, "charpoly", lambda m, d: handed.append(d) or ex.charpoly(m, d))
+    monkeypatch.setattr(charmat, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(charmat, "charpoly", lambda m, d: handed.append(d) or ex.charpoly(m, d))
     code, out, _ = run(capsys, "charpoly", "--prime", "29", "--json")
     assert code == 0
-    assert batches == [[cli.build("aplus", 29), cli.build("aminus", 29)]]
+    assert batches == [[build("aplus", 29), build("aminus", 29)]]
     payload = json.loads(out)  # n = 14, so each constant term is the det
     assert handed == [int(payload[f"charpoly-{name}"][0]) for name in ("aplus", "aminus")]
     batches.clear()
+    charmat.at.cache_clear()  # as in a new process
     code, out, _ = run(capsys, "compute", "--prime", "29", "--what", "det-aminus,charpoly-aminus,dp", "--json")
-    assert code == 0 and batches == [[cli.build("aminus", 29)]]
+    assert code == 0 and batches == [[build("aminus", 29)]]
     assert json.loads(out)["det-aminus"] == json.loads(out)["charpoly-aminus"][0]
 
 
 def _count_matrix_work(monkeypatch):
-    """Patches cli and exactla so that every det_many batch cli makes, and
-    every charpoly CRT, is recorded; returns (batches, charpoly CRTs)."""
-    import legdet.cli as cli
+    """Patches charmat and exactla so that every det_many batch the record
+    makes, and every charpoly CRT, is recorded; returns (batches, charpoly
+    CRTs)."""
     import legdet.exactla as ex
 
     batches, crts = [], []
     real_crt = ex._crt
-    monkeypatch.setattr(cli, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(charmat, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
     monkeypatch.setattr(ex, "_crt", lambda kernel, *a, **kw: (
         crts.append(kernel) if kernel is ex._charpoly_mod else None) or real_crt(kernel, *a, **kw))
     return batches, crts
 
 
 @pytest.mark.parametrize("p, distinct", [(29, 2), (31, 1), (101, 2), (103, 1)])
-def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, monkeypatch, p, distinct):
+def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, monkeypatch, fresh_caches, p, distinct):
     # at p ≡ 3 (mod 4), A- = A+^T: det(A+) alone is batched, and one
     # charpoly CRT serves both fields; at p ≡ 1 (mod 4) both are computed
-    import legdet.cli as cli
-
     batches, crts = _count_matrix_work(monkeypatch)
     code, out, _ = run(capsys, "charpoly", "--prime", str(p), "--json")
     assert code == 0
-    assert batches == [[cli.build("aplus", p), cli.build("aminus", p)][:distinct]]
+    assert batches == [[build("aplus", p), build("aminus", p)][:distinct]]
     assert len(crts) == distinct
     payload = json.loads(out)
     assert (payload["charpoly-aplus"] == payload["charpoly-aminus"]) == (distinct == 1)
@@ -145,11 +140,9 @@ def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, 
     # A- replaced by A+^T at p ≡ 1 (mod 4)
     (29, lambda m: IntMatrix(zip(*build("aplus", 29).rows)), 1),
 ])
-def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypatch, p, tamper, distinct):
-    import legdet.cli as cli
-
-    real_build = cli.build
-    monkeypatch.setattr(cli, "build", lambda name, q: tamper(real_build(name, q)) if name == "aminus" else real_build(name, q))
+def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypatch, fresh_caches, p, tamper, distinct):
+    real_build = charmat.build
+    monkeypatch.setattr(charmat, "build", lambda name, q: tamper(real_build(name, q)) if name == "aminus" else real_build(name, q))
     batches, crts = _count_matrix_work(monkeypatch)
     code, out, _ = run(capsys, "compute", "--prime", str(p), "--what", "det-aminus,charpoly-aplus,charpoly-aminus", "--json")
     assert code == 0 and len(batches) == 1 and len(batches[0]) == len(crts) == distinct
@@ -159,9 +152,10 @@ def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypa
     assert payload["charpoly-aminus"] == [str(c) for c in charpoly(aminus).coeffs]
 
 
-def test_reused_aminus_matches_its_own_det_and_charpoly_to_199(capsys, monkeypatch):
+def test_reused_aminus_matches_its_own_det_and_charpoly_to_199(capsys, monkeypatch, fresh_caches):
     # differential: at every p ≡ 3 (mod 4) up to 199, det(A-) and
-    # charpoly(A-) taken from A+ equal those computed from A- itself
+    # charpoly(A-) taken from A+ equal those computed from A- itself, in
+    # compute and in verify's T11_DET_3MOD4 alike
     batches, _ = _count_matrix_work(monkeypatch)
     for p in primes_in_range(3, 199):
         if p % 4 != 3:
@@ -172,18 +166,22 @@ def test_reused_aminus_matches_its_own_det_and_charpoly_to_199(capsys, monkeypat
         assert code == 0 and len(batches) == 1 and len(batches[0]) == 1, p
         aminus = build("aminus", p)
         payload = json.loads(out)
-        assert payload["det-aminus"] == str(det(aminus)), p
+        d_minus = str(det(aminus))
+        assert payload["det-aminus"] == d_minus, p
         assert payload["charpoly-aminus"] == [str(c) for c in charpoly(aminus).coeffs], p
+        if p > 3:
+            charmat.at.cache_clear()  # as in a new process
+            code, out, _ = run(capsys, "verify", "--prime", str(p), "--suite", "T11_DET_3MOD4", "--json")
+            [res] = json.loads(out)["results"]
+            assert code == 0 and res["witness"]["det_aminus"] == d_minus, p
 
 
-def test_out_of_memory_is_an_internal_error(capsys, monkeypatch):
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch, fresh_caches):
     # exit 1 means a proved statement failed; running out of memory is exit 3
-    import legdet.cli as cli
-
     def exhausted(p):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "prime_invariants", exhausted)
+    monkeypatch.setattr(charmat, "prime_invariants", exhausted)
     code, out, err = run(capsys, "compute", "--prime", "7", "--what", "dp")
     assert (code, out) == (3, "")
     assert err == "internal error: out of memory\n"
@@ -210,12 +208,10 @@ def test_compute_hneg_wrong_class_message(capsys):
         assert err == f"error: h(-p) requires a prime p ≡ 3 (mod 4) with p > 3, got {p}\n"
 
 
-def test_compute_reads_one_invariant_record(capsys, monkeypatch):
-    import legdet.cli as cli
-
+def test_compute_reads_one_invariant_record(capsys, monkeypatch, fresh_caches):
     calls = []
-    real = cli.prime_invariants
-    monkeypatch.setattr(cli, "prime_invariants", lambda p: calls.append(p) or real(p))
+    real = charmat.prime_invariants
+    monkeypatch.setattr(charmat, "prime_invariants", lambda p: calls.append(p) or real(p))
     code, out, _ = run(
         capsys, "compute", "--prime", "1019", "--what", "dp,cp,qp,hneg", "--json"
     )

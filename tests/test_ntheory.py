@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,41 @@ def test_primes_in_range():
     assert primes_in_range(3, 20) == [3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(14, 16) == []
     assert len(primes_in_range(2, 1000)) == 168
+
+
+# window ends up to 10^6: the edges of 0, 1 and 2, squares of primes and
+# their neighbours, and 10^k
+_SIEVE_POINTS = (0, 1, 2, 3, 48, 49, 50, 960, 961, 10**4, 65536, 994008, 994009, 10**6)
+
+
+def test_primes_in_range_matches_the_full_sieve_to_10_6():
+    for hi in range(61):
+        for lo in range(-2, hi + 2):
+            assert primes_in_range(lo, hi) == oracles.primes_in_range_by_full_sieve(lo, hi), (lo, hi)
+    full = oracles.primes_in_range_by_full_sieve(0, 10**6)
+    for hi in _SIEVE_POINTS:
+        for lo in _SIEVE_POINTS:
+            want = full[bisect.bisect_left(full, lo) : bisect.bisect_right(full, hi)]
+            assert primes_in_range(lo, hi) == want, (lo, hi)
+
+
+def test_primes_in_range_on_seeded_windows_above_10_8():
+    rng = random.Random(2024)
+    for _ in range(3):
+        lo = rng.randrange(10**8, 10**9)
+        hi = lo + 10**4
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)], lo
+
+
+def test_primes_in_range_memory_follows_the_window():
+    # a sieve of all of [0, hi] would take 100 MB here
+    tracemalloc.start()
+    try:
+        found = primes_in_range(10**8, 10**8 + 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 551 and peak < 10**6
 
 
 def test_legendre_examples():

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -194,32 +193,6 @@ def test_scan_records_failure_note(monkeypatch):
 # --- the two-layer sample comparison ------------------------------------------
 
 
-def _cache_clearers():
-    """Every lru_cache in a legdet module except the CRT moduli list, the
-    rule bench/run.py's cache_clearers uses."""
-    out = []
-    for name, mod in list(sys.modules.items()):
-        if name == "legdet" or name.startswith("legdet."):
-            for obj in vars(mod).values():
-                clear = getattr(obj, "cache_clear", None)
-                if callable(clear) and obj is not legdet.exactla.moduli and clear not in out:
-                    out.append(clear)
-    return out
-
-
-@pytest.fixture
-def fresh_caches():
-    # the tables, expansions and invariants a test computes under a patch
-    # must not outlive it, and a cached value must not hide the patch; the
-    # caches are collected before the test patches any name
-    clearers = _cache_clearers()
-    for clear in clearers:
-        clear()
-    yield
-    for clear in clearers:
-        clear()
-
-
 def _patch_det(monkeypatch, replacement):
     """Replace exactla._dets, the one door of every determinant (det_many's
     and shifted_dets' alike), by one that returns replacement(m, det(m)) for
@@ -318,13 +291,13 @@ def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
 def test_wrong_c_p_fails_both_layers_of_t12_ii(monkeypatch, fresh_caches, capsys):
     # T12_II states its closed form once; with c_p off by one at p = 103,
     # both layer-1 fields and the samples disagree with it
-    real = v._invariants
+    real = charmat.prime_invariants
 
     def off_by_one(p):
         inv = real(p)
         return dataclasses.replace(inv, c_p=inv.c_p + 1) if p == 103 else inv
 
-    monkeypatch.setattr(v, "_invariants", off_by_one)
+    monkeypatch.setattr(charmat, "prime_invariants", off_by_one)
     res = check(CheckId.T12_II, 103, seed=0)
     assert res.passed is False
     assert res.witness["coeffs_match"] is False and res.witness["base_dets_match"] is False
@@ -398,6 +371,15 @@ def test_mordell_violation_exits_1_under_suite_all(monkeypatch, fresh_caches, ca
     out = capsys.readouterr().out
     assert "FAIL MORDELL p=7" in out
     assert out.count("FAIL") == 1
+
+
+def test_mordell_reads_h_from_the_invariant_record(monkeypatch, fresh_caches):
+    # h(-7) = 1 put off by 2 flips (-1)^((h+1)/2): MORDELL fails on the h the
+    # record holds, not on one it derives itself
+    real = charmat.prime_invariants
+    monkeypatch.setattr(charmat, "prime_invariants", lambda p: dataclasses.replace(real(p), h_neg=3))
+    res = check(CheckId.MORDELL, 7)
+    assert res.passed is False and res.witness["h_neg"] == 3
 
 
 def test_special_eigvecs_half_fill_failure_is_a_check_failure(monkeypatch, fresh_caches, capsys):
@@ -476,6 +458,13 @@ def test_verify_computes_det_aplus_and_aminus_once_at_1mod4(monkeypatch, fresh_c
     assert counts == {"aplus": 1, "aminus": 1}
 
 
+def test_verify_takes_det_aminus_from_det_aplus_at_3mod4(monkeypatch, fresh_caches, capsys):
+    # A- = A+^T at p ≡ 3 (mod 4), entry by entry: det(A-) is never computed
+    counts = _count_base_dets(monkeypatch, 103)
+    assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
+    assert counts == {"aplus": 1, "aminus": 0}
+
+
 @pytest.mark.parametrize("argv, want", [
     (["compute", "--prime", "101", "--what", "charpoly-aplus,det-aplus,det-aminus,charpoly-aminus"],
      {"aplus": 1, "aminus": 1}),
@@ -498,11 +487,13 @@ def test_charpoly_cross_checks_the_determinant_it_is_given():
 
 
 def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_caches):
+    # the one call holds A+ alone: A- = A+^T takes its determinant
     calls = []
     real = legdet.exactla.det_many
-    monkeypatch.setattr(v, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
-    assert check(CheckId.T11_DET_3MOD4, 103).passed
-    assert calls == [[build("aplus", 103), build("aminus", 103)]]
+    monkeypatch.setattr(charmat, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
+    res = check(CheckId.T11_DET_3MOD4, 103)
+    assert res.passed and res.witness["det_aminus"] == res.witness["det_aplus"]
+    assert calls == [[build("aplus", 103)]]
 
 
 def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
@@ -549,16 +540,35 @@ def test_scan_runs_each_seed_only_suite_once(monkeypatch, fresh_caches, tmp_path
         assert '"T31_RANDOM":{"passed":true}' in r and '"MDL_RANDOM":{"passed":true}' in r
 
 
+def test_scan_tests_each_prime_once(monkeypatch, fresh_caches, tmp_path, capsys):
+    # every check and the symbol table validate p, but only the first
+    # validation of a prime runs is_prime
+    calls = []
+    real = ntheory.is_prime
+    monkeypatch.setattr(ntheory, "is_prime", lambda n: calls.append(n) or real(n))
+    out = tmp_path / "scan.jsonl"
+    argv = ["scan", "--from", "3", "--to", "500", "--ids", "T13_DPMOD4,CONJ11_DP,EQ_DCOUNT",
+            "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == primes_in_range(3, 500)
+    calls.clear()
+    for _ in range(2):  # a failure is not remembered
+        with pytest.raises(ValueError, match="not an odd prime"):
+            ntheory.require_odd_prime(9)
+    assert calls == [9, 9]
+
+
 def test_per_prime_caches_hold_one_prime(fresh_caches):
     assert check(CheckId.ATHETA, 103).passed and check(CheckId.ATHETA, 107).passed
     caches = {
-        name: obj.cache_info() for name, obj in vars(v).items()
-        if hasattr(obj, "cache_info") and obj.__module__ == v.__name__
+        f"{mod.__name__}.{name}": obj.cache_info() for mod in (v, charmat) for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
         and obj is not v._seeded_suite  # per seed, not per prime
     }
-    assert set(caches) == {"_invariants", "_named", "_aplus_pd", "_sun_pd"}
+    assert set(caches) == {"legdet.verify._aplus_pd", "legdet.verify._sun_pd", "legdet.charmat.at"}
     assert all(c.maxsize == 1 and c.currsize <= 1 for c in caches.values())
-    assert caches["_named"].currsize == 1
+    # one record per prime, and only the last one kept
+    assert caches["legdet.charmat.at"].misses == 2 and caches["legdet.charmat.at"].currsize == 1
 
 
 def test_seed_only_suite_witness_is_a_copy(fresh_caches):
