@@ -5,7 +5,6 @@ and an executable catalog of the identities they satisfy."""
 from .charmat import build, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
-    IntMatrix,
     IntPoly,
     ParamDet,
     adjugate_apply,

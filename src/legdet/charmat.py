@@ -1,8 +1,9 @@
 """Builders for the Legendre-symbol matrices and the special vectors tied to
 them.  All entries come from the one cached symbol table
 (`ntheory.legendre_table`), so construction is O(size) once the prime's
-table exists.  `build` takes each matrix by name, with one entry formula
-per name; with n = (p-1)/2 and (a/p) the Legendre symbol:
+table exists.  `build` takes each matrix by name and returns it as a
+read-only int64 array, indexed out of the table by one formula per name;
+with n = (p-1)/2 and (a/p) the Legendre symbol:
 
   aplus      A+    [((j+k)/p) + ((j-k)/p)]         1 <= j,k <= n
   aminus     A-    [((j+k)/p) - ((j-k)/p)]         1 <= j,k <= n
@@ -26,28 +27,34 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .exactla import IntMatrix, IntPoly, charpoly, det_many
+import numpy as np
+
+from .exactla import IntPoly, charpoly, det_many
 from .ntheory import PrimeInvariants, legendre_table, prime_invariants
 
-_NAMES = ("aplus", "aminus", "ap", "sun_plus", "sun_minus")
+# entry (j, k) of each matrix from the symbol array v, as index arrays j (a
+# column) and k (a row); j*j + j*k < 2^61 for every p a table allows
+_FORMULAS = {
+    "aplus": lambda v, j, k, p: v[j + k] + v[(j - k) % p],
+    "aminus": lambda v, j, k, p: v[j + k] - v[(j - k) % p],
+    "ap": lambda v, j, k, p: v[(j * j + j * k) % p] + v[(j * j - j * k) % p],
+    "sun_plus": lambda v, j, k, p: v[j + k],
+    "sun_minus": lambda v, j, k, p: v[(j - k) % p],
+}
 
 
-def build(name: str, p: int) -> IntMatrix:
+def build(name: str, p: int) -> np.ndarray:
     """The matrix `name` (one of aplus, aminus, ap, sun_plus, sun_minus) of
-    the odd prime p; ValueError for any other name."""
-    if name not in _NAMES:
-        raise ValueError(f"unknown matrix {name!r}: expected one of {', '.join(_NAMES)}")
-    v = legendre_table(p).vals
-    idx = range(0 if name.startswith("sun") else 1, (p - 1) // 2 + 1)  # 0..n or 1..n
-    if name == "sun_plus":
-        return IntMatrix([[v[j + k] for k in idx] for j in idx])
-    if name == "sun_minus":
-        return IntMatrix([[v[(j - k) % p] for k in idx] for j in idx])
-    if name == "aminus":
-        return IntMatrix([[v[j + k] - v[(j - k) % p] for k in idx] for j in idx])
-    if name == "ap":
-        return IntMatrix([[v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in idx] for j in idx])
-    return IntMatrix([[v[j + k] + v[(j - k) % p] for k in idx] for j in idx])
+    the odd prime p, as a read-only int64 array; ValueError for any other
+    name."""
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown matrix {name!r}: expected one of {', '.join(_FORMULAS)}")
+    # every entry is in [-2, 2]: gathered as int8, widened once
+    v = np.array(legendre_table(p).vals, dtype=np.int8)
+    idx = np.arange(0 if name.startswith("sun") else 1, (p - 1) // 2 + 1)  # 0..n or 1..n
+    m = _FORMULAS[name](v, idx[:, None], idx, p).astype(np.int64)
+    m.flags.writeable = False
+    return m
 
 
 def symbol_vector(p: int) -> list[int]:
@@ -83,10 +90,9 @@ def special_eigvecs(p: int) -> tuple[list[int], list[int]]:
     return [s - 1 for s in half], [s + 1 for s in half]
 
 
-def _is_transpose(a: IntMatrix, b: IntMatrix) -> bool:
-    """a = b^T, entry by entry; b's columns are read one at a time and not
-    kept, so no transposed copy is built."""
-    return a.nrows == b.ncols and all(row == col for row, col in zip(a.rows, zip(*b.rows)))
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    """a = b^T, entry by entry (b.T is a view, not a copy)."""
+    return np.array_equal(a, b.T)
 
 
 class PrimeRecord:
@@ -94,7 +100,7 @@ class PrimeRecord:
 
     def __init__(self, p: int):
         self.p = p
-        self._mats: dict[str, IntMatrix] = {}
+        self._mats: dict[str, np.ndarray] = {}
         self._rep: dict[str, str] = {}  # whose det and charpoly each name takes
         self._dets: dict[str, int] = {}
         self._polys: dict[str, IntPoly] = {}
@@ -103,9 +109,10 @@ class PrimeRecord:
     def invariants(self) -> PrimeInvariants:
         return prime_invariants(self.p)
 
-    def matrix(self, name: str) -> IntMatrix:
-        """The matrix `name`, built once.  The one place that decides sharing:
-        it takes the det and charpoly of an earlier matrix whose transpose it is."""
+    def matrix(self, name: str) -> np.ndarray:
+        """The matrix `name`, built once and read-only.  The one place that
+        decides sharing: it takes the det and charpoly of an earlier matrix
+        whose transpose it is."""
         if name not in self._mats:
             m = build(name, self.p)
             self._rep[name] = next((self._rep[e] for e, a in self._mats.items() if _is_transpose(m, a)), name)

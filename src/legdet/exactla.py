@@ -10,6 +10,12 @@ arithmetic: `ParamDet` holds its expansion times det(a), an integer
 polynomial, and the matrix-determinant lemma is checked in integers,
 through the adjugate.
 
+A matrix is an integer numpy array, or nested lists of ints.  Each public
+function turns its input into a kernel array in one place (`_int_array`):
+int64 when every |entry| is below 2^62, an object array of Python ints
+otherwise, never a dtype that numpy infers.  Row and column norms come from
+one helper (`_sq_norms`), and their products stay Python ints.
+
 Each modular operation has one numpy int64 kernel.  The moduli are sized
 from the number of residue products an intermediate sums (`modulus_bits`),
 so no kernel can overflow: 27 bits for det, and for charpoly and solve up
@@ -44,9 +50,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -99,10 +106,44 @@ def crt_symmetric(residues: Sequence[int], mods: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_array(rows: Sequence[Sequence[int]], max_abs: int) -> np.ndarray:
-    """rows as an int64 array, or as an object array of Python ints when an
-    entry reaches 2^62; `_residues` brings either into int64."""
-    return np.array(rows, dtype=np.int64 if max_abs < 2**62 else object)
+#: A matrix as the functions below take it: an integer array, or nested
+#: lists of ints (`_int_array` turns either into a kernel array).
+Matrix = Union[np.ndarray, Sequence[Sequence[int]]]
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |entry| of an int64 or Python-int array, exactly (-2^63 included)."""
+    return max(-int(a.min()), int(a.max()))
+
+
+def _int_array(m: Matrix) -> np.ndarray:
+    """The nonempty 2-D integer matrix m as a kernel array: int64 when every
+    |entry| is below 2^62, otherwise an object array of Python ints, which
+    `_residues` brings into int64.  The one place where an input becomes a
+    kernel array.  numpy never infers the dtype here: it would make
+    [[2^63, 1]] float64 and feed a rounded value into a determinant.  So a
+    float, unsigned or bool array, or an entry that is not an integer, is a
+    ValueError."""
+    a = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+    if a.dtype.kind not in "iO":
+        raise ValueError(f"integer matrix required, got dtype {a.dtype}")
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"nonempty 2-D matrix required, got shape {a.shape}")
+    if a.dtype == object:
+        try:  # every entry a Python int: an np.int64 inside would overflow
+            a = np.frompyfunc(operator.index, 1, 1)(a)
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+    return a.astype(np.int64 if _max_abs(a) < 2**62 else object, copy=False)
+
+
+def _sq_norms(a: np.ndarray, axis: int = 1) -> list[int]:
+    """The squared norms of the rows (axis 1) or columns (axis 0) of the
+    kernel array a, as Python ints: in int64 when a sum of a.shape[axis]
+    squares stays below 2^63, over Python ints otherwise."""
+    if a.dtype != object and a.shape[axis] * _max_abs(a) ** 2 >= 2**63:
+        a = a.astype(object)
+    return (a * a).sum(axis=axis).tolist()
 
 
 def _residues(a: np.ndarray, m) -> np.ndarray:
@@ -298,75 +339,8 @@ def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# matrices and polynomials
+# polynomials
 # ---------------------------------------------------------------------------
-
-
-class IntMatrix:
-    """Immutable dense matrix of Python integers, row-major."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(map(int, row)) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("matrix rows must have equal length")
-        self.rows = data
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-    def max_abs(self) -> int:
-        return max(max(map(abs, row)) for row in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def matvec(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return [sum(a * x for a, x in zip(row, v)) for row in self.rows]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        # int64 when the product cannot overflow, Python ints otherwise
-        big = self.ncols * self.max_abs() * other.max_abs() >= 2**62
-        dtype = object if big else np.int64
-        prod = np.array(self.rows, dtype=dtype) @ np.array(other.rows, dtype=dtype)
-        return IntMatrix(prod.tolist())
 
 
 class IntPoly:
@@ -444,15 +418,17 @@ class IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def _require_square(m: IntMatrix) -> None:
-    if not m.is_square:
-        raise ValueError(f"square matrix required, got {m.nrows}x{m.ncols}")
+def _square(m: Matrix) -> np.ndarray:
+    """m as a kernel array (`_int_array`); ValueError unless it is square."""
+    a = _int_array(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"square matrix required, got {a.shape[0]}x{a.shape[1]}")
+    return a
 
 
-def det_bareiss(m: IntMatrix) -> int:
+def det_bareiss(m: Matrix) -> int:
     """Fraction-free Bareiss elimination; every intermediate stays integral."""
-    _require_square(m)
-    return _bareiss(m.to_lists())
+    return _bareiss(_square(m).tolist())
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -476,16 +452,6 @@ def _bareiss(a: list[list[int]]) -> int:
             ai[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
-    h2 = 1
-    for row in rows:
-        norm = sum(x * x for x in row)
-        if norm == 0:
-            return 0
-        h2 *= norm
-    return h2
 
 
 def _ceil_sqrt(q: int) -> int:
@@ -571,15 +537,20 @@ def _crt_dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
     return out
 
 
-def _dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
+#: The largest n whose determinant `_dets` takes by Bareiss elimination,
+#: which reads no bound, so callers compute none there.
+_BAREISS_MAX = 8
+
+
+def _dets(pairs: Iterable[tuple[np.ndarray, int | None]]) -> list[int]:
     """Exact determinants of the square arrays of `pairs` (array, bound on
-    |det|), in order, in one pass: Bareiss for n <= 8, the stacked kernel
-    (`_crt_dets`) above.  Every determinant goes through here."""
+    |det|), in order, in one pass: Bareiss for n <= _BAREISS_MAX, the
+    stacked kernel (`_crt_dets`) above.  Every determinant goes through here."""
     out: list[int | None] = []  # None: left to the stacked kernel
 
     def large():
         for data, bound in pairs:
-            out.append(_bareiss(data.tolist()) if len(data) <= 8 else None)
+            out.append(_bareiss(data.tolist()) if len(data) <= _BAREISS_MAX else None)
             if out[-1] is None:
                 yield data, bound
 
@@ -587,26 +558,27 @@ def _dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
     return [next(crt) if d is None else d for d in out]
 
 
-def _row_bound_pair(m: IntMatrix) -> tuple[np.ndarray, int]:
-    """m as an array, with its row Hadamard bound (0 for a zero row)."""
-    _require_square(m)
-    h2 = _hadamard_squared(m.rows)
-    return _int_array(m.rows, m.max_abs()), math.isqrt(h2) + 1 if h2 else 0
+def _row_bound(a: np.ndarray) -> int:
+    """The row Hadamard bound on |det a| (0 for a zero row)."""
+    h2 = math.prod(_sq_norms(a))
+    return math.isqrt(h2) + 1 if h2 else 0
 
 
-def det_many(matrices: Iterable[IntMatrix]) -> list[int]:
+def det_many(matrices: Iterable[Matrix]) -> list[int]:
     """Exact determinants of the square `matrices`, in order, each sized
     by its row Hadamard bound, in one pass over `matrices` (`_dets`)."""
-    return _dets(map(_row_bound_pair, matrices))
+    arrays = map(_square, matrices)
+    return _dets((a, _row_bound(a) if len(a) > _BAREISS_MAX else None) for a in arrays)
 
 
-def det(m: IntMatrix) -> int:
+def det(m: Matrix) -> int:
     """Exact determinant: Bareiss for n <= 8, multi-modular CRT above."""
     return det_many([m])[0]
 
 
-def adjugate_apply(m: IntMatrix, u: IntMatrix, d: int | None = None) -> tuple[IntMatrix, int]:
-    """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows.
+def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
+    """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows;
+    adj(m) @ u is an n x k object array of Python ints.
 
     Division-free for the caller: d = det(m) comes first, unless the caller
     passes it (ValueError when it is 0), then adj(m) @ u = d * m^{-1} u is
@@ -614,28 +586,26 @@ def adjugate_apply(m: IntMatrix, u: IntMatrix, d: int | None = None) -> tuple[In
     not divide d; every entry is bounded by the Hadamard bound times the
     largest column 1-norm of u.
     """
-    _require_square(m)
-    if u.nrows != m.nrows:
+    a, u = _square(m), _int_array(u)
+    n, k = u.shape
+    if n != len(a):
         raise ValueError("u must have one row per row of m")
     if d is None:
-        d = det(m)
+        d = det(a)
     if d == 0:
         raise ValueError("singular matrix")
-    had = math.isqrt(_hadamard_squared(m.rows)) + 1
-    norm = max(sum(abs(x) for x in col) for col in zip(*u.rows))
-    aug = [row + extra for row, extra in zip(m.rows, u.rows)]
-    data = _int_array(aug, max(m.max_abs(), u.max_abs()))
-    flat = _crt(_adj_mod, data, m.nrows, 2 * had * max(1, norm), avoid=d)
-    k = u.ncols
-    return IntMatrix(flat[i : i + k] for i in range(0, len(flat), k)), d
+    norm = max(sum(map(abs, col)) for col in zip(*u.tolist()))
+    target = 2 * _row_bound(a) * max(1, norm)
+    flat = _crt(_adj_mod, np.concatenate([a, u], axis=1), n, target, avoid=d)
+    return np.array(flat, dtype=object).reshape(n, k), d
 
 
-def _charpoly_bound(m: IntMatrix) -> int:
-    """A bound on every coefficient of charpoly(m).  The coefficient of
+def _charpoly_bound(a: np.ndarray) -> int:
+    """A bound on every coefficient of charpoly(a).  The coefficient of
     x^(n-k) is, up to sign, the sum of the C(n, k) principal k x k minors,
     and Hadamard bounds each by the product of its k row norms, so by the
     square root of the product of the k largest squared row norms."""
-    norms = sorted((sum(x * x for x in row) for row in m.rows), reverse=True)
+    norms = sorted(_sq_norms(a), reverse=True)
     bound, prod = 1, 1
     for k, norm in enumerate(norms, 1):
         prod *= norm
@@ -645,7 +615,7 @@ def _charpoly_bound(m: IntMatrix) -> int:
     return bound
 
 
-def charpoly(m: IntMatrix, d: int | None = None) -> IntPoly:
+def charpoly(m: Matrix, d: int | None = None) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 
     Computed modulo word-sized primes via Hessenberg reduction over each
@@ -653,16 +623,15 @@ def charpoly(m: IntMatrix, d: int | None = None) -> IntPoly:
     `_charpoly_bound`.  The constant term is cross-checked against
     (-1)^n * d, d = det(m), computed here unless the caller passes it.
     """
-    _require_square(m)
-    n = m.nrows
-    b = m.max_abs()
-    if b == 0:
+    a = _square(m)
+    n = len(a)
+    if not a.any():
         return IntPoly([0] * n + [1])
-    poly = IntPoly(_crt(_charpoly_mod, _int_array(m.rows, b), n, 2 * _charpoly_bound(m)))
+    poly = IntPoly(_crt(_charpoly_mod, a, n, 2 * _charpoly_bound(a)))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if d is None:
-        d = det(m)
+        d = det(a)
     if poly.coeffs[0] != (-1) ** n * d:
         raise InternalError("charpoly constant term disagrees with determinant")
     return poly
@@ -673,7 +642,7 @@ def charpoly(m: IntMatrix, d: int | None = None) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix, d: int | None = None) -> bool:
+def mdl_check(a: Matrix, u: Matrix, v: Matrix, d: int | None = None) -> bool:
     """Test the matrix-determinant lemma |a + u v^T| = |a| |I_m + v^T a^{-1} u|
     in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
@@ -682,15 +651,16 @@ def mdl_check(a: IntMatrix, u: IntMatrix, v: IntMatrix, d: int | None = None) ->
     passes it, from one `adjugate_apply` call on [a | u], so this doubles as
     a property test of the modular solve.
     """
-    _require_square(a)
-    if u.nrows != a.nrows or v.nrows != a.nrows or u.ncols != v.ncols:
+    a, u, v = _square(a), _int_array(u), _int_array(v)
+    if u.shape != v.shape or len(u) != len(a):
         raise ValueError("u and v must be n x m with n matching a")
     w, d = adjugate_apply(a, u, d)
-    uv = (u @ v.transpose()).rows
-    lhs = IntMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, uv)])
-    vw = (v.transpose() @ w).rows
-    small = IntMatrix([[x + d * (r == c) for c, x in enumerate(row)] for r, row in enumerate(vw)])
-    return d ** (u.ncols - 1) * det(lhs) == det(small)
+    # nothing bounds these products: over Python ints
+    u, vt = u.astype(object), v.T.astype(object)
+    small = vt @ w
+    k = len(small)
+    small[range(k), range(k)] += d
+    return d ** (k - 1) * det(a + u @ vt) == det(small)
 
 
 @dataclass(frozen=True)
@@ -724,27 +694,27 @@ class ParamDet:
         return a * affine + self.cross_num * (y * z - w * x)
 
 
-def _shifted_samples(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
-    """The shifted matrix of `a` at each of `points`, in order, as (n, n)
-    arrays: a + s 1^T + t g^T, entry (i, j) = a_ij + x + f_i y + g_j z
-    + f_i g_j w, with s = x + f y and t = z + f w.
+def _shifted_samples(a: np.ndarray, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
+    """The shifted matrix of the kernel array `a` at each of `points`, in
+    order, as (n, n) arrays: a + s 1^T + t g^T, entry (i, j) = a_ij + x
+    + f_i y + g_j z + f_i g_j w, with s = x + f y and t = z + f w.
 
     The samples are broadcast from a, g, s and t, a chunk of at most
-    _STACK_BYTES / 8 at a time, as int64, or as Python ints when
-    max|a| + max|s| + max|g| max|t| may reach 2^62 (`_int_array`'s rule).
+    _STACK_BYTES / 8 at a time, as int64 when a is int64, so every |a_ij|
+    is below 2^62 (`_int_array`'s rule), and max|s| + max|g| max|t| is
+    below 2^62 too, so that no sum reaches 2^63; as Python ints otherwise.
     """
-    _require_square(a)
-    n = a.nrows
+    n = len(a)
     if len(f) != n or len(g) != n:
         raise ValueError("f and g must have one value per row")
-    # every input and every partial sum or product is at most this total
+    # every shift input and every partial sum or product is at most this total
     fa = max(1, *map(abs, f))
     most = [max((abs(pt[c]) for pt in points), default=0) for c in range(4)]
     s_max = most[0] + fa * max(1, most[1])
     t_max = most[2] + fa * max(1, most[3])
-    big = a.max_abs() + s_max + max(1, *map(abs, g)) * t_max >= 2**62
+    big = a.dtype == object or s_max + max(1, *map(abs, g)) * t_max >= 2**62
     dtype = object if big else np.int64
-    av = np.array(a.rows, dtype=dtype)
+    av = a.astype(dtype, copy=False)
     fv, gv = np.array(f, dtype=dtype), np.array(g, dtype=dtype)
     pts = np.array(points, dtype=dtype).reshape(-1, 4)
     s = pts[:, :1] + pts[:, 1:2] * fv
@@ -757,7 +727,7 @@ def _shifted_samples(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: S
         yield from block
 
 
-def _shifted_bounds(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
+def _shifted_bounds(a: np.ndarray, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]):
     """A bound on |det| of the shifted matrix of `a` at each of `points`
     (`_shifted_samples`), in order, from multilinearity in the columns.
 
@@ -772,8 +742,8 @@ def _shifted_bounds(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Se
     |s| and |t| are rounded up, from |u + f v|^2 = n u^2 + 2uv sum f
     + v^2 sum f^2; everything is in Python ints.
     """
-    n = a.nrows
-    c = [max(1, _ceil_sqrt(sum(x * x for x in col))) for col in zip(*a.rows)]
+    n = len(a)
+    c = [max(1, _ceil_sqrt(q)) for q in _sq_norms(a, axis=0)]
     prod = math.prod(c)
     sum_s = sum(prod // ck for ck in c)
     sum_t = sum(abs(gk) * (prod // ck) for gk, ck in zip(g, c))
@@ -785,16 +755,18 @@ def _shifted_bounds(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Se
         yield prod + ns * sum_s + nt * sum_t + ns * nt * both
 
 
-def shifted_dets(a: IntMatrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]) -> list[int]:
+def shifted_dets(a: Matrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]) -> list[int]:
     """Exact determinants of |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| at
     each of `points`, in order, each sized by its column-multilinear bound
     (`_shifted_bounds`): Bareiss for n <= 8, the stacked kernel above."""
+    a = _square(a)
     samples = _shifted_samples(a, f, g, points)
-    return _dets(zip(samples, _shifted_bounds(a, f, g, points)))
+    bounds = _shifted_bounds(a, f, g, points) if len(a) > _BAREISS_MAX else itertools.repeat(None)
+    return _dets(zip(samples, bounds))
 
 
 def param_det_expand(
-    a: IntMatrix,
+    a: Matrix,
     f: Sequence[int],
     g: Sequence[int],
     points: Sequence[tuple[int, int, int, int]],

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-from .ntheory import is_prime, legendre
+from .ntheory import legendre, require_odd_prime
 
 
 def _require_1mod4_prime(p: int) -> None:
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"a prime p ≡ 1 (mod 4) is required, got {p}")
+    """ValueError unless p is a prime ≡ 1 (mod 4); primality is proved once
+    per p, by `require_odd_prime`'s cache."""
+    if p % 4 == 1:
+        try:
+            return require_odd_prime(p)
+        except ValueError:
+            pass
+    raise ValueError(f"a prime p ≡ 1 (mod 4) is required, got {p}")
 
 
 @dataclass(frozen=True)

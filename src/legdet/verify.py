@@ -44,10 +44,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .charmat import at, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
-    IntMatrix,
     IntPoly,
     ParamDet,
     adjugate_apply,
@@ -133,7 +134,7 @@ def _det_3mod4(p: int) -> int:
     return _sign_pow((at(p).invariants.h_neg - 1) // 2) * p ** ((p - 3) // 4)
 
 
-def _expand(a: IntMatrix, f: list[int], name: str, p: int, seed: int, alpha: int | None = None):
+def _expand(a: np.ndarray, f: list[int], name: str, p: int, seed: int, alpha: int | None = None):
     """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
     20 points of check `name`'s seeded stream; alpha is det(a) if known."""
     points = _sample_tuples(_rng(seed, name, p))
@@ -359,24 +360,19 @@ def _run_l21(p: int, seed: int):
 
 
 def _run_l22(p: int, seed: int):
-    v = legendre_table(p).vals
+    v = np.array(legendre_table(p).vals, dtype=np.int64)
     n = (p - 1) // 2
     sgn = 1 if p % 4 == 1 else -1
     ap, am = at(p).matrix("aplus"), at(p).matrix("aminus")
-    want_plus = IntMatrix(
-        [
-            [(p if j == k else 0) - 2 - (1 + sgn) * v[j * k % p] for k in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
-    )
-    want_minus = IntMatrix(
-        [
-            [(p if j == k else 0) - (1 - sgn) * v[j * k % p] for k in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
-    )
-    ok_plus = ap.transpose() @ ap == want_plus
-    ok_minus = am.transpose() @ am == want_minus
+    idx = np.arange(1, n + 1)
+    jk = v[idx[:, None] * idx % p]  # ((jk)/p); jk < 2^60
+    diag = p * np.identity(n, dtype=np.int64)
+    want_plus = diag - 2 - (1 + sgn) * jk
+    want_minus = diag - (1 - sgn) * jk
+    # |entries of A+-| <= 2, so each entry of A+-^T A+- sums n terms of at
+    # most 4: below 2^33 for every p a symbol table allows
+    ok_plus = np.array_equal(ap.T @ ap, want_plus)
+    ok_minus = np.array_equal(am.T @ am, want_minus)
     ok = ok_plus and ok_minus
     wit = {"gram_plus": ok_plus, "gram_minus": ok_minus}
     if not ok:
@@ -390,7 +386,8 @@ def _run_l23(p: int, seed: int):
     if v1.count(0) != (p - 1) // 4:
         return False, {"note": "residues do not fill half of 1..n"}
     ap = at(p).matrix("aplus")
-    wit = {"v1_fixed": ap.matvec(v1) == v1, "v2_negated": ap.matvec(v2) == [-t for t in v2]}
+    # |entries| <= 2 on both sides: each sum of n products is below 4n
+    wit = {"v1_fixed": (ap @ v1).tolist() == v1, "v2_negated": (ap @ v2).tolist() == [-t for t in v2]}
     ok = wit["v1_fixed"] and wit["v2_negated"]
     if not ok:
         wit["note"] = "eigenvector relations failed"
@@ -401,14 +398,14 @@ def _run_l24(p: int, seed: int):
     v = legendre_table(p).vals
     n = (p - 1) // 2
     ap = at(p).matrix("aplus")
-    sq = ap @ ap
+    sq = (ap @ ap).tolist()  # |entries| <= 2: each sum of n products is below 4n
     for want_sym in (1, -1):
         group = [j for j in range(1, n + 1) if v[j] == want_sym]
         j0 = group[0]
         for ji in group[1:]:
             for r in range(n):
                 want = p * ((1 if r == ji - 1 else 0) - (1 if r == j0 - 1 else 0))
-                if sq.rows[r][ji - 1] - sq.rows[r][j0 - 1] != want:
+                if sq[r][ji - 1] - sq[r][j0 - 1] != want:
                     return False, {
                         "note": f"A+^2 eigen relation failed at indices ({j0}, {ji}), row {r + 1}"
                     }
@@ -486,7 +483,9 @@ def _run_l25_eigs(p: int, seed: int):
 def _run_atheta(p: int, seed: int):
     th = theta_vector(p)
     n = (p - 1) // 2
-    got = at(p).matrix("aplus").matvec(th)
+    # |A+ entries| <= 2 and |theta_i| <= 4n: each sum is below 8n^2 < 2^63
+    # for every n < 2^30, so for every p a symbol table allows
+    got = (at(p).matrix("aplus") @ th).tolist()
     ok = got == [p] * n
     wit = {"theta_integral": True}
     if not ok:
@@ -499,8 +498,8 @@ def _run_eq_dp_u1au0(p: int, seed: int):
     n = inv.n
     u1 = symbol_vector(p)
     [d] = at(p).dets("aplus")
-    w, _ = adjugate_apply(at(p).matrix("aplus"), IntMatrix([[1]] * n), d)
-    lhs = p * sum(s * wi for s, (wi,) in zip(u1, w.rows))
+    w, _ = adjugate_apply(at(p).matrix("aplus"), np.ones((n, 1), dtype=np.int64), d)
+    lhs = p * sum(s * wi for s, wi in zip(u1, w[:, 0]))
     rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
     ok = lhs == rhs
     wit = {"lhs": str(lhs), "rhs": str(rhs)}
@@ -536,11 +535,11 @@ def _run_eq_dcount(p: int, seed: int):
     return ok, wit
 
 
-def _random_int_matrix(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> IntMatrix:
-    return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+def _random_int_matrix(rng: random.Random, n: int) -> np.ndarray:
+    return np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], dtype=np.int64)
 
 
-def _nonsingular_matrix(rng: random.Random, n: int) -> tuple[IntMatrix, int]:
+def _nonsingular_matrix(rng: random.Random, n: int) -> tuple[np.ndarray, int]:
     """The first n x n draw with a nonzero determinant, with that determinant."""
     while True:
         a = _random_int_matrix(rng, n)
@@ -557,7 +556,7 @@ def _t31_instances(rng: random.Random, count: int):
         g = [rng.randint(-9, 9) for _ in range(n)]
         points = _sample_tuples(rng)
         pd, directs = param_det_expand(a, f, g, points, alpha=d)
-        wit = {"instance": i, "matrix": a.to_lists(), "f": f, "g": g}
+        wit = {"instance": i, "matrix": a.tolist(), "f": f, "g": g}
         ok, wit = _two_layer(wit, pd, zip(points, directs), None, sampled=False)
         if not ok:
             return False, wit
@@ -569,14 +568,14 @@ def _mdl_instances(rng: random.Random, count: int):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
         a, d = _nonsingular_matrix(rng, n)
-        u = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
-        v = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
+        u = np.array([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], dtype=np.int64)
+        v = np.array([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], dtype=np.int64)
         if not mdl_check(a, u, v, d):
             return False, {
                 "note": f"matrix-determinant lemma failed at instance {i}",
-                "matrix": a.to_lists(),
-                "u": u.to_lists(),
-                "v": v.to_lists(),
+                "matrix": a.tolist(),
+                "u": u.tolist(),
+                "v": v.tolist(),
             }
     return True, {"instances": count}
 

@@ -368,3 +368,20 @@ def shifted_rows(rows, f, g, x: int, y: int, z: int, w: int) -> list[list[int]]:
         [aij + b + gj * c for aij, gj in zip(row, g)]
         for row, b, c in ((row, x + fi * y, z + fi * w) for row, fi in zip(rows, f))
     ]
+
+
+def build_by_rows(name: str, p: int) -> list[list[int]]:
+    """The named matrix of p as rows of Python ints, entry by entry: the
+    tuple-building path that legdet's fancy-indexed `charmat.build` replaced,
+    with its symbols from Euler's criterion instead of legdet's table."""
+    v = [euler_legendre(a, p) for a in range(p)]
+    idx = range(0 if name.startswith("sun") else 1, (p - 1) // 2 + 1)  # 0..n or 1..n
+    if name == "sun_plus":
+        return [[v[j + k] for k in idx] for j in idx]
+    if name == "sun_minus":
+        return [[v[(j - k) % p] for k in idx] for j in idx]
+    if name == "aminus":
+        return [[v[j + k] - v[(j - k) % p] for k in idx] for j in idx]
+    if name == "ap":
+        return [[v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in idx] for j in idx]
+    return [[v[j + k] + v[(j - k) % p] for k in idx] for j in idx]

@@ -1,13 +1,14 @@
 import json
 import time
 
+import numpy as np
 import oracles
 import pytest
 import legdet.charmat as charmat
 from legdet.charmat import build
 from legdet.cli import CSV_HEADER, main
 from legdet.errors import InternalError
-from legdet.exactla import IntMatrix, charpoly, det
+from legdet.exactla import charpoly, det
 from legdet.ntheory import primes_in_range
 from legdet.verify import CheckId
 
@@ -16,6 +17,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _recording_det_many(batches):
+    """A det_many that records each batch it is given, as rows, in `batches`."""
+    import legdet.exactla as ex
+
+    def det_many(ms):
+        ms = list(ms)
+        batches.append([m.tolist() for m in ms])
+        return ex.det_many(ms)
+
+    return det_many
 
 
 def test_compute_dp(capsys):
@@ -93,17 +106,17 @@ def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeyp
     import legdet.exactla as ex
 
     batches, handed = [], []
-    monkeypatch.setattr(charmat, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(charmat, "det_many", _recording_det_many(batches))
     monkeypatch.setattr(charmat, "charpoly", lambda m, d: handed.append(d) or ex.charpoly(m, d))
     code, out, _ = run(capsys, "charpoly", "--prime", "29", "--json")
     assert code == 0
-    assert batches == [[build("aplus", 29), build("aminus", 29)]]
+    assert batches == [[build("aplus", 29).tolist(), build("aminus", 29).tolist()]]
     payload = json.loads(out)  # n = 14, so each constant term is the det
     assert handed == [int(payload[f"charpoly-{name}"][0]) for name in ("aplus", "aminus")]
     batches.clear()
     charmat.at.cache_clear()  # as in a new process
     code, out, _ = run(capsys, "compute", "--prime", "29", "--what", "det-aminus,charpoly-aminus,dp", "--json")
-    assert code == 0 and batches == [[build("aminus", 29)]]
+    assert code == 0 and batches == [[build("aminus", 29).tolist()]]
     assert json.loads(out)["det-aminus"] == json.loads(out)["charpoly-aminus"][0]
 
 
@@ -115,7 +128,7 @@ def _count_matrix_work(monkeypatch):
 
     batches, crts = [], []
     real_crt = ex._crt
-    monkeypatch.setattr(charmat, "det_many", lambda ms: batches.append(list(ms)) or ex.det_many(batches[-1]))
+    monkeypatch.setattr(charmat, "det_many", _recording_det_many(batches))
     monkeypatch.setattr(ex, "_crt", lambda kernel, *a, **kw: (
         crts.append(kernel) if kernel is ex._charpoly_mod else None) or real_crt(kernel, *a, **kw))
     return batches, crts
@@ -128,7 +141,7 @@ def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, 
     batches, crts = _count_matrix_work(monkeypatch)
     code, out, _ = run(capsys, "charpoly", "--prime", str(p), "--json")
     assert code == 0
-    assert batches == [[build("aplus", p), build("aminus", p)][:distinct]]
+    assert batches == [[build("aplus", p).tolist(), build("aminus", p).tolist()][:distinct]]
     assert len(crts) == distinct
     payload = json.loads(out)
     assert (payload["charpoly-aplus"] == payload["charpoly-aminus"]) == (distinct == 1)
@@ -136,9 +149,9 @@ def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, 
 
 @pytest.mark.parametrize("p, tamper, distinct", [
     # an entry of A- changed: no longer A+^T at p ≡ 3 (mod 4)
-    (103, lambda m: IntMatrix([[m[0, 0] + 1, *m.rows[0][1:]], *m.rows[1:]]), 2),
+    (103, lambda m: np.vstack([m[0] + np.eye(1, len(m), dtype=m.dtype), m[1:]]), 2),
     # A- replaced by A+^T at p ≡ 1 (mod 4)
-    (29, lambda m: IntMatrix(zip(*build("aplus", 29).rows)), 1),
+    (29, lambda m: build("aplus", 29).T, 1),
 ])
 def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypatch, fresh_caches, p, tamper, distinct):
     real_build = charmat.build

@@ -90,6 +90,13 @@ def test_fundamental_unit_rejects_3mod4():
             fundamental_unit(bad)
 
 
+@pytest.mark.parametrize("bad", [9, 21, 45, 7, 103, 2])
+def test_realquad_names_the_class_for_composites_and_wrong_classes(bad):
+    for entry in (fundamental_unit, class_number_real, unit_power_coeffs):
+        with pytest.raises(ValueError, match=rf"^a prime p ≡ 1 \(mod 4\) is required, got {bad}$"):
+            entry(bad)
+
+
 def test_quadelem_parity_invariant():
     with pytest.raises(ValueError):
         QuadElem(5, 1, 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,7 +11,7 @@ import legdet.verify as v
 import legdet.charmat as charmat
 from legdet.charmat import build, symbol_vector
 from legdet.errors import InternalError
-from legdet.exactla import IntMatrix, ParamDet, param_det_expand
+from legdet.exactla import ParamDet, param_det_expand
 from legdet.cli import main
 from legdet.verify import (
     CONJECTURE_IDS,
@@ -196,19 +197,19 @@ def test_scan_records_failure_note(monkeypatch):
 def _patch_det(monkeypatch, replacement):
     """Replace exactla._dets, the one door of every determinant (det_many's
     and shifted_dets' alike), by one that returns replacement(m, det(m)) for
-    each matrix m, as an IntMatrix."""
+    each matrix m, as rows of Python ints."""
     real = legdet.exactla._dets
 
     def patched(pairs):
         pairs = list(pairs)
-        return [replacement(IntMatrix(data.tolist()), d) for (data, _), d in zip(pairs, real(pairs))]
+        return [replacement(data.tolist(), d) for (data, _), d in zip(pairs, real(pairs))]
 
     monkeypatch.setattr(legdet.exactla, "_dets", patched)
 
 
 def test_closed_form_checks_compute_each_determinant_once(monkeypatch, fresh_caches):
     calls = []
-    _patch_det(monkeypatch, lambda m, d: calls.append(m.nrows) or d)
+    _patch_det(monkeypatch, lambda m, d: calls.append(len(m)) or d)
 
     def dets(cid, p):
         before = len(calls)
@@ -235,7 +236,7 @@ def _first_sample_off_by_one(monkeypatch, cid, p, seed=0):
         base, f = build("sun_plus", p), [0, *symbol_vector(p)]
     else:
         base, f = build("aplus", p), symbol_vector(p)
-    target = IntMatrix(oracles.shifted_rows(base.rows, f, f, *point))
+    target = oracles.shifted_rows(base.tolist(), f, f, *point)
     _patch_det(monkeypatch, lambda m, d: d + (m == target))
     return point
 
@@ -267,13 +268,12 @@ def test_wrong_adjugate_fails_the_matrix_determinant_lemma(monkeypatch, fresh_ca
 
     def off_by_one(m, u, d=None):
         w, d = real(m, u, d)
-        rows = w.to_lists()
-        rows[0][0] += 1
-        return IntMatrix(rows), d
+        w[0, 0] += 1
+        return w, d
 
     monkeypatch.setattr(legdet.exactla, "adjugate_apply", off_by_one)
-    e1 = IntMatrix([[1], [0]])
-    assert legdet.exactla.mdl_check(IntMatrix.identity(2), e1, e1) is False
+    e1 = np.array([[1], [0]])
+    assert legdet.exactla.mdl_check(np.identity(2, dtype=np.int64), e1, e1) is False
     assert check(CheckId.MDL_RANDOM, 13).passed is False
     assert main(["verify", "--prime", "13", "--suite", "MDL_RANDOM"]) == 1
     assert "FAIL MDL_RANDOM" in capsys.readouterr().out
@@ -311,7 +311,7 @@ def test_wrong_c_p_fails_both_layers_of_t12_ii(monkeypatch, fresh_caches, capsys
 def test_degree_2_points_catch_a_term_the_basis_points_miss():
     # |I + x J| = 1 + 2x for the 2x2 all-ones J; an extra x y vanishes at 0,
     # the unit points and (0, 1, 1, 0), where the six basis coefficients are read
-    pd, _ = param_det_expand(IntMatrix.identity(2), [0, 0], [0, 0], [])
+    pd, _ = param_det_expand(np.identity(2, dtype=np.int64), [0, 0], [0, 0], [])
 
     def rhs(x, y, z, w):
         return 1 + 2 * x
@@ -418,7 +418,7 @@ def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
 
 def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
     calls = []
-    _patch_det(monkeypatch, lambda m, d: calls.append(m.nrows) or d)
+    _patch_det(monkeypatch, lambda m, d: calls.append(len(m)) or d)
     assert check(CheckId.L25_AP_NEG, 103).passed
     r = check(CheckId.L25_EIGS, 103)
     assert r.passed and int(r.witness["det_ap"]) < 0
@@ -428,7 +428,7 @@ def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
 def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, capsys):
     # T11_DET_3MOD4, T12_II's expansion and EQ_DP_U1AU0's adjugate all read
     # one det(A+)
-    aplus = build("aplus", 103)
+    aplus = build("aplus", 103).tolist()
     calls = []
     _patch_det(monkeypatch, lambda m, d: calls.append(m == aplus) or d)
     assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
@@ -438,7 +438,7 @@ def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, cap
 def _count_base_dets(monkeypatch, p):
     """A dict {"aplus": n, "aminus": n} counting A+ and A- of p at the
     determinant door."""
-    mats = {name: build(name, p) for name in ("aplus", "aminus")}
+    mats = {name: build(name, p).tolist() for name in ("aplus", "aminus")}
     counts = dict.fromkeys(mats, 0)
 
     def seen(m, d):
@@ -493,17 +493,17 @@ def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_
     monkeypatch.setattr(charmat, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
     res = check(CheckId.T11_DET_3MOD4, 103)
     assert res.passed and res.witness["det_aminus"] == res.witness["det_aplus"]
-    assert calls == [[build("aplus", 103)]]
+    assert [[m.tolist() for m in ms] for ms in calls] == [[build("aplus", 103).tolist()]]
 
 
 def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
     calls = []
     real = legdet.exactla.adjugate_apply
     monkeypatch.setattr(legdet.exactla, "adjugate_apply", lambda *a: calls.append(a) or real(*a))
-    a = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    u = IntMatrix([[1, 0, 2], [0, 1, 1], [1, 1, 0]])
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    u = [[1, 0, 2], [0, 1, 1], [1, 1, 0]]
     assert legdet.exactla.mdl_check(a, u, u)
-    assert calls == [(a, u, None)]
+    assert [(m.tolist(), w.tolist(), d) for m, w, d in calls] == [(a, u, None)]
 
 
 def test_seed_only_instances_compute_each_det_once(monkeypatch, fresh_caches):
@@ -516,7 +516,7 @@ def test_seed_only_instances_compute_each_det_once(monkeypatch, fresh_caches):
     assert t31_random_suite(20).passed and mdl_random_suite(20).passed
     # a 1 x 1 sample or product can equal a 1 x 1 draw by value, so only the
     # larger draws are counted
-    large = [a for a in drawn if a.nrows > 1]
+    large = [a.tolist() for a in drawn if len(a) > 1]
     assert len(large) >= 30
     assert [seen.count(a) for a in large] == [1] * len(large)
 
@@ -556,6 +556,20 @@ def test_scan_tests_each_prime_once(monkeypatch, fresh_caches, tmp_path, capsys)
         with pytest.raises(ValueError, match="not an odd prime"):
             ntheory.require_odd_prime(9)
     assert calls == [9, 9]
+
+
+def test_verify_proves_the_prime_once(monkeypatch, fresh_caches, capsys):
+    # the realquad entry points validate p through require_odd_prime's
+    # cache as well, so the whole catalog at p = 101 runs is_prime(101) once
+    import legdet.realquad as realquad
+
+    calls = []
+    real = ntheory.is_prime
+    for mod in (ntheory, realquad, legdet.exactla):
+        if hasattr(mod, "is_prime"):
+            monkeypatch.setattr(mod, "is_prime", lambda n: calls.append(n) or real(n))
+    assert main(["verify", "--prime", "101", "--suite", "all"]) == 0
+    assert calls.count(101) == 1
 
 
 def test_per_prime_caches_hold_one_prime(fresh_caches):
