@@ -27,14 +27,7 @@ from .ntheory import (
     primes_in_range,
     quad_char_sum,
 )
-from .realquad import (
-    QuadElem,
-    QuadForm,
-    class_number_real,
-    fundamental_unit,
-    reduced_forms,
-    unit_power_coeffs,
-)
+from .realquad import QuadElem, class_number_real, fundamental_unit, unit_power_coeffs
 from .verify import (
     CheckId,
     CheckResult,

@@ -367,6 +367,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # big integers (a unit at p near 10^9 has 30,000 digits) print in full;
+    # --prime was parsed under the interpreter's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -378,6 +383,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

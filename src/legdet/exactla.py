@@ -625,8 +625,6 @@ def charpoly(m: Matrix, d: int | None = None) -> IntPoly:
     """
     a = _square(m)
     n = len(a)
-    if not a.any():
-        return IntPoly([0] * n + [1])
     poly = IntPoly(_crt(_charpoly_mod, a, n, 2 * _charpoly_bound(a)))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")

@@ -2,9 +2,10 @@
 of Q(sqrt(p)), the class number, and the coefficients of the unit powers that
 appear in the half-range determinant closed forms.
 
-Everything is integer arithmetic: the continued fraction of sqrt(p) runs
-through the classic (P, Q) recurrence, and the class number counts reduction
-cycles of indefinite binary quadratic forms of discriminant p.
+Everything is integer arithmetic on one continued-fraction step of the
+reduced irrationals (P + sqrt(p))/Q: one period from (b + sqrt(p))/2 gives
+the fundamental unit, and the number of cycles of the step on all reduced
+states gives the class number.
 """
 
 from __future__ import annotations
@@ -81,167 +82,73 @@ class QuadElem:
         return f"({self.u}+{self.v}√{self.p})/2"
 
 
-def sqrt_cf(p: int) -> tuple[int, int, int, int]:
-    """Continued fraction of sqrt(p) through one period.
-
-    Walks the integer (P, Q) recurrence for (P + sqrt(p))/Q starting at
-    (0, 1); the period closes at the first return of the state Q = 1.
-    Returns (period, x, y, norm) where x/y is the convergent just before the
-    close, so x + y*sqrt(p) is the smallest integral unit > 1 and
-    x^2 - p y^2 = norm = (-1)^period.
-    """
-    a0 = math.isqrt(p)
-    if a0 * a0 == p:
-        raise ValueError(f"{p} is a perfect square")
-    h_pp, h = 0, 1  # convergent numerators h_{-2}, h_{-1}
-    k_pp, k = 1, 0
-    big_p, big_q = 0, 1
-    period = 0
-    while True:
-        a = (big_p + a0) // big_q
-        h_pp, h = h, a * h + h_pp
-        k_pp, k = k, a * k + k_pp
-        big_p = a * big_q - big_p
-        big_q = (p - big_p * big_p) // big_q
-        period += 1
-        if big_q == 1:
-            break
-    norm = h * h - p * k * k
-    if abs(norm) != 1 or norm != (-1) ** period:
-        raise InternalError(f"continued fraction of sqrt({p}) gave norm {norm}")
-    return period, h, k, norm
-
-
-def _pell_unit(p: int) -> tuple[int, int]:
-    """Minimal (x, y) with x + y*sqrt(p) > 1 and x^2 - p y^2 = -1."""
-    _, x, y, norm = sqrt_cf(p)
-    if norm != -1:
-        raise InternalError(
-            f"x^2 - {p} y^2 = -1 should be solvable for a prime ≡ 1 (mod 4)"
-        )
-    return x, y
-
-
-def _icbrt(n: int) -> int:
-    """floor(n ** (1/3)) for n >= 1, by integer Newton iteration from above."""
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
+def _cf_step(p: int, s: int, P: int, Q: int) -> tuple[int, int, int]:
+    """One continued-fraction step of (P + sqrt(p))/Q, Q > 0 and Q | p - P^2,
+    with s = isqrt(p): the partial quotient a and the next state (P', Q')."""
+    a = (P + s) // Q
+    P = a * Q - P
+    return a, P, (p - P * P) // Q
 
 
 def fundamental_unit(p: int) -> QuadElem:
     """Fundamental unit eps > 1 of Q(sqrt(p)) for a prime p ≡ 1 (mod 4).
 
-    The continued fraction of sqrt(p) certifies the minimal integral unit
-    x1 + y1*sqrt(p), of norm -1.  The fundamental unit is either that or a
-    half-integral (a + b*sqrt(p))/2 whose cube is the integral unit; that
-    cube root has norm -1 too, so its conjugate is -1/eps and its trace a
-    solves a^3 + 3a = 2*x1.  The left side is increasing, so a is the integer
-    cube root of 2*x1 or there is no such unit, and then p*b^2 = a^2 + 4
-    gives b.  The cube and the norm are checked before the half-integral
-    unit is returned.  (For p ≡ 1 (mod 8) there is never one: a, b odd give
-    a^2 - p b^2 ≡ 1 - p ≡ 0 (mod 8), never ±4.)
+    With b the largest odd integer below sqrt(p), w = (b + sqrt(p))/2 is
+    reduced, so its continued fraction is purely periodic and the state
+    (P, Q) = (b, 2) returns after one period of length L.  The convergent
+    denominators k_i, seeded (k_-2, k_-1) = (1, 0), then give the unit of
+    the ring of integers Z[w], integral or half-integral alike:
+    eps = k_{L-1} w + k_{L-2}, of norm (-1)^L, which must be -1.
     """
     _require_1mod4_prime(p)
-    x1, y1 = _pell_unit(p)
-    integral = QuadElem(p, 2 * x1, 2 * y1)
-    a = _icbrt(2 * x1)
-    b = math.isqrt((a * a + 4) // p)
-    if a**3 + 3 * a == 2 * x1 and p * b * b == a * a + 4:
-        eps = QuadElem(p, a, b)
-        if eps**3 != integral:
-            raise InternalError(f"half-integral unit at p={p} fails the cube test")
-    else:
-        eps = integral
+    s = math.isqrt(p)
+    b = s - 1 + s % 2
+    P, Q = b, 2
+    k_pp, k = 1, 0
+    while True:
+        a, P, Q = _cf_step(p, s, P, Q)
+        k_pp, k = k, a * k + k_pp
+        if (P, Q) == (b, 2):
+            break
+    eps = QuadElem(p, k * b + 2 * k_pp, k)
     if eps.norm() != -1:
         raise InternalError(f"fundamental unit of Q(sqrt({p})) has norm +1")
     return eps
 
 
-# ---------------------------------------------------------------------------
-# class number by cycles of reduced indefinite forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Binary quadratic form a x^2 + b xy + c y^2, used here with positive
-    nonsquare discriminant b^2 - 4ac."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, decided by
-        integer squarings (D is never a perfect square here)."""
-        d = self.discriminant
-        b = self.b
-        if b <= 0 or b * b >= d:
-            return False
-        t = 2 * abs(self.a)
-        if (t - b) >= 0 and (t - b) * (t - b) >= d:  # need 2|a| - b < sqrt(D)
-            return False
-        if (t + b) * (t + b) <= d:  # need sqrt(D) < 2|a| + b
-            return False
-        return True
-
-    def rho(self) -> "QuadForm":
-        """Reduction step; permutes the reduced forms of this discriminant."""
-        d = self.discriminant
-        s = math.isqrt(d)
-        ac = abs(self.c)
-        # unique r ≡ -b (mod 2|c|) in (sqrt(D) - 2|c|, sqrt(D))
-        r = s - (s + self.b) % (2 * ac)
-        return QuadForm(self.c, r, (r * r - d) // (4 * self.c))
-
-
-def reduced_forms(p: int) -> set[QuadForm]:
-    """All reduced indefinite forms of discriminant p (prime, p ≡ 1 mod 4)."""
+def _reduced(p: int) -> set[tuple[int, int]]:
+    """The reduced states (P, Q) of discriminant p: P odd, 0 < P < sqrt(p),
+    sqrt(p) - P < Q < sqrt(p) + P, Q even and 2Q | p - P^2.  Each is the
+    root (P + sqrt(p))/Q of the reduced forms (±Q/2, P, (P^2 - p)/(±2Q))."""
     s = math.isqrt(p)
-    forms = set()
-    for b in range(1, s + 1):
-        if (b - p) % 2 != 0:
-            continue
-        m = (b * b - p) // 4  # = a*c < 0
-        for a in range(1, s + b + 1):
-            if m % a != 0:
-                continue
-            for aa in (a, -a):
-                form = QuadForm(aa, b, m // aa)
-                if form.is_reduced():
-                    forms.add(form)
-    return forms
+    return {
+        (P, Q)
+        for P in range(1, s + 1, 2)
+        for Q in range(s + 1 - P + (s + 1 - P) % 2, s + P + 1, 2)
+        if (p - P * P) % (2 * Q) == 0
+    }
 
 
 def class_number_real(p: int) -> int:
     """Class number h_p of Q(sqrt(p)) for a prime p ≡ 1 (mod 4), as the
-    number of rho-cycles of reduced indefinite forms of discriminant p.
-    The fundamental unit has norm -1 for such p, so the narrow (cycle) count
-    equals the ideal class number."""
+    number of cycles of the continued-fraction step on the reduced states.
+    The fundamental unit has norm -1 for such p, so each cycle holds both
+    forms (±Q/2, P, c) of each of its states and is one ideal class."""
     _require_1mod4_prime(p)
-    forms = reduced_forms(p)
+    s = math.isqrt(p)
+    reduced = _reduced(p)
+    seen: set[tuple[int, int]] = set()
     cycles = 0
-    seen: set[QuadForm] = set()
-    for start in sorted(forms, key=lambda f: (f.a, f.b, f.c)):
+    for start in reduced:
         if start in seen:
             continue
         cycles += 1
-        f = start
-        while True:
-            seen.add(f)
-            f = f.rho()
-            if f not in forms:
-                raise InternalError(f"reduction left the reduced set at {f} (p={p})")
-            if f == start:
-                break
+        P, Q = start
+        while (P, Q) not in seen:
+            seen.add((P, Q))
+            _, P, Q = _cf_step(p, s, P, Q)
+            if (P, Q) not in reduced:
+                raise InternalError(f"the step left the reduced set at {(P, Q)} (p={p})")
     return cycles
 
 

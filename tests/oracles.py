@@ -2,15 +2,20 @@
 
 Each function here is an independent route to a quantity the library
 computes a faster or structurally different way; none of them share code
-with the package.
+with the package, except that the old realquad route returns its units as
+legdet's `QuadElem`.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+from legdet.errors import InternalError
+from legdet.realquad import QuadElem
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -385,3 +390,156 @@ def build_by_rows(name: str, p: int) -> list[list[int]]:
     if name == "ap":
         return [[v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in idx] for j in idx]
     return [[v[j + k] + v[(j - k) % p] for k in idx] for j in idx]
+
+
+# The old route of legdet.realquad to the fundamental unit and the class
+# number: the continued fraction of sqrt(p), a cube-root test for a
+# half-integral unit, and the rho-cycles of reduced indefinite forms.  One
+# continued-fraction step of (b + sqrt(p))/2 replaced all three there.
+
+
+def sqrt_cf(p: int) -> tuple[int, int, int, int]:
+    """Continued fraction of sqrt(p) through one period.
+
+    Walks the integer (P, Q) recurrence for (P + sqrt(p))/Q starting at
+    (0, 1); the period closes at the first return of the state Q = 1.
+    Returns (period, x, y, norm) where x/y is the convergent just before the
+    close, so x + y*sqrt(p) is the smallest integral unit > 1 and
+    x^2 - p y^2 = norm = (-1)^period.
+    """
+    a0 = math.isqrt(p)
+    if a0 * a0 == p:
+        raise ValueError(f"{p} is a perfect square")
+    h_pp, h = 0, 1  # convergent numerators h_{-2}, h_{-1}
+    k_pp, k = 1, 0
+    big_p, big_q = 0, 1
+    period = 0
+    while True:
+        a = (big_p + a0) // big_q
+        h_pp, h = h, a * h + h_pp
+        k_pp, k = k, a * k + k_pp
+        big_p = a * big_q - big_p
+        big_q = (p - big_p * big_p) // big_q
+        period += 1
+        if big_q == 1:
+            break
+    norm = h * h - p * k * k
+    if abs(norm) != 1 or norm != (-1) ** period:
+        raise InternalError(f"continued fraction of sqrt({p}) gave norm {norm}")
+    return period, h, k, norm
+
+
+def _pell_unit(p: int) -> tuple[int, int]:
+    """Minimal (x, y) with x + y*sqrt(p) > 1 and x^2 - p y^2 = -1."""
+    _, x, y, norm = sqrt_cf(p)
+    if norm != -1:
+        raise InternalError(
+            f"x^2 - {p} y^2 = -1 should be solvable for a prime ≡ 1 (mod 4)"
+        )
+    return x, y
+
+
+def fundamental_unit_by_sqrt_cf(p: int) -> QuadElem:
+    """Fundamental unit eps > 1 of Q(sqrt(p)) for a prime p ≡ 1 (mod 4).
+
+    The continued fraction of sqrt(p) certifies the minimal integral unit
+    x1 + y1*sqrt(p), of norm -1.  The fundamental unit is either that or a
+    half-integral (a + b*sqrt(p))/2 whose cube is the integral unit; that
+    cube root has norm -1 too, so its conjugate is -1/eps and its trace a
+    solves a^3 + 3a = 2*x1.  The left side is increasing, so a is the integer
+    cube root of 2*x1 or there is no such unit, and then p*b^2 = a^2 + 4
+    gives b.  The cube and the norm are checked before the half-integral
+    unit is returned.  (For p ≡ 1 (mod 8) there is never one: a, b odd give
+    a^2 - p b^2 ≡ 1 - p ≡ 0 (mod 8), never ±4.)
+    """
+    x1, y1 = _pell_unit(p)
+    integral = QuadElem(p, 2 * x1, 2 * y1)
+    a = _icbrt(2 * x1)
+    b = math.isqrt((a * a + 4) // p)
+    if a**3 + 3 * a == 2 * x1 and p * b * b == a * a + 4:
+        eps = QuadElem(p, a, b)
+        if eps**3 != integral:
+            raise InternalError(f"half-integral unit at p={p} fails the cube test")
+    else:
+        eps = integral
+    if eps.norm() != -1:
+        raise InternalError(f"fundamental unit of Q(sqrt({p})) has norm +1")
+    return eps
+
+
+@dataclass(frozen=True)
+class QuadForm:
+    """Binary quadratic form a x^2 + b xy + c y^2, used here with positive
+    nonsquare discriminant b^2 - 4ac."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    def is_reduced(self) -> bool:
+        """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, decided by
+        integer squarings (D is never a perfect square here)."""
+        d = self.discriminant
+        b = self.b
+        if b <= 0 or b * b >= d:
+            return False
+        t = 2 * abs(self.a)
+        if (t - b) >= 0 and (t - b) * (t - b) >= d:  # need 2|a| - b < sqrt(D)
+            return False
+        if (t + b) * (t + b) <= d:  # need sqrt(D) < 2|a| + b
+            return False
+        return True
+
+    def rho(self) -> "QuadForm":
+        """Reduction step; permutes the reduced forms of this discriminant."""
+        d = self.discriminant
+        s = math.isqrt(d)
+        ac = abs(self.c)
+        # unique r ≡ -b (mod 2|c|) in (sqrt(D) - 2|c|, sqrt(D))
+        r = s - (s + self.b) % (2 * ac)
+        return QuadForm(self.c, r, (r * r - d) // (4 * self.c))
+
+
+def reduced_forms(p: int) -> set[QuadForm]:
+    """All reduced indefinite forms of discriminant p (prime, p ≡ 1 mod 4)."""
+    s = math.isqrt(p)
+    forms = set()
+    for b in range(1, s + 1):
+        if (b - p) % 2 != 0:
+            continue
+        m = (b * b - p) // 4  # = a*c < 0
+        for a in range(1, s + b + 1):
+            if m % a != 0:
+                continue
+            for aa in (a, -a):
+                form = QuadForm(aa, b, m // aa)
+                if form.is_reduced():
+                    forms.add(form)
+    return forms
+
+
+def class_number_by_forms(p: int) -> int:
+    """Class number h_p of Q(sqrt(p)) for a prime p ≡ 1 (mod 4), as the
+    number of rho-cycles of reduced indefinite forms of discriminant p.
+    The fundamental unit has norm -1 for such p, so the narrow (cycle) count
+    equals the ideal class number."""
+    forms = reduced_forms(p)
+    cycles = 0
+    seen: set[QuadForm] = set()
+    for start in sorted(forms, key=lambda f: (f.a, f.b, f.c)):
+        if start in seen:
+            continue
+        cycles += 1
+        f = start
+        while True:
+            seen.add(f)
+            f = f.rho()
+            if f not in forms:
+                raise InternalError(f"reduction left the reduced set at {f} (p={p})")
+            if f == start:
+                break
+    return cycles

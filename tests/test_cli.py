@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -244,6 +245,28 @@ def test_compute_unit_at_1mod8_is_fast(capsys):
     code, out, _ = run(capsys, "compute", "--prime", "2017", "--what", "unit")
     assert time.perf_counter() - start < 0.5
     assert code == 0 and out.endswith("√2017)/2\n")
+
+
+def test_compute_unit_prints_beyond_the_int_digit_limit(capsys):
+    # the unit at p = 10^9 + 9 has about 30,700 digits; --prime is still
+    # parsed under the interpreter's limit, which main leaves as it found it
+    p = 1000000009
+    limit = sys.get_int_max_str_digits()
+    texts = []
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "compute", "--prime", str(p), "--what", "unit", *extra)
+        assert code == 0 and err == ""
+        texts.append(json.loads(out)["unit"] if extra else out.strip())
+    assert sys.get_int_max_str_digits() == limit
+    code, _, _ = run(capsys, "compute", "--prime", "1" * (limit + 1), "--what", "unit")
+    assert code == 2
+    sys.set_int_max_str_digits(0)
+    try:
+        for text in texts:
+            u, v = (int(t) for t in text.removeprefix("(").removesuffix(f"√{p})/2").split("+"))
+            assert u * u - p * v * v == -4 and len(str(v)) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_charpoly_alias(capsys):

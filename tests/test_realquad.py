@@ -4,17 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legdet.realquad as realquad
 import oracles
-from legdet.ntheory import primes_in_range
-from legdet.realquad import (
-    QuadElem,
-    QuadForm,
-    class_number_real,
-    fundamental_unit,
-    reduced_forms,
-    sqrt_cf,
-    unit_power_coeffs,
-)
+from legdet.errors import InternalError
+from legdet.ntheory import legendre, primes_in_range
+from legdet.realquad import QuadElem, class_number_real, fundamental_unit, unit_power_coeffs
+from oracles import QuadForm, reduced_forms, sqrt_cf
 
 P1MOD4 = [p for p in primes_in_range(5, 200) if p % 4 == 1]
 
@@ -23,6 +18,52 @@ def test_fundamental_unit_frozen_examples():
     assert fundamental_unit(5) == QuadElem(5, 1, 1)      # (1+sqrt5)/2
     assert fundamental_unit(13) == QuadElem(13, 3, 1)    # (3+sqrt13)/2
     assert fundamental_unit(17) == QuadElem(17, 8, 2)    # 4+sqrt17
+
+
+# (h, u, v) with fundamental unit (u + v sqrt(p))/2 at primes of class
+# numbers 3 to 43, as the continued fraction of sqrt(p), the cube-root test
+# and the rho-cycles of reduced forms gave them
+H_ABOVE_1 = {
+    229: (3, 15, 1),
+    257: (3, 32, 2),
+    401: (5, 40, 2),
+    577: (7, 48, 2),
+    1093: (5, 33, 1),
+    1129: (9, 336, 10),
+    1297: (11, 72, 2),
+    7057: (21, 168, 2),
+    8761: (27, 936, 10),
+    14401: (43, 240, 2),
+}
+
+
+@pytest.mark.parametrize("p", sorted(H_ABOVE_1))
+def test_class_number_above_1_frozen_examples(p):
+    h, u, v = H_ABOVE_1[p]
+    assert class_number_real(p) == h
+    assert fundamental_unit(p) == QuadElem(p, u, v)
+
+
+def test_one_cf_step_agrees_with_the_old_route_below_10_000():
+    # the continued fraction of sqrt(p) with the cube-root fork for the
+    # unit, and the rho-cycles of reduced forms for h
+    for p in primes_in_range(5, 10_000):
+        if p % 4 != 1:
+            continue
+        eps = oracles.fundamental_unit_by_sqrt_cf(p)
+        h = oracles.class_number_by_forms(p)
+        assert fundamental_unit(p) == eps, p
+        assert class_number_real(p) == h, p
+        first, second = eps**h, eps ** ((2 - legendre(2, p)) * h)
+        assert unit_power_coeffs(p) == (first.a, first.b, second.a, second.b), p
+
+
+def test_class_number_raises_when_the_step_leaves_the_reduced_set(monkeypatch):
+    # the principal cycle at p = 17 is (3, 2) -> (3, 4) -> (1, 4)
+    reduced = realquad._reduced
+    monkeypatch.setattr(realquad, "_reduced", lambda p: reduced(p) - {(3, 4)})
+    with pytest.raises(InternalError, match=r"left the reduced set at \(3, 4\) \(p=17\)"):
+        class_number_real(17)
 
 
 def test_fundamental_unit_norm_and_minimality():
@@ -35,10 +76,10 @@ def test_fundamental_unit_norm_and_minimality():
 
 
 def test_fundamental_unit_skips_the_search_for_1mod8_below_2000():
-    """p ≡ 1 (mod 8) skips the half-integral search; the result must be what
-    the search finds.  The search runs to its bound except at the 9 primes
-    where that takes over 5 * 10^4 steps (10^8 at p = 1801); the trace oracle
-    covers all 68."""
+    """For p ≡ 1 (mod 8) the unit is integral; it must be what the old
+    half-integral search finds.  The search runs to its bound except at the
+    9 primes where that takes over 5 * 10^4 steps (10^8 at p = 1801); the
+    trace oracle covers all 68."""
     searched = 0
     for p in primes_in_range(17, 2000):
         if p % 8 != 1:
