@@ -2,8 +2,8 @@
 them.  All entries come from the one cached symbol table
 (`ntheory.legendre_table`), so construction is O(size) once the prime's
 table exists.  `build` takes each matrix by name and returns it as a
-read-only int64 array, indexed out of the table by one formula per name;
-with n = (p-1)/2 and (a/p) the Legendre symbol:
+read-only int64 array, from strided windows over the table (`_WINDOWS`)
+or, for A_p, a gather; with n = (p-1)/2 and (a/p) the Legendre symbol:
 
   aplus      A+    [((j+k)/p) + ((j-k)/p)]         1 <= j,k <= n
   aminus     A-    [((j+k)/p) - ((j-k)/p)]         1 <= j,k <= n
@@ -20,7 +20,10 @@ from the base matrix and the symbol vector.
 its invariants, and each named matrix, determinant and charpoly, each
 computed once.  A matrix equal, entry by entry, to the transpose of one
 built before it (A- = A+^T at p ≡ 3 mod 4) shares that one's determinant
-and charpoly; the entries decide, never p mod 4.
+and charpoly; the entries decide, never p mod 4.  The record names p to
+`exactla` as the prime whose power its rank mod p forces into each det and
+charpoly: det(A+) at p = 397 is p^98 times a sign.  `require_matrix_prime`
+is the one size limit on the matrices, for `compute`, `verify` and `scan`.
 """
 
 from __future__ import annotations
@@ -28,31 +31,65 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exactla import IntPoly, charpoly, det_many
 from .ntheory import PrimeInvariants, legendre_table, prime_invariants
 
-# entry (j, k) of each matrix from the symbol array v, as index arrays j (a
-# column) and k (a row); j*j + j*k < 2^61 for every p a table allows
-_FORMULAS = {
-    "aplus": lambda v, j, k, p: v[j + k] + v[(j - k) % p],
-    "aminus": lambda v, j, k, p: v[j + k] - v[(j - k) % p],
-    "ap": lambda v, j, k, p: v[(j * j + j * k) % p] + v[(j * j - j * k) % p],
-    "sun_plus": lambda v, j, k, p: v[j + k],
-    "sun_minus": lambda v, j, k, p: v[(j - k) % p],
+# each matrix from the Hankel window H = [((j+k)/p)] and the Toeplitz window
+# T = [((j-k)/p)] over its index range, as one int64 allocation
+_WINDOWS = {
+    "aplus": lambda h, t: np.add(h, t, dtype=np.int64),
+    "aminus": lambda h, t: np.subtract(h, t, dtype=np.int64),
+    "sun_plus": lambda h, t: h.astype(np.int64),
+    "sun_minus": lambda h, t: t.astype(np.int64),
 }
+_NAMES = (*_WINDOWS, "ap")
+
+
+#: The largest n = (p-1)/2 whose matrices legdet builds, for `compute`,
+#: `verify` and `scan` alike: up to here charpoly and the solve keep 26-bit
+#: moduli (`exactla.modulus_bits`).
+MATRIX_DIM_MAX = 2048
+
+
+def require_matrix_prime(p: int, what: str = "a matrix field") -> None:
+    """Raises ValueError, naming `what` needs the matrices, when A+ and A- of
+    p, (p-1)/2 square, are larger than MATRIX_DIM_MAX; it builds nothing."""
+    if (p - 1) // 2 > MATRIX_DIM_MAX:
+        raise ValueError(
+            f"p = {p} is too large for {what}: "
+            f"n = (p-1)/2 = {(p - 1) // 2} is above {MATRIX_DIM_MAX}"
+        )
 
 
 def build(name: str, p: int) -> np.ndarray:
     """The matrix `name` (one of aplus, aminus, ap, sun_plus, sun_minus) of
     the odd prime p, as a read-only int64 array; ValueError for any other
-    name."""
-    if name not in _FORMULAS:
-        raise ValueError(f"unknown matrix {name!r}: expected one of {', '.join(_FORMULAS)}")
-    # every entry is in [-2, 2]: gathered as int8, widened once
+    name.
+
+    Over the index range lo..n (lo = 0 for the Sun matrices, 1 otherwise),
+    entry (j, k) of H depends on j + k alone and of T on j - k alone, so each
+    is a strided window of a vector of 2m - 1 symbols, m = n - lo + 1; only
+    the result is m x m.  A_p's entries depend on j^2 +- jk, and it is
+    gathered through m x m index arrays (j^2 + jk < 2^61 for every p a table
+    allows)."""
+    if name not in _NAMES:
+        raise ValueError(f"unknown matrix {name!r}: expected one of {', '.join(_NAMES)}")
+    # every symbol is in [-1, 1]: gathered as int8, widened once
     v = np.array(legendre_table(p).vals, dtype=np.int8)
-    idx = np.arange(0 if name.startswith("sun") else 1, (p - 1) // 2 + 1)  # 0..n or 1..n
-    m = _FORMULAS[name](v, idx[:, None], idx, p).astype(np.int64)
+    n = (p - 1) // 2
+    if name == "ap":
+        j = np.arange(1, n + 1)
+        sq, jk = (j * j)[:, None], j[:, None] * j
+        m = np.add(v[(sq + jk) % p], v[(sq - jk) % p], dtype=np.int64)
+    else:
+        lo = 0 if name.startswith("sun") else 1
+        size = n - lo + 1
+        h = sliding_window_view(v[2 * lo : 2 * n + 1], size)  # h[i, l] = v[2lo + i + l]
+        diffs = v[np.arange(1 - size, size) % p]  # ((d/p)) for d = 1-m .. m-1
+        t = sliding_window_view(diffs, size)[:, ::-1]  # t[i, l] = ((i-l)/p)
+        m = _WINDOWS[name](h, t)
     m.flags.writeable = False
     return m
 
@@ -120,21 +157,24 @@ class PrimeRecord:
         return self._mats[name]
 
     def dets(self, *names: str) -> list[int]:
-        """The named matrices' determinants; the unknown ones from one `det_many` call."""
+        """The named matrices' determinants; the unknown ones from one
+        `det_many` call, which divides out the power of p that each one's
+        rank mod p forces."""
         for name in names:
             self.matrix(name)
         reps = [self._rep[name] for name in names]
         todo = [r for r in dict.fromkeys(reps) if r not in self._dets]
         if todo:
-            self._dets.update(zip(todo, det_many(self._mats[r] for r in todo)))
+            self._dets.update(zip(todo, det_many((self._mats[r] for r in todo), self.p)))
         return [self._dets[r] for r in reps]
 
     def charpoly(self, name: str) -> IntPoly:
-        """The charpoly of `name`, computed once and cross-checked against its det."""
+        """The charpoly of `name`, computed once, with the powers of p that
+        its rank mod p forces divided out, and cross-checked against its det."""
         [d] = self.dets(name)
         rep = self._rep[name]
         if rep not in self._polys:
-            self._polys[rep] = charpoly(self._mats[rep], d)
+            self._polys[rep] = charpoly(self._mats[rep], d, self.p)
         return self._polys[rep]
 
 

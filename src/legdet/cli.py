@@ -20,7 +20,8 @@ import time
 from typing import Callable
 
 from . import verify as _verify
-from .charmat import PrimeRecord, at
+# MATRIX_DIM_MAX stays a name of the CLI: its matrix fields obey it
+from .charmat import MATRIX_DIM_MAX, PrimeRecord, at, require_matrix_prime
 from .errors import InternalError
 from .exactla import IntPoly
 from .ntheory import require_hneg_prime, require_odd_prime
@@ -51,21 +52,6 @@ _COMPUTE: dict[str, Callable[[PrimeRecord], object]] = {
 }
 COMPUTE_FIELDS = tuple(_COMPUTE)
 _MATRIX_FIELDS = frozenset({"det-aplus", "det-aminus", "charpoly-aplus", "charpoly-aminus"})
-
-#: The largest n = (p-1)/2 a matrix field takes: up to here charpoly and
-#: the solve keep 26-bit moduli (`exactla.modulus_bits`).
-MATRIX_DIM_MAX = 2048
-
-
-def require_matrix_prime(p: int) -> None:
-    """Raises ValueError when A+ and A- of p, (p-1)/2 square, are larger
-    than MATRIX_DIM_MAX; it builds nothing."""
-    if (p - 1) // 2 > MATRIX_DIM_MAX:
-        raise ValueError(
-            f"p = {p} is too large for a matrix field: "
-            f"n = (p-1)/2 = {(p - 1) // 2} is above {MATRIX_DIM_MAX}"
-        )
-
 
 def _cmd_compute(args) -> int:
     p = args.prime
@@ -104,6 +90,7 @@ def _cmd_verify(args) -> int:
     if args.p_from is None or args.p_to is None:
         raise ValueError("verify needs --prime or both --from and --to")
     prime_ids = [i for i in ids if i not in _verify.RANDOM_IDS]
+    _verify.require_range(args.p_from, args.p_to, prime_ids)
     shown = 0  # results written so far
     last = None  # the last prime worked on
 
@@ -233,8 +220,8 @@ def _read_resume(path: str, lo: int, hi: int, names: list[str]):
 
 
 def _cmd_scan(args) -> int:
-    _verify.require_range(args.p_from, args.p_to)  # before --out is opened, and maybe truncated
     ids = _verify.parse_ids(args.ids)
+    _verify.require_range(args.p_from, args.p_to, ids)  # before --out is opened, and maybe truncated
     names = sorted(i.name for i in ids)
     if args.resume and args.format == "csv":
         raise ValueError("--resume is only supported with the jsonl format")

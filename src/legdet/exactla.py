@@ -21,7 +21,8 @@ from the number of residue products an intermediate sums (`modulus_bits`),
 so no kernel can overflow: 27 bits for det, and for charpoly and solve up
 to n = 512, then fewer; `_moduli_for` picks them for every operation.
 Every determinant goes through one door (`_dets`), which takes each matrix
-as an array with a bound on |det|: `det_many` sizes a matrix by its row
+as an array with a bound on |det| and a known divisor of det (1 where the
+caller names no prime q, see below): `det_many` sizes a matrix by its row
 Hadamard bound, and `shifted_dets` sizes each four-parameter sample
 a + s 1^T + t g^T by a column-multilinear bound (`_shifted_bounds`), which
 does not count the shift once per row and so takes about a third fewer
@@ -33,6 +34,21 @@ its own modulus and its own pivot rows, so that numpy's per-call cost is
 paid once per step of the stack rather than once per step of each modulus.
 The solve runs the same elimination on [A | V] as a stack of one, and one
 CRT loop (`_crt`) runs the solve and charpoly kernels over their moduli.
+
+A caller that knows a prime q whose power fills most of a result names it
+(`q=`); nothing here guesses one.  For any prime q, q^(n - r), r the rank
+of M mod q (`_rank_mod`, a row-echelon count), divides det M: over the
+integers localized at q, the Smith form of M has n - r invariant factors
+divisible by q.  So CRT rebuilds only det / q^e over moduli other than q,
+against ceil(bound / q^e), and multiplies back (`_known_divisor`).  The
+record of p names p for its matrices, whose dets are almost all a power
+of p; `shifted_dets` takes e = n - r - 2 from one rank of a for every
+sample a + s 1^T + t g^T, a rank-2 update of a; the coefficient of x^(n-k)
+of the charpoly, a sum of principal k x k minors of rank <= r mod q, takes
+q^max(0, k - r).  A rank that came out too low would give a wrong result
+and no other sign of it, so every divided reconstruction is checked mod one
+more modulus outside its set (`_divided_crt`).  Below n = 9 no rank is
+taken.
 
 Both reductions, the elimination and the Hessenberg reduction behind the
 characteristic polynomial (`_charpoly_mod`), are panel-blocked.  A panel
@@ -338,6 +354,33 @@ def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
     return [int(c) for c in polys[n]]
 
 
+def _rank_mod(a: np.ndarray, q: int) -> int:
+    """The rank of the kernel array a over GF(q), q a prime below 2^31, by
+    row echelon form: for each column, the first row at or below the current
+    one with a nonzero entry there becomes the pivot row, and the rows below
+    it take a rank-1 update.  A column with no such row is passed over, so,
+    unlike `_eliminate`, a singular matrix gets its true rank.  Every product
+    of two residues is below 2^62."""
+    b = _residues(a, q)
+    rows = len(b)
+    rank = 0
+    for j in range(b.shape[1]):
+        nz = np.flatnonzero(b[rank:, j])
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            b[[rank, piv]] = b[[piv, rank]]
+        row = b[rank, j + 1 :] * pow(int(b[rank, j]), -1, q) % q
+        below = b[rank + 1 :, j + 1 :]
+        below -= b[rank + 1 :, j, None] * row
+        _reduce_block(below, q)
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -458,26 +501,53 @@ def _ceil_sqrt(q: int) -> int:
     return math.isqrt(q - 1) + 1 if q else 0
 
 
-def _moduli_for(terms: int, target: int, avoid: int = 1) -> list[int]:
+def _moduli_for(terms: int, target: int, avoid: int = 1, check: bool = False) -> list[int]:
     """The moduli sized for `terms` that do not divide `avoid`, taken in
     descending order until their product exceeds target: the kept ones
-    (`moduli`), then as many primes below them as the target needs."""
+    (`moduli`), then as many primes below them as the target needs; with
+    `check`, one more after them, the cross-check modulus of
+    `_divided_crt`."""
     kept = moduli(modulus_bits(terms))
     used, prod = [], 1
     for mod in itertools.chain(kept, _primes_below(kept[-1])):
         if avoid % mod:
+            if prod > target:  # reached only with check
+                return [*used, mod]
             used.append(mod)
             prod *= mod
-            if prod > target:
+            if prod > target and not check:
                 return used
     raise InternalError("CRT modulus set exhausted")
 
 
-def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> list[int]:
+def _divided_crt(residues: Sequence[int], used: Sequence[int], divisor: int) -> int:
+    """The integer x from its residues over `used`, given that `divisor`
+    divides it: y = x / divisor is reconstructed into the symmetric range
+    from x * divisor^-1 over every modulus but the last, then x = y * divisor
+    is checked against its residue mod the last, the cross-check modulus,
+    which no other step reads.  InternalError if they disagree: a divisor
+    that does not divide x (from a rank that came out too low) gives a wrong
+    y and nothing else that shows it."""
+    *mods, check = used
+    *rs, r_check = residues
+    x = crt_symmetric([r * pow(divisor, -1, m) % m for r, m in zip(rs, mods)], mods) * divisor
+    if (x - r_check) % check:
+        raise InternalError(f"CRT cross-check mod {check} failed: the known divisor does not divide the result")
+    return x
+
+
+def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1, divisors: Sequence[int] = ()) -> list[int]:
     """The residue vector kernel(data, mod) reconstructed entrywise into the
-    symmetric range, over `_moduli_for(terms, target, avoid)`."""
-    used = _moduli_for(terms, target, avoid)
+    symmetric range, over `_moduli_for(terms, target, avoid)`.  `divisors`,
+    when given, holds a known divisor of each entry, coprime to every
+    modulus (`avoid`), and target bounds twice each entry over its divisor;
+    if one is above 1, every entry is reconstructed by `_divided_crt`, over
+    one more modulus."""
+    checked = any(d > 1 for d in divisors)
+    used = _moduli_for(terms, target, avoid, checked)
     residues = [kernel(data, mod) for mod in used]
+    if checked:
+        return [_divided_crt(r, used, d) for r, d in zip(zip(*residues), divisors)]
     return [crt_symmetric(r, used) for r in zip(*residues)]
 
 
@@ -492,19 +562,22 @@ def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1) -> l
 _STACK_BYTES = 1 << 19
 
 
-def _crt_dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
-    """Exact determinants of the square arrays of `pairs`, in order, by the
-    stacked kernel and CRT, whatever their size.  Each pair is an int64 (or
-    Python-int object) array and a bound on |det|; a bound of 0 gives 0.
+def _crt_dets(items: Iterable[tuple[np.ndarray, int, int]]) -> list[int]:
+    """Exact determinants of the square arrays of `items`, in order, by the
+    stacked kernel and CRT, whatever their size.  Each item is an int64 (or
+    Python-int object) array, a bound on |det| (0 gives 0) and a known
+    divisor of det, 1 or a power q^e of a prime (`_known_divisor`).
 
-    Each array gets its own moduli from its own bound, and each (array,
-    modulus) pair is one slice of an int64 stack.  Consecutive slices of
-    equal size are packed, in order, into stacks of at most _STACK_BYTES (one
-    slice, if a slice is larger), and each stack is one `_eliminate` call.
-    `pairs` is read lazily: a generator has at most one stack's arrays alive.
+    Each array gets its own moduli, enough for ceil(bound / divisor), and
+    each (array, modulus) pair is one slice of an int64 stack.  An array with
+    a divisor above 1 takes moduli other than q, and one more, and its det
+    comes from `_divided_crt`.  Consecutive slices of equal size are packed,
+    in order, into stacks of at most _STACK_BYTES (one slice, if a slice is
+    larger), and each stack is one `_eliminate` call.  `items` is read
+    lazily: a generator has at most one stack's arrays alive.
     """
     out: list[int] = []
-    owners: dict[int, tuple[list[int], list[int]]] = {}  # index: residues, moduli
+    owners: dict[int, tuple[list[int], list[int], int]] = {}  # index: residues, moduli, divisor
     slices: list[tuple[int, np.ndarray, int]] = []  # index, array, modulus
 
     def run() -> None:
@@ -515,18 +588,18 @@ def _crt_dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
         else:  # in place: a fresh array of this size costs as much again
             np.remainder(stack, mods[:, None, None], out=stack)
         for (i, _, _), r in zip(slices, _eliminate(stack, mods)):
-            residues, used = owners[i]
+            residues, used, divisor = owners[i]
             residues.append(r)
             if len(residues) == len(used):
-                out[i] = crt_symmetric(residues, used)
+                out[i] = crt_symmetric(residues, used) if divisor == 1 else _divided_crt(residues, used, divisor)
                 del owners[i]
         slices.clear()
 
-    for i, (data, bound) in enumerate(pairs):
+    for i, (data, bound, divisor) in enumerate(items):
         out.append(0)
         if bound == 0:
             continue
-        owners[i] = ([], _moduli_for(1, 2 * bound))
+        owners[i] = ([], _moduli_for(1, 2 * -(-bound // divisor), divisor, divisor > 1), divisor)
         fit = max(1, _STACK_BYTES // (8 * data.size))
         for mod in owners[i][1]:
             if slices and (len(slices) == fit or slices[0][1].shape != data.shape):
@@ -542,17 +615,18 @@ def _crt_dets(pairs: Iterable[tuple[np.ndarray, int]]) -> list[int]:
 _BAREISS_MAX = 8
 
 
-def _dets(pairs: Iterable[tuple[np.ndarray, int | None]]) -> list[int]:
-    """Exact determinants of the square arrays of `pairs` (array, bound on
-    |det|), in order, in one pass: Bareiss for n <= _BAREISS_MAX, the
-    stacked kernel (`_crt_dets`) above.  Every determinant goes through here."""
+def _dets(items: Iterable[tuple[np.ndarray, int | None, int]]) -> list[int]:
+    """Exact determinants of the square arrays of `items` (array, bound on
+    |det|, known divisor of det), in order, in one pass: Bareiss for
+    n <= _BAREISS_MAX, which reads neither bound nor divisor, the stacked
+    kernel (`_crt_dets`) above.  Every determinant goes through here."""
     out: list[int | None] = []  # None: left to the stacked kernel
 
     def large():
-        for data, bound in pairs:
+        for data, bound, divisor in items:
             out.append(_bareiss(data.tolist()) if len(data) <= _BAREISS_MAX else None)
             if out[-1] is None:
-                yield data, bound
+                yield data, bound, divisor
 
     crt = iter(_crt_dets(large()))
     return [next(crt) if d is None else d for d in out]
@@ -564,16 +638,36 @@ def _row_bound(a: np.ndarray) -> int:
     return math.isqrt(h2) + 1 if h2 else 0
 
 
-def det_many(matrices: Iterable[Matrix]) -> list[int]:
+def _known_divisor(a: np.ndarray, q: int | None, updates: int = 0) -> int:
+    """q^e with e = n - rank(a mod q) - updates, at least 0, or 1 when q is
+    None: a divisor of det(a), and of the det of every matrix that differs
+    from a by a matrix of rank <= `updates`, whose rank mod q is at most
+    rank(a mod q) + updates.  Over the integers localized at q, the Smith
+    form of such a matrix M has at least n - rank(M mod q) invariant factors
+    divisible by q (Saunders and Wan, ISSAC 2004)."""
+    return 1 if q is None else q ** max(0, len(a) - _rank_mod(a, q) - updates)
+
+
+def det_many(matrices: Iterable[Matrix], q: int | None = None) -> list[int]:
     """Exact determinants of the square `matrices`, in order, each sized
-    by its row Hadamard bound, in one pass over `matrices` (`_dets`)."""
-    arrays = map(_square, matrices)
-    return _dets((a, _row_bound(a) if len(a) > _BAREISS_MAX else None) for a in arrays)
+    by its row Hadamard bound, in one pass over `matrices` (`_dets`).  A
+    prime q, when the caller names one, divides each det above n = 8 by
+    q^(n - rank mod q) before CRT (`_known_divisor`)."""
+
+    def items():
+        for a in map(_square, matrices):
+            if len(a) <= _BAREISS_MAX:
+                yield a, None, 1
+            else:
+                yield a, _row_bound(a), _known_divisor(a, q)
+
+    return _dets(items())
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant: Bareiss for n <= 8, multi-modular CRT above."""
-    return det_many([m])[0]
+def det(m: Matrix, q: int | None = None) -> int:
+    """Exact determinant: Bareiss for n <= 8, multi-modular CRT above,
+    divided by the power of q that the rank mod q forces when q is named."""
+    return det_many([m], q)[0]
 
 
 def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
@@ -600,36 +694,50 @@ def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarr
     return np.array(flat, dtype=object).reshape(n, k), d
 
 
-def _charpoly_bound(a: np.ndarray) -> int:
-    """A bound on every coefficient of charpoly(a).  The coefficient of
-    x^(n-k) is, up to sign, the sum of the C(n, k) principal k x k minors,
-    and Hadamard bounds each by the product of its k row norms, so by the
-    square root of the product of the k largest squared row norms."""
+def _charpoly_bounds(a: np.ndarray) -> list[int]:
+    """A bound on the coefficient of x^(n-k) of charpoly(a), for k = 0..n.
+    That coefficient is, up to sign, the sum of the C(n, k) principal k x k
+    minors, and Hadamard bounds each by the product of its k row norms, so
+    by the square root of the product of the k largest squared row norms;
+    once that product is 0, every such minor has a zero row."""
     norms = sorted(_sq_norms(a), reverse=True)
-    bound, prod = 1, 1
+    bounds, prod = [1], 1
     for k, norm in enumerate(norms, 1):
         prod *= norm
-        if prod == 0:
-            break
-        bound = max(bound, math.comb(len(norms), k) * _ceil_sqrt(prod))
-    return bound
+        bounds.append(math.comb(len(norms), k) * _ceil_sqrt(prod))
+    return bounds
 
 
-def charpoly(m: Matrix, d: int | None = None) -> IntPoly:
+def _charpoly_bound(a: np.ndarray) -> int:
+    """A bound on every coefficient of charpoly(a) (`_charpoly_bounds`)."""
+    return max(_charpoly_bounds(a))
+
+
+def charpoly(m: Matrix, d: int | None = None, q: int | None = None) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 
     Computed modulo word-sized primes via Hessenberg reduction over each
     prime field, with coefficients CRT-reconstructed against
-    `_charpoly_bound`.  The constant term is cross-checked against
-    (-1)^n * d, d = det(m), computed here unless the caller passes it.
+    `_charpoly_bounds`.  A prime q, when the caller names one and n > 8,
+    divides the coefficient of x^(n-k) by q^max(0, k - r), r = rank(m mod q):
+    each of its principal k x k minors has rank at most r mod q.  The
+    moduli then avoid q, cover the largest bound_k / q^max(0, k - r), and
+    one more cross-checks every coefficient (`_divided_crt`).  The constant
+    term is cross-checked against (-1)^n * d, d = det(m), computed here with
+    the same q unless the caller passes it.
     """
     a = _square(m)
     n = len(a)
-    poly = IntPoly(_crt(_charpoly_mod, a, n, 2 * _charpoly_bound(a)))
+    rank = n if q is None or n <= _BAREISS_MAX else _rank_mod(a, q)
+    # the known divisor of the coefficient of x^i, from x^0 up: k = n - i
+    divisors = [1] * (n + 1) if rank == n else [q ** max(0, n - i - rank) for i in range(n + 1)]
+    bounds = _charpoly_bounds(a)[::-1]
+    target = 2 * max(-(-b // dv) for b, dv in zip(bounds, divisors))
+    poly = IntPoly(_crt(_charpoly_mod, a, n, target, max(divisors), divisors))
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if d is None:
-        d = det(a)
+        d = det(a, q)
     if poly.coeffs[0] != (-1) ** n * d:
         raise InternalError("charpoly constant term disagrees with determinant")
     return poly
@@ -753,14 +861,21 @@ def _shifted_bounds(a: np.ndarray, f: Sequence[int], g: Sequence[int], points: S
         yield prod + ns * sum_s + nt * sum_t + ns * nt * both
 
 
-def shifted_dets(a: Matrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]]) -> list[int]:
+def shifted_dets(
+    a: Matrix, f: Sequence[int], g: Sequence[int], points: Sequence[tuple[int, int, int, int]], q: int | None = None
+) -> list[int]:
     """Exact determinants of |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| at
     each of `points`, in order, each sized by its column-multilinear bound
-    (`_shifted_bounds`): Bareiss for n <= 8, the stacked kernel above."""
+    (`_shifted_bounds`): Bareiss for n <= 8, the stacked kernel above.  A
+    prime q, when the caller names one and n > 8, divides every sample's det
+    by q^(n - rank(a mod q) - 2), from one rank of a: each sample is
+    a + s 1^T + t g^T, a rank-2 update of a (`_known_divisor`)."""
     a = _square(a)
     samples = _shifted_samples(a, f, g, points)
-    bounds = _shifted_bounds(a, f, g, points) if len(a) > _BAREISS_MAX else itertools.repeat(None)
-    return _dets(zip(samples, bounds))
+    if len(a) <= _BAREISS_MAX:
+        return _dets((s, None, 1) for s in samples)
+    divisor = _known_divisor(a, q, updates=2)
+    return _dets((s, b, divisor) for s, b in zip(samples, _shifted_bounds(a, f, g, points)))
 
 
 def param_det_expand(
@@ -769,12 +884,14 @@ def param_det_expand(
     g: Sequence[int],
     points: Sequence[tuple[int, int, int, int]],
     alpha: int | None = None,
+    q: int | None = None,
 ) -> tuple[ParamDet, list[int]]:
     """Expand |a_jk + x + f(j) y + g(k) z + f(j) g(k) w| in closed form.
 
     Requires det(a) != 0; a caller that knows det(a) passes it as `alpha`.
     The base determinants, and the direct determinant at each of `points`,
-    come from one `shifted_dets` call.  Returns the ParamDet with the direct
+    come from one `shifted_dets` call, which takes the caller's prime q, if
+    any, for its known divisor.  Returns the ParamDet with the direct
     determinants, in the order of `points`; comparing alpha times those with
     `ParamDet.scaled` (and with any closed form they bear on) is the
     caller's check.
@@ -782,7 +899,7 @@ def param_det_expand(
     base = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     if alpha is None:
         base.insert(0, (0, 0, 0, 0))
-    dets = shifted_dets(a, f, g, [*base, *points])
+    dets = shifted_dets(a, f, g, [*base, *points], q)
     if alpha is None:
         alpha = dets.pop(0)
     if alpha == 0:

@@ -21,11 +21,15 @@ entry, so det(A-) is det(A+).  Only the last prime's values are kept.
 Determinants that are needed together come from one call: the base
 matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
 samples' from `shifted_dets` (through `param_det_expand` or directly), sized
-by the column-multilinear bound.  The two seed-only suites run once per seed
-in a process, and take each instance's det(a) once.  Every prime range,
-`scan`'s and the CLI's `verify`'s, runs through one loop (`run_range`): one
-sieve, primes in ascending order, each prime's record delivered as soon as
-it is done, and one tally of the outcomes.
+by the column-multilinear bound; the samples of A+ name p, and those of the
+Sun matrix [((j+k)/p)] name 2, as the prime whose power the base matrix's
+rank forces into every sample's det.  A check that builds matrices
+(`MATRIX_IDS`) is refused above `charmat.MATRIX_DIM_MAX`.  The two
+seed-only suites run once per seed in a process, and take each instance's
+det(a) once.  Every prime range, `scan`'s and the CLI's `verify`'s, runs
+through one loop (`run_range`): one sieve, primes in ascending order, each
+prime's record delivered as soon as it is done, and one tally of the
+outcomes.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charmat import at, special_eigvecs, symbol_vector, theta_vector
+from .charmat import at, require_matrix_prime, special_eigvecs, symbol_vector, theta_vector
 from .errors import InternalError
 from .exactla import (
     IntPoly,
@@ -105,6 +109,14 @@ CONJECTURE_IDS = frozenset({CheckId.CONJ11_DP})
 #: Checks driven purely by seeded random instances; they ignore the prime.
 RANDOM_IDS = frozenset({CheckId.T31_RANDOM, CheckId.MDL_RANDOM})
 
+#: Checks that build p's matrices, (p-1)/2 square or one larger; every
+#: other check reads only the symbol table and p's invariants.  Refused, as
+#: a usage error, where n = (p-1)/2 is above `charmat.MATRIX_DIM_MAX`.
+MATRIX_IDS = frozenset(CheckId) - RANDOM_IDS - {
+    CheckId.T13_DPMOD4, CheckId.CONJ11_DP, CheckId.L21_QUADSUM,
+    CheckId.L41_SUMS, CheckId.EQ_DCOUNT, CheckId.MORDELL,
+}
+
 
 @dataclass
 class CheckResult:
@@ -134,11 +146,13 @@ def _det_3mod4(p: int) -> int:
     return _sign_pow((at(p).invariants.h_neg - 1) // 2) * p ** ((p - 3) // 4)
 
 
-def _expand(a: np.ndarray, f: list[int], name: str, p: int, seed: int, alpha: int | None = None):
+def _expand(a: np.ndarray, f: list[int], name: str, p: int, seed: int, alpha: int | None, q: int | None):
     """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
-    20 points of check `name`'s seeded stream; alpha is det(a) if known."""
+    20 points of check `name`'s seeded stream; alpha is det(a) if known, and
+    q the prime, if any, whose power a's rank mod q forces into every
+    sample's det (`exactla.shifted_dets`)."""
     points = _sample_tuples(_rng(seed, name, p))
-    pd, directs = param_det_expand(a, f, f, points, alpha)
+    pd, directs = param_det_expand(a, f, f, points, alpha, q)
     return pd, tuple(zip(points, directs))
 
 
@@ -149,15 +163,17 @@ def _aplus_pd(p: int, seed: int):
     same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
     [alpha] = at(p).dets("aplus")
-    return _expand(at(p).matrix("aplus"), symbol_vector(p), name, p, seed, alpha)
+    return _expand(at(p).matrix("aplus"), symbol_vector(p), name, p, seed, alpha, p)
 
 
 @lru_cache(maxsize=1)
 def _sun_pd(p: int, plus: bool, seed: int):
     name = "SUN_C31_I" if plus else "SUN_C31_II"
-    # the symbol vector over 0..n, with (0/p) = 0
+    # the symbol vector over 0..n, with (0/p) = 0.  Mod 2, [((j+k)/p)] is all
+    # ones but for its 0 at (0, 0), so of rank 2; [((j-k)/p)] is J - I there,
+    # of rank n or n + 1, and names no q
     a = at(p).matrix("sun_plus" if plus else "sun_minus")
-    return _expand(a, [0, *symbol_vector(p)], name, p, seed)
+    return _expand(a, [0, *symbol_vector(p)], name, p, seed, None, 2 if plus else None)
 
 
 #: The 15 points of N^4 with coordinate sum <= 2, which are unisolvent for
@@ -285,7 +301,7 @@ def _run_cor_after_t12(p: int, seed: int):
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
         for pt in ((x, y, 0, 0), (0, y, 0, w))
     ]
-    samples = zip(points, shifted_dets(a, f, f, points))
+    samples = zip(points, shifted_dets(a, f, f, points, p))
 
     def rhs(x, y, z, w):
         return d_det * (1 - c * (x + w) - n * y)
@@ -785,18 +801,23 @@ def parse_ids(raw: str | Iterable[CheckId | str]) -> list[CheckId]:
     return ids
 
 
-def require_range(p_from: int, p_to: int) -> None:
+def require_range(p_from: int, p_to: int, ids: Iterable[CheckId] = ()) -> None:
     """Raises ValueError unless 3 <= p_from <= p_to < TABLE_P_LIMIT (no symbol
-    table above it), before anything is sieved."""
+    table above it), and, when `ids` holds a check that builds matrices,
+    unless p_to passes `require_matrix_prime`; before anything is sieved."""
     if not 3 <= p_from <= p_to:
         raise ValueError(f"need 3 <= from <= to, got [{p_from}, {p_to}]")
     if p_to >= TABLE_P_LIMIT:
         raise ValueError(f"need to < 2^31 for a symbol table, got to = {p_to}")
+    big = sorted(cid.name for cid in MATRIX_IDS.intersection(ids))
+    if big:
+        require_matrix_prime(p_to, f"the matrices of {', '.join(big)}")
 
 
 def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> CheckResult:
     """Run one catalog check.  Raises ValueError when p is missing, not an
-    odd prime, or in the wrong residue class for the statement."""
+    odd prime, in the wrong residue class for the statement, or too large
+    for the matrices the check builds (`require_matrix_prime`)."""
     [check_id] = parse_ids([check_id])
     spec = _REGISTRY[check_id]
     if check_id in RANDOM_IDS:
@@ -807,6 +828,8 @@ def check(check_id: CheckId | str, p: int | None = None, seed: int = 0) -> Check
     require_odd_prime(p)
     if not spec.applies(p):
         raise ValueError(f"check {check_id.name} requires {spec.requirement}, got p = {p}")
+    if check_id in MATRIX_IDS:
+        require_matrix_prime(p, f"the matrices of {check_id.name}")
     ok, wit = spec.runner(p, seed)
     return CheckResult(check_id, p, ok, wit, time.perf_counter() - start)
 
@@ -951,4 +974,5 @@ def scan(ids: Iterable[CheckId | str], p_from: int, p_to: int, sink: Callable[[S
     ordered and incremental, an aborted scan leaves a valid prefix that a
     later resume can extend."""
     ids = tuple(sorted(set(parse_ids(ids)), key=lambda cid: cid.name))
+    require_range(p_from, p_to, ids)
     return run_range(p_from, p_to, partial(_scan_one, ids=ids, seed=seed), sink, jobs=jobs, skip=skip)

@@ -215,6 +215,27 @@ def det_mod_py(rows: list[list[int]], m: int) -> int:
     return det % m
 
 
+def rank_mod_py(rows: list[list[int]], q: int) -> int:
+    """The rank of rows over GF(q), q prime, by row echelon form on lists:
+    each column's first nonzero entry at or below the current row clears
+    that column in the rows below it."""
+    a = [[x % q for x in row] for row in rows]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        inv = pow(top[j], -1, q)
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] * inv % q
+            if f:
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], top)]
+        rank += 1
+    return rank
+
+
 def solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
     """(det mod m, solution of A x = v mod m), or (0, None) if singular mod m."""
     n = len(rows)
@@ -390,6 +411,26 @@ def build_by_rows(name: str, p: int) -> list[list[int]]:
     if name == "ap":
         return [[v[(j * j + j * k) % p] + v[(j * j - j * k) % p] for k in idx] for j in idx]
     return [[v[j + k] + v[(j - k) % p] for k in idx] for j in idx]
+
+
+# entry (j, k) of each named matrix from the symbol array v, as index arrays
+# j (a column) and k (a row): legdet's gather before `charmat.build` took
+# Hankel and Toeplitz windows, which made n x n int64 index temporaries
+_FORMULAS = {
+    "aplus": lambda v, j, k, p: v[j + k] + v[(j - k) % p],
+    "aminus": lambda v, j, k, p: v[j + k] - v[(j - k) % p],
+    "ap": lambda v, j, k, p: v[(j * j + j * k) % p] + v[(j * j - j * k) % p],
+    "sun_plus": lambda v, j, k, p: v[j + k],
+    "sun_minus": lambda v, j, k, p: v[(j - k) % p],
+}
+
+
+def build_by_gather(name: str, p: int, vals: Sequence[int]) -> np.ndarray:
+    """The named matrix of p as int64, gathered out of the symbol list
+    `vals` (vals[a] = (a/p)) through n x n index arrays."""
+    v = np.array(vals, dtype=np.int8)
+    idx = np.arange(0 if name.startswith("sun") else 1, (p - 1) // 2 + 1)  # 0..n or 1..n
+    return _FORMULAS[name](v, idx[:, None], idx, p).astype(np.int64)
 
 
 # The old route of legdet.realquad to the fundamental unit and the class

@@ -28,6 +28,22 @@ def test_build_matches_the_entry_by_entry_oracle(p):
         assert m.tolist() == oracles.build_by_rows(name, p), name
 
 
+def test_build_equals_the_index_array_gather_to_2000():
+    # the Hankel and Toeplitz windows against the n x n index-array gather
+    # they replaced, for every name at every odd prime below 2,000
+    for p in primes_in_range(3, 2000):
+        vals = [oracles.euler_legendre(a, p) for a in range(p)]
+        for name in ("aplus", "aminus", "ap", "sun_plus", "sun_minus"):
+            m = build(name, p)
+            assert m.dtype == np.int64 and m.flags.c_contiguous and m.flags.owndata
+            assert np.array_equal(m, oracles.build_by_gather(name, p, vals)), (name, p)
+
+
+def test_build_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown matrix 'bplus'"):
+        build("bplus", 7)
+
+
 def test_record_matrices_are_read_only(fresh_caches):
     p = 101
     m = at(p).matrix("aplus")

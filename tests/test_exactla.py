@@ -30,14 +30,15 @@ from legdet.exactla import (
     _solve_mod,
 )
 import legdet.exactla as ex
+from legdet.errors import InternalError
 from legdet.charmat import build, symbol_vector
 from legdet.ntheory import primes_in_range
 
 
 def row_bound_pair(m):
-    """m as a kernel array, with its row Hadamard bound."""
+    """m as a kernel array, with its row Hadamard bound and no known divisor."""
     a = ex._square(m)
-    return a, ex._row_bound(a)
+    return a, ex._row_bound(a), 1
 
 
 def rand_square(rng, n, lo=-99, hi=99):
@@ -746,6 +747,128 @@ def test_shifted_bound_takes_fewer_slices_than_row_hadamard():
                 for pt in points
             )
             assert col < row, (p, col, row)
+
+
+# --- rank mod q and the known divisor ---------------------------------------
+
+
+def rank_cases():
+    """(matrix, q): zero, full-rank, singular and rectangular matrices at
+    q = 2, small primes and primes near 2^31, then every named matrix at
+    p <= 199 mod 2 and mod p."""
+    rng = random.Random(2024)
+    for q in (2, 3, 5, 101, 2**31 - 1):
+        for n in (1, 2, 5, 12):
+            yield np.zeros((n, n), dtype=np.int64), q
+            yield rand_square(rng, n), q
+            # rank at most r, from a product of n x r and r x n factors
+            r = rng.randint(0, n)
+            left = np.array([[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)], dtype=np.int64)
+            right = np.array([[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)], dtype=np.int64)
+            yield left.reshape(n, r) @ right.reshape(r, n), q
+            yield q * rand_square(rng, n) + np.diag([1] * r + [0] * (n - r)), q
+        yield np.array([[rng.randint(-99, 99) for _ in range(7)] for _ in range(4)], dtype=np.int64), q
+        yield np.array([[rng.randint(-99, 99) for _ in range(4)] for _ in range(7)], dtype=np.int64), q
+    for p in oracles_primes(3, 199):
+        for name in ("aplus", "aminus", "ap", "sun_plus", "sun_minus"):
+            yield build(name, p), p
+            yield build(name, p), 2
+
+
+def test_rank_mod_agrees_with_python_elimination():
+    seen = set()
+    for m, q in rank_cases():
+        want = oracles.rank_mod_py(m.tolist(), q)
+        assert ex._rank_mod(m, q) == want, (m.tolist(), q)
+        seen.add((want == 0, want == min(m.shape)))
+    # zero, full-rank and singular nonzero matrices all occur
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_rank_mod_leaves_its_input_alone():
+    m = build("aplus", 29).copy()  # writable
+    before = m.copy()
+    ex._rank_mod(m, 29)
+    assert np.array_equal(m, before)
+
+
+def test_named_dets_and_charpolys_divided_by_p_equal_the_undivided_path_to_199():
+    for p in oracles_primes(3, 199):
+        mats = [build(name, p) for name in ("aplus", "aminus", "ap", "sun_plus", "sun_minus")]
+        assert det_many(mats, p) == det_many(mats)
+        assert det_many(mats, 2) == det_many(mats)
+        for m in mats[:2]:  # the charpolys that legdet computes
+            assert charpoly(m, q=p) == charpoly(m)
+
+
+def test_known_divisor_divides_out_the_power_of_p(monkeypatch):
+    # det(A+) at p = 397 is 847 bits, 846 of them p^98: one modulus and the
+    # cross-check modulus, against 32; charpoly takes 24 and one, against 33
+    used = []
+    real = ex._moduli_for
+    monkeypatch.setattr(ex, "_moduli_for", lambda *a: used.append(real(*a)) or used[-1])
+    a = build("aplus", 397)
+    n, r = len(a), ex._rank_mod(a, 397)
+    assert (n, r) == (198, 100)
+    assert ex._known_divisor(a, 397) == 397**98 and ex._known_divisor(a, 397, updates=2) == 397**96
+    assert ex._known_divisor(a, None) == 1
+    assert det(a, 397) == det(a) == oracles.euler_legendre(2, 397) * 397**98
+    assert [len(u) for u in used] == [2, 32]
+    used.clear()
+    # each charpoly computes its constant term's det after its coefficients
+    assert charpoly(a, q=397) == charpoly(a)
+    assert [len(u) for u in used] == [25, 2, 33, 32]
+
+
+def test_divided_crt_cross_checks_with_the_last_modulus():
+    mods = [1000003, 999983, 999979]
+    x = 7**5 * 12345
+    assert ex._divided_crt([x % m for m in mods], mods, 7**5) == x
+    with pytest.raises(InternalError, match="cross-check"):
+        ex._divided_crt([x % m for m in mods], mods, 7**6)
+
+
+def _rank_one_too_low(monkeypatch):
+    real = ex._rank_mod
+    monkeypatch.setattr(ex, "_rank_mod", lambda a, q: real(a, q) - 1)
+
+
+@pytest.mark.parametrize("p", [101, 103, 197, 199])
+def test_a_rank_one_too_low_fails_the_cross_check(monkeypatch, p):
+    # v_p(det A+-) is exactly n - rank mod p here, so q^(e+1) does not divide
+    a = build("aplus", p)
+    d = det(a)
+    _rank_one_too_low(monkeypatch)
+    with pytest.raises(InternalError, match="cross-check"):
+        det_many([a], p)
+    with pytest.raises(InternalError, match="cross-check"):
+        charpoly(a, d, p)
+
+
+def test_a_rank_one_too_low_fails_the_cross_check_of_shifted_samples(monkeypatch):
+    # a is diagonal with 4 units and 8 multiples of 5, so rank 4 mod 5; a
+    # generic rank-2 shift leaves 5^6 = 5^(n - r - 2) exactly in the det
+    rng = random.Random(12)
+    n, q = 12, 5
+    a = np.diag([1, 2, 3, 4] + [q * rng.choice([1, 2, 3, 4]) for _ in range(n - 4)]).astype(np.int64)
+    f = [rng.randint(-9, 9) for _ in range(n)]
+    g = [rng.randint(-9, 9) for _ in range(n)]
+    points = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(10)]
+    want = shifted_dets(a, f, g, points)
+    assert shifted_dets(a, f, g, points, q) == want
+    assert any(d % q**6 == 0 and d % q**7 for d in want)
+    _rank_one_too_low(monkeypatch)
+    with pytest.raises(InternalError, match="cross-check"):
+        shifted_dets(a, f, g, points, q)
+
+
+def test_bareiss_sizes_take_no_rank(monkeypatch):
+    monkeypatch.setattr(ex, "_rank_mod", lambda a, q: pytest.fail("ranked an n <= 8 matrix"))
+    a = build("aplus", 17)  # n = 8
+    assert det_many([a], 17) == det_many([a])
+    assert charpoly(a, q=17) == charpoly(a)
+    f = symbol_vector(17)
+    assert shifted_dets(a, f, f, [(1, 2, 3, 4)], 17) == shifted_dets(a, f, f, [(1, 2, 3, 4)])
 
 
 # --- IntPoly ------------------------------------------------------------------

@@ -200,9 +200,9 @@ def _patch_det(monkeypatch, replacement):
     each matrix m, as rows of Python ints."""
     real = legdet.exactla._dets
 
-    def patched(pairs):
-        pairs = list(pairs)
-        return [replacement(data.tolist(), d) for (data, _), d in zip(pairs, real(pairs))]
+    def patched(items):
+        items = list(items)
+        return [replacement(data.tolist(), d) for (data, *_), d in zip(items, real(items))]
 
     monkeypatch.setattr(legdet.exactla, "_dets", patched)
 
@@ -490,7 +490,7 @@ def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_
     # the one call holds A+ alone: A- = A+^T takes its determinant
     calls = []
     real = legdet.exactla.det_many
-    monkeypatch.setattr(charmat, "det_many", lambda ms: calls.append(list(ms)) or real(calls[-1]))
+    monkeypatch.setattr(charmat, "det_many", lambda ms, q: calls.append(list(ms)) or real(calls[-1], q))
     res = check(CheckId.T11_DET_3MOD4, 103)
     assert res.passed and res.witness["det_aminus"] == res.witness["det_aplus"]
     assert [[m.tolist() for m in ms] for ms in calls] == [[build("aplus", 103).tolist()]]
@@ -590,3 +590,118 @@ def test_seed_only_suite_witness_is_a_copy(fresh_caches):
     first.witness["instances"] = -1
     again = t31_random_suite(count=3, seed=5)
     assert again.witness == {"instances": 3} and again.passed
+
+
+# --- the known divisor of the catalog's samples ---------------------------------
+
+
+_EXPANSION_IDS = (CheckId.T12_I, CheckId.T12_II, CheckId.COR_AFTER_T12, CheckId.SUN_C31_I, CheckId.SUN_C31_II)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_every_catalog_sample_equals_the_undivided_path_to_199(monkeypatch, fresh_caches, seed):
+    # each shifted_dets and param_det_expand call of the five expansion
+    # checks, at every prime they apply to up to 199, computed again with no
+    # q; the last argument of each call is the q the catalog names
+    named = set()
+
+    def undivided_too(fn):
+        def both(*args):
+            got = fn(*args)
+            named.add(args[-1])
+            if args[-1] is not None:
+                assert fn(*args[:-1], None) == got, args[-1]
+            return got
+        return both
+
+    monkeypatch.setattr(v, "shifted_dets", undivided_too(v.shifted_dets))
+    monkeypatch.setattr(v, "param_det_expand", undivided_too(v.param_det_expand))
+    for p in primes_in_range(3, 199):
+        for cid in _EXPANSION_IDS:
+            if applicable(cid, p):
+                assert check(cid, p, seed).passed, (cid, p)
+        assert p in named or p < 7
+    assert {2, None} <= named  # sun_plus names 2, sun_minus none
+
+
+def test_catalog_names_p_for_aplus_and_2_for_sun_plus_only(monkeypatch, fresh_caches):
+    # (n, q, rank-2 updates) of each known divisor the catalog asks for
+    calls = []
+    real = legdet.exactla._known_divisor
+    monkeypatch.setattr(legdet.exactla, "_known_divisor", lambda a, q, updates=0: calls.append((len(a), q, updates)) or real(a, q, updates))
+    for cid, p, want in (
+        (CheckId.T12_I, 101, [(50, 101, 0), (50, 101, 2)]),  # det(A+), then the samples
+        (CheckId.SUN_C31_I, 101, [(51, 2, 2)]),
+        (CheckId.SUN_C31_II, 101, [(51, None, 2)]),
+        (CheckId.COR_AFTER_T12, 103, [(51, 103, 0), (51, 103, 2), (51, 103, 2)]),  # and its restricted points
+    ):
+        calls.clear()
+        assert check(cid, p).passed
+        assert calls == want, cid
+
+
+# --- one matrix-size guard ------------------------------------------------------
+
+
+def _no_matrices(monkeypatch):
+    """Fail the test on any symbol table above p = 4099, sieve or matrix."""
+    real_table = ntheory.legendre_table
+
+    def table(p):
+        assert p < 4099, f"built the symbol table of {p}"
+        return real_table(p)
+
+    monkeypatch.setattr(charmat, "build", lambda *a: pytest.fail("built a matrix"))
+    monkeypatch.setattr(charmat, "legendre_table", table)
+    monkeypatch.setattr(v, "legendre_table", table)
+    monkeypatch.setattr(v, "primes_in_range", lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi}]"))
+
+
+def test_matrix_ids_are_the_checks_that_build_matrices(monkeypatch, fresh_caches):
+    built = []
+    real = charmat.build
+    monkeypatch.setattr(charmat, "build", lambda name, p: built.append(name) or real(name, p))
+    for cid in CheckId:
+        if cid in RANDOM_IDS:
+            continue
+        p = next(q for q in (13, 11, 7) if applicable(cid, q))
+        for cache in (charmat.at, v._aplus_pd, v._sun_pd):
+            cache.cache_clear()
+        built.clear()
+        assert check(cid, p).passed
+        assert bool(built) == (cid in v.MATRIX_IDS), cid
+
+
+@pytest.mark.parametrize("cid, p", [(CheckId.L25_EIGS, 10007), (CheckId.T11_DET_3MOD4, 4099), (CheckId.SUN_C31_II, 4099)])
+def test_check_refuses_a_matrix_check_above_the_dimension_limit(monkeypatch, fresh_caches, cid, p):
+    _no_matrices(monkeypatch)
+    with pytest.raises(ValueError, match=r"n = \(p-1\)/2 = \d+ is above 2048"):
+        check(cid, p)
+
+
+def test_check_runs_a_table_check_above_the_dimension_limit(monkeypatch, fresh_caches):
+    monkeypatch.setattr(charmat, "build", lambda *a: pytest.fail("built a matrix"))
+    assert check(CheckId.T13_DPMOD4, 10007).passed and check(CheckId.MORDELL, 10007).passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--prime", "10007", "--suite", "L25_EIGS"],
+    ["verify", "--prime", "4099"],
+    ["verify", "--from", "4000", "--to", "4100", "--suite", "T13_DPMOD4,L22_GRAM"],
+    ["scan", "--from", "3", "--to", "10007", "--ids", "T13_DPMOD4,L25_EIGS"],
+])
+def test_matrix_checks_above_the_limit_are_a_usage_error_before_sieving(monkeypatch, fresh_caches, capsys, tmp_path, argv):
+    _no_matrices(monkeypatch)
+    out = tmp_path / "s.jsonl"
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is above 2048" in captured.err
+    assert not out.exists()
+
+
+def test_scan_refuses_matrix_checks_above_the_limit_before_sieving(monkeypatch, fresh_caches):
+    _no_matrices(monkeypatch)
+    with pytest.raises(ValueError, match="is above 2048"):
+        scan([CheckId.ATHETA], 3, 4100, lambda rec: pytest.fail("delivered a record"))
