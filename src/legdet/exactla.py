@@ -708,11 +708,6 @@ def _charpoly_bounds(a: np.ndarray) -> list[int]:
     return bounds
 
 
-def _charpoly_bound(a: np.ndarray) -> int:
-    """A bound on every coefficient of charpoly(a) (`_charpoly_bounds`)."""
-    return max(_charpoly_bounds(a))
-
-
 def charpoly(m: Matrix, d: int | None = None, q: int | None = None) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 

@@ -230,10 +230,13 @@ def quad_char_sum(b: int, c: int, p: int) -> int:
 
 def half_range_sums(p: int) -> tuple[int, int, int]:
     """(S1, S2, SJK) with S1 = sum (k/p), S2 = sum k*(k/p) over 1 <= k <= n,
-    and SJK = sum_{j,k=1}^{n} ((j+k)/p) evaluated as a direct double sum."""
+    and SJK = sum_{j,k=1}^{n} ((j+k)/p), summed over m = j + k as
+    sum_{m=2}^{2n} (m/p) (n - |m - n - 1|), n - |m - n - 1| being the number
+    of pairs with j + k = m: an exact rearrangement of the double sum, in
+    O(p), not the lemma that L41_SUMS checks."""
     vals = legendre_table(p).vals
     n = (p - 1) // 2
     s1 = sum(vals[k] for k in range(1, n + 1))
     s2 = sum(k * vals[k] for k in range(1, n + 1))
-    sjk = sum(vals[j + k] for j in range(1, n + 1) for k in range(1, n + 1))
+    sjk = sum(vals[m] * (n - abs(m - n - 1)) for m in range(2, 2 * n + 1))
     return s1, s2, sjk

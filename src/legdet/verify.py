@@ -23,21 +23,21 @@ matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
 samples' from `shifted_dets` (through `param_det_expand` or directly), sized
 by the column-multilinear bound; the samples of A+ name p, and those of the
 Sun matrix [((j+k)/p)] name 2, as the prime whose power the base matrix's
-rank forces into every sample's det.  A check that builds matrices
-(`MATRIX_IDS`) is refused above `charmat.MATRIX_DIM_MAX`.  The two
-seed-only suites run once per seed in a process, and take each instance's
-det(a) once.  Every prime range, `scan`'s and the CLI's `verify`'s, runs
-through one loop (`run_range`): one sieve, primes in ascending order, each
-prime's record delivered as soon as it is done, and one tally of the
-outcomes.
+rank forces into every sample's det.  Every check computes in integers and
+Fractions only: L25_EIGS takes the product of its character-sum eigenvalues
+as the determinant of an integer circulant (`_eig_circulant`).  A check
+that builds matrices (`MATRIX_IDS`) is refused above
+`charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
+process, and take each instance's det(a) once.  Every prime range, `scan`'s
+and the CLI's `verify`'s, runs through one loop (`run_range`): one sieve,
+primes in ascending order, each prime's record delivered as soon as it is
+done, and one tally of the outcomes.
 """
 
 from __future__ import annotations
 
-import cmath
 import copy
 import itertools
-import math
 import multiprocessing
 import os
 import random
@@ -410,22 +410,32 @@ def _run_l23(p: int, seed: int):
     return ok, wit
 
 
-def _run_l24(p: int, seed: int):
-    v = legendre_table(p).vals
+def _eigenspace_mismatch(p: int, sq: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (j0, ji, row), 1-based, at which A+^2 = `sq` fails
+    sq (e_ji - e_j0) = p (e_ji - e_j0), for j0 the first index of each
+    symbol group and ji the others, in ascending order; None if none."""
     n = (p - 1) // 2
-    ap = at(p).matrix("aplus")
-    sq = (ap @ ap).tolist()  # |entries| <= 2: each sum of n products is below 4n
+    sym = np.array(legendre_table(p).vals[1 : n + 1])
+    # the relation says that columns ji and j0 of sq - pI are equal
+    m = sq - p * np.identity(n, dtype=np.int64)
     for want_sym in (1, -1):
-        group = [j for j in range(1, n + 1) if v[j] == want_sym]
-        j0 = group[0]
-        for ji in group[1:]:
-            for r in range(n):
-                want = p * ((1 if r == ji - 1 else 0) - (1 if r == j0 - 1 else 0))
-                if sq[r][ji - 1] - sq[r][j0 - 1] != want:
-                    return False, {
-                        "note": f"A+^2 eigen relation failed at indices ({j0}, {ji}), row {r + 1}"
-                    }
-    return True, {"eigenspace_dim": n - 2}
+        j0, *rest = np.flatnonzero(sym == want_sym).tolist()
+        # one row per ji, so that C order is (ji, row) order
+        bad = (m[:, rest] != m[:, [j0]]).T
+        if bad.any():
+            i, r = np.unravel_index(bad.argmax(), bad.shape)
+            return j0 + 1, rest[i] + 1, int(r) + 1
+    return None
+
+
+def _run_l24(p: int, seed: int):
+    ap = at(p).matrix("aplus")
+    # |entries| <= 2: each sum of n products is below 4n
+    found = _eigenspace_mismatch(p, ap @ ap)
+    if found:
+        j0, ji, r = found
+        return False, {"note": f"A+^2 eigen relation failed at indices ({j0}, {ji}), row {r}"}
+    return True, {"eigenspace_dim": (p - 1) // 2 - 2}
 
 
 def _run_l25_ap_neg(p: int, seed: int):
@@ -459,40 +469,30 @@ def _primitive_root(p: int) -> int:
     raise InternalError(f"no primitive root mod {p}")
 
 
-_EIG_PRODUCT_CAP = 60
-_EIG_PRODUCT_RTOL = 1e-6
+def _eig_circulant(p: int, g: int) -> np.ndarray:
+    """The n x n integer circulant C = [c_((k-j) mod n)], c_j = ((1 + g^j)/p)
+    + ((1 - g^j)/p) for the primitive root g.  The character-sum eigenvalue
+    lambda_r = sum_{k=1}^{p-1} ((k+1)/p) eta^(r ind_g(k)), eta = e^(2 pi i/n),
+    is G(eta^r) for G(x) = sum_{j<n} c_j x^j, since k and -k have the same
+    index mod n; so lambda_1, ..., lambda_n are C's eigenvalues, and their
+    product is det C (Davis, Circulant Matrices, 1979)."""
+    v = legendre_table(p).vals
+    n = (p - 1) // 2
+    c = np.array([v[(1 + x) % p] + v[(1 - x) % p] for x in (pow(g, j, p) for j in range(n))], dtype=np.int64)
+    idx = np.arange(n)
+    return c[(idx - idx[:, None]) % n]
 
 
 def _run_l25_eigs(p: int, seed: int):
     v = legendre_table(p).vals
-    n = (p - 1) // 2
     lam_n = sum(v[(k + 1) % p] for k in range(1, p))  # the one real eigenvalue
     [d] = at(p).dets("ap")  # its sign is L25_AP_NEG's statement
-    ok_n = lam_n == -1
-    wit = {"lambda_n": lam_n, "det_ap": str(d), "product_checked": p <= _EIG_PRODUCT_CAP}
-    ok_prod = True
-    if p <= _EIG_PRODUCT_CAP:
-        g = _primitive_root(p)
-        ind = [0] * p
-        acc = 1
-        for e in range(p - 1):
-            ind[acc] = e
-            acc = acc * g % p
-        tau = 2.0 * math.pi / (p - 1)
-        prod = complex(1.0)
-        for r in range(1, n + 1):
-            lam = sum(
-                v[(k + 1) % p] * cmath.exp(1j * tau * (2 * ind[k] * r % (p - 1)))
-                for k in range(1, p)
-            )
-            prod *= lam
-        rel = abs(prod - d) / abs(d)
-        ok_prod = rel < _EIG_PRODUCT_RTOL
-        wit["product_relative_error"] = rel
-        wit["primitive_root"] = g
-    ok = ok_n and ok_prod
+    g = _primitive_root(p)
+    d_c = det(_eig_circulant(p, g), p)
+    ok = lam_n == -1 and d_c == d
+    wit = {"lambda_n": lam_n, "det_ap": str(d), "product_checked": True, "primitive_root": g}
     if not ok:
-        wit["note"] = "eigenvalue claims failed"
+        wit["note"] = f"eigenvalue claims failed: det C = {d_c}"
     return ok, wit
 
 
@@ -857,7 +857,7 @@ def json_safe(obj):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if isinstance(obj, (bool, float)) or obj is None:
+    if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
         return obj if abs(obj) < 2**53 else str(obj)

@@ -6,6 +6,7 @@ with the package, except that the old realquad route returns its units as
 legdet's `QuadElem`.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,58 @@ def dp_double_sum(p: int) -> int:
         for j in range(1, n + 1)
         for k in range(1, n + 1)
     )
+
+
+def sjk_double_sum(p: int) -> int:
+    """sum_{j,k=1}^{n} ((j+k)/p) as the O(n^2) double sum, n = (p-1)/2, the
+    inner sum over k taken as one slice: legdet's half_range_sums before it
+    summed over j + k."""
+    vals = [euler_legendre(a, p) for a in range(p)]
+    n = (p - 1) // 2
+    return sum(sum(vals[j + 1 : j + n + 1]) for j in range(1, n + 1))
+
+
+def eigenvalue_product_by_floats(p: int) -> complex:
+    """The product of the character-sum eigenvalues lambda_r, 1 <= r <= n,
+    of L25_EIGS at p ≡ 3 (mod 4), in complex floating point: lambda_r =
+    sum_{k=1}^{p-1} ((k+1)/p) e^(2 pi i 2 ind(k) r / (p-1)), ind the
+    discrete log to the least primitive root.  legdet's check multiplied
+    these before it took the product as one circulant determinant."""
+    v = [euler_legendre(a, p) for a in range(p)]
+    n = (p - 1) // 2
+    g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    ind = [0] * p
+    acc = 1
+    for e in range(p - 1):
+        ind[acc] = e
+        acc = acc * g % p
+    tau = 2.0 * math.pi / (p - 1)
+    prod = complex(1.0)
+    for r in range(1, n + 1):
+        lam = sum(
+            v[(k + 1) % p] * cmath.exp(1j * tau * (2 * ind[k] * r % (p - 1)))
+            for k in range(1, p)
+        )
+        prod *= lam
+    return prod
+
+
+def eigenspace_mismatch_by_loop(p: int, sq: list[list[int]]):
+    """The first (j0, ji, row), 1-based, at which the n x n `sq` (A+^2 at
+    p ≡ 1 mod 4) fails sq (e_ji - e_j0) = p (e_ji - e_j0), for j0 the first
+    index of each symbol group and ji each later one, or None: L24_EIGSPACE's
+    entry-by-entry loop before it became one array comparison per group."""
+    v = [euler_legendre(a, p) for a in range(p)]
+    n = (p - 1) // 2
+    for want_sym in (1, -1):
+        group = [j for j in range(1, n + 1) if v[j] == want_sym]
+        j0 = group[0]
+        for ji in group[1:]:
+            for r in range(n):
+                want = p * ((1 if r == ji - 1 else 0) - (1 if r == j0 - 1 else 0))
+                if sq[r][ji - 1] - sq[r][j0 - 1] != want:
+                    return j0, ji, r + 1
+    return None
 
 
 def h_neg_by_forms(p: int) -> int:

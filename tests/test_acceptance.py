@@ -150,11 +150,8 @@ def test_criterion_09_spectral_claims():
             continue
         ok = ok and check(CheckId.L25_AP_NEG, p).passed
         r = check(CheckId.L25_EIGS, p)
-        ok = ok and r.passed
-        if p <= 59:
-            ok = ok and r.witness["product_checked"]
-            ok = ok and r.witness["product_relative_error"] < 1e-6
-    _report(9, "|A_p| < 0, lambda_n = -1, eigenvalue product within 1e-6 for p <= 59", ok)
+        ok = ok and r.passed and r.witness["product_checked"]
+    _report(9, "|A_p| < 0, lambda_n = -1, eigenvalue product = |A_p| exactly, 7 <= p <= 199", ok)
 
 
 def test_criterion_10_random_suites():

@@ -21,7 +21,7 @@ from legdet.exactla import (
     param_det_expand,
     modulus_bits,
     shifted_dets,
-    _charpoly_bound,
+    _charpoly_bounds,
     _charpoly_mod,
     _crt,
     _crt_dets,
@@ -470,7 +470,7 @@ def test_charpoly_bound_covers_every_coefficient():
         loose = max(math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1))
         coeffs = _crt(_charpoly_mod, m, n, 2 * loose)
         assert coeffs[-1] == 1
-        assert max(abs(c) for c in coeffs) <= _charpoly_bound(m)
+        assert max(abs(c) for c in coeffs) <= max(_charpoly_bounds(m))
 
 
 def test_charpoly_bound_saves_moduli_at_n_198_and_209():
@@ -478,7 +478,7 @@ def test_charpoly_bound_saves_moduli_at_n_198_and_209():
     for p, want in ((397, 33), (419, 35)):
         for name in ("aplus", "aminus"):
             m = build(name, p)
-            assert len(_moduli_for(len(m), 2 * _charpoly_bound(m))) == want
+            assert len(_moduli_for(len(m), 2 * max(_charpoly_bounds(m)))) == want
 
 
 def test_moduli_cover_the_bounds_up_to_the_largest_matrix_field():
@@ -489,7 +489,7 @@ def test_moduli_cover_the_bounds_up_to_the_largest_matrix_field():
         for name in ("aplus", "aminus"):
             m = build(name, p)
             det_bound = row_bound_pair(m)[1]
-            for terms, target in ((1, 2 * det_bound), (len(m), 2 * _charpoly_bound(m))):
+            for terms, target in ((1, 2 * det_bound), (len(m), 2 * max(_charpoly_bounds(m)))):
                 used = _moduli_for(terms, target)
                 assert math.prod(used) > target, (p, name, terms)
                 kept = moduli(modulus_bits(terms))

@@ -218,6 +218,11 @@ def test_half_range_sums_examples():
     assert half_range_sums(13)[0] == 0
 
 
+def test_sjk_rearrangement_matches_the_double_sum_below_2000():
+    for p in primes_in_range(3, 2000):
+        assert half_range_sums(p)[2] == oracles.sjk_double_sum(p), p
+
+
 def test_counting_identity_to_1000():
     for p in primes_in_range(3, 1000):
         inv = prime_invariants(p)

@@ -92,11 +92,47 @@ def test_random_suites():
 
 
 def test_eigs_product_flag():
-    r = check(CheckId.L25_EIGS, 59)
-    assert r.passed and r.witness["product_checked"]
-    assert r.witness["product_relative_error"] < 1e-6
-    r = check(CheckId.L25_EIGS, 67)
-    assert r.passed and not r.witness["product_checked"]
+    for p in (59, 67):
+        r = check(CheckId.L25_EIGS, p)
+        assert r.passed and r.witness["product_checked"]
+        assert "product_relative_error" not in r.witness
+
+
+def test_float_eigenvalue_product_matches_det_of_the_circulant():
+    for p in primes_in_range(3, 59):
+        if p % 4 == 3:
+            d = legdet.exactla.det(v._eig_circulant(p, v._primitive_root(p)))
+            prod = oracles.eigenvalue_product_by_floats(p)
+            assert abs(prod - d) / abs(d) < 1e-6, p
+
+
+def test_eigs_fails_with_the_symbol_shifted_by_two(monkeypatch, fresh_caches):
+    # c_j = ((2 + g^j)/p) + ((2 - g^j)/p) in place of ((1 + g^j)/p) + ((1 - g^j)/p)
+    def shifted(p, g):
+        vals = ntheory.legendre_table(p).vals
+        n = (p - 1) // 2
+        c = np.array([vals[(2 + x) % p] + vals[(2 - x) % p] for x in (pow(g, j, p) for j in range(n))])
+        idx = np.arange(n)
+        return c[(idx - idx[:, None]) % n]
+
+    monkeypatch.setattr(v, "_eig_circulant", shifted)
+    failed = [p for p in primes_in_range(3, 199) if p % 4 == 3 and not check(CheckId.L25_EIGS, p).passed]
+    assert failed
+
+
+@pytest.mark.parametrize("p", [13, 29, 101])
+def test_eigenspace_comparison_finds_the_loop_s_first_mismatch(p):
+    ap = build("aplus", p)
+    sq = ap @ ap
+    assert v._eigenspace_mismatch(p, sq) is None
+    assert oracles.eigenspace_mismatch_by_loop(p, sq.tolist()) is None
+    n = (p - 1) // 2
+    for r, c in ((0, 0), (0, n - 1), (n - 1, 1), (n // 2, n // 3), (n - 1, n - 1)):
+        bad = sq.copy()
+        bad[r, c] += 1
+        want = oracles.eigenspace_mismatch_by_loop(p, bad.tolist())
+        assert want is not None
+        assert v._eigenspace_mismatch(p, bad) == want
 
 
 def test_exit_code_classification():
@@ -417,12 +453,14 @@ def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
 
 
 def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
+    ap = build("ap", 103).tolist()
     calls = []
-    _patch_det(monkeypatch, lambda m, d: calls.append(len(m)) or d)
+    _patch_det(monkeypatch, lambda m, d: calls.append(m == ap) or d)
     assert check(CheckId.L25_AP_NEG, 103).passed
     r = check(CheckId.L25_EIGS, 103)
     assert r.passed and int(r.witness["det_ap"]) < 0
-    assert calls == [51]
+    # det(A_p) once, and L25_EIGS's circulant once
+    assert calls == [True, False]
 
 
 def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, capsys):
