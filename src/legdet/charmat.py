@@ -33,8 +33,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exactla import IntPoly, charpoly, det_many
-from .ntheory import PrimeInvariants, legendre_table, prime_invariants
+from .exactla import IntPoly, charpoly, det_many, q_rank
+from .ntheory import PrimeInvariants, legendre_table, prime_invariants, symbol_array
 
 # each matrix from the Hankel window H = [((j+k)/p)] and the Toeplitz window
 # T = [((j-k)/p)] over its index range, as one int64 allocation
@@ -77,7 +77,7 @@ def build(name: str, p: int) -> np.ndarray:
     if name not in _NAMES:
         raise ValueError(f"unknown matrix {name!r}: expected one of {', '.join(_NAMES)}")
     # every symbol is in [-1, 1]: gathered as int8, widened once
-    v = np.array(legendre_table(p).vals, dtype=np.int8)
+    v = symbol_array(p)
     n = (p - 1) // 2
     if name == "ap":
         j = np.arange(1, n + 1)
@@ -103,17 +103,22 @@ def theta_vector(p: int) -> list[int]:
     """The integer vector theta with A+ theta = p * (1, ..., 1)^T,
     defined for primes p ≡ 3 (mod 4) by
 
-        theta_i = sum_{k=1}^{n} (((i+k)/p) - ((i-k)/p) - 2 (k/p)).
-    """
+        theta_i = sum_{k=1}^{n} (((i+k)/p) - ((i-k)/p) - 2 (k/p)),
+
+    from prefix sums of the symbols of -n..2n: the two window sums
+    sum_{k<=n} ((i +- k)/p) are differences of them, O(n) in all."""
     if p % 4 != 3:
         raise ValueError(f"theta vector requires p ≡ 3 (mod 4), got {p}")
-    v = legendre_table(p).vals
     n = (p - 1) // 2
-    s1 = sum(v[k] for k in range(1, n + 1))
-    return [
-        sum(v[i + k] - v[(i - k) % p] for k in range(1, n + 1)) - 2 * s1
-        for i in range(1, n + 1)
-    ]
+    # c[m] sums ((t/p)) over -n <= t < m - n, so the symbols of lo..hi sum
+    # to c[hi + n + 1] - c[lo + n]
+    c = np.zeros(3 * n + 2, dtype=np.int64)
+    np.cumsum(symbol_array(p)[np.arange(-n, 2 * n + 1) % p], dtype=np.int64, out=c[1:])
+    i = np.arange(1, n + 1)
+    plus = c[i + 2 * n + 1] - c[i + n + 1]  # ((i+1)/p) + ... + ((i+n)/p)
+    minus = c[i + n] - c[i]  # ((i-n)/p) + ... + ((i-1)/p)
+    s1 = int(c[2 * n + 1] - c[n + 1])  # (1/p) + ... + (n/p)
+    return (plus - minus - 2 * s1).tolist()
 
 
 def special_eigvecs(p: int) -> tuple[list[int], list[int]]:
@@ -139,6 +144,7 @@ class PrimeRecord:
         self.p = p
         self._mats: dict[str, np.ndarray] = {}
         self._rep: dict[str, str] = {}  # whose det and charpoly each name takes
+        self._ranks: dict[str, int | None] = {}
         self._dets: dict[str, int] = {}
         self._polys: dict[str, IntPoly] = {}
 
@@ -156,6 +162,13 @@ class PrimeRecord:
             self._mats[name] = m
         return self._mats[name]
 
+    def _rank(self, rep: str) -> int | None:
+        """rep's rank mod p, taken once for its det and its charpoly
+        (`exactla.q_rank`; None below n = 9, where neither divides)."""
+        if rep not in self._ranks:
+            self._ranks[rep] = q_rank(self._mats[rep], self.p)
+        return self._ranks[rep]
+
     def dets(self, *names: str) -> list[int]:
         """The named matrices' determinants; the unknown ones from one
         `det_many` call, which divides out the power of p that each one's
@@ -165,16 +178,18 @@ class PrimeRecord:
         reps = [self._rep[name] for name in names]
         todo = [r for r in dict.fromkeys(reps) if r not in self._dets]
         if todo:
-            self._dets.update(zip(todo, det_many((self._mats[r] for r in todo), self.p)))
+            mats = [self._mats[r] for r in todo]
+            self._dets.update(zip(todo, det_many(mats, self.p, [self._rank(r) for r in todo])))
         return [self._dets[r] for r in reps]
 
     def charpoly(self, name: str) -> IntPoly:
         """The charpoly of `name`, computed once, with the powers of p that
-        its rank mod p forces divided out, and cross-checked against its det."""
+        its rank mod p forces divided out, and cross-checked against its det;
+        the rank is the one its det took."""
         [d] = self.dets(name)
         rep = self._rep[name]
         if rep not in self._polys:
-            self._polys[rep] = charpoly(self._mats[rep], d, self.p)
+            self._polys[rep] = charpoly(self._mats[rep], d, self.p, self._rank(rep))
         return self._polys[rep]
 
 

@@ -4,11 +4,12 @@ Determinants and characteristic polynomials are computed modulo a
 descending list of word-sized primes and CRT-reconstructed into the symmetric
 range; the number of moduli is chosen per call from a bound on the result,
 and as many are taken as the bound needs, so results are exact and
-deterministic at every size.  Small determinants (n <= 8) go through
-fraction-free Bareiss elimination instead.  There is no rational
-arithmetic: `ParamDet` holds its expansion times det(a), an integer
-polynomial, and the matrix-determinant lemma is checked in integers,
-through the adjugate.
+deterministic at every size.  Small determinants and solves (n <= 8) go
+through fraction-free Bareiss elimination instead, and build no moduli: the
+solve eliminates [A | U] once and back-substitutes exactly for adj(A) U.
+There is no rational arithmetic: `ParamDet` holds its expansion times
+det(a), an integer polynomial, and the matrix-determinant lemma is checked
+in integers, through the adjugate.
 
 A matrix is an integer numpy array, or nested lists of ints.  Each public
 function turns its input into a kernel array in one place (`_int_array`):
@@ -20,10 +21,10 @@ Each modular operation has one numpy int64 kernel.  The moduli are sized
 from the number of residue products an intermediate sums (`modulus_bits`),
 so no kernel can overflow: 27 bits for det, and for charpoly and solve up
 to n = 512, then fewer; `_moduli_for` picks them for every operation.
-Every determinant goes through one door (`_dets`), which takes each matrix
-as an array with a bound on |det| and a known divisor of det (1 where the
-caller names no prime q, see below): `det_many` sizes a matrix by its row
-Hadamard bound, and `shifted_dets` sizes each four-parameter sample
+Every determinant of an array goes through one door (`_dets`), which takes
+each matrix as an array with a bound on |det| and a known divisor of det (1
+where the caller names no prime q, see below): `det_many` sizes a matrix by
+its row Hadamard bound, and `shifted_dets` sizes each four-parameter sample
 a + s 1^T + t g^T by a column-multilinear bound (`_shifted_bounds`), which
 does not count the shift once per row and so takes about a third fewer
 moduli.  The samples are broadcast from a, f, g and the points in small
@@ -32,8 +33,9 @@ stacks every (matrix, modulus) pair of a batch as one slice of an int64
 array and eliminates the whole stack at once (`_eliminate`), each slice with
 its own modulus and its own pivot rows, so that numpy's per-call cost is
 paid once per step of the stack rather than once per step of each modulus.
-The solve runs the same elimination on [A | V] as a stack of one, and one
-CRT loop (`_crt`) runs the solve and charpoly kernels over their moduli.
+Above n = 8 the solve runs the same elimination on [A | V] as a stack of
+one, and one CRT loop (`_crt`) runs the solve and charpoly kernels over
+their moduli.
 
 A caller that knows a prime q whose power fills most of a result names it
 (`q=`); nothing here guesses one.  For any prime q, q^(n - r), r the rank
@@ -48,7 +50,8 @@ of the charpoly, a sum of principal k x k minors of rank <= r mod q, takes
 q^max(0, k - r).  A rank that came out too low would give a wrong result
 and no other sign of it, so every divided reconstruction is checked mod one
 more modulus outside its set (`_divided_crt`).  Below n = 9 no rank is
-taken.
+taken.  A caller that reads one matrix's det and charpoly takes its rank
+once (`q_rank`) and hands it to both.
 
 Both reductions, the elimination and the Hessenberg reduction behind the
 characteristic polynomial (`_charpoly_mod`), are panel-blocked.  A panel
@@ -68,7 +71,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -263,10 +266,14 @@ def _solve_mod(aug: np.ndarray, m: int):
     return det, x.ravel().tolist()
 
 
-def _adj_mod(aug: np.ndarray, m: int) -> list[int]:
-    """adj(A) V mod m = det(A) * A^{-1} V for aug = [A | V], A invertible mod m."""
-    d, x = _solve_mod(aug, m)
-    return [d * t % m for t in x]
+def _adj_mod(aug: np.ndarray, m: int, d: int) -> list[int]:
+    """adj(A) V mod m = det(A) * A^{-1} V for aug = [A | V], where d, not
+    divisible by m, is det(A): InternalError if the solve's det mod m is
+    not d mod m."""
+    det_m, x = _solve_mod(aug, m)
+    if det_m != d % m:
+        raise InternalError(f"the determinant passed is not det(m) mod {m}")
+    return [det_m * t % m for t in x]
 
 
 def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
@@ -475,8 +482,16 @@ def det_bareiss(m: Matrix) -> int:
 
 
 def _bareiss(a: list[list[int]]) -> int:
-    """det of the square list of rows `a`, which it overwrites, by Bareiss."""
+    """det of the leading n x n block of the n rows `a`, by Bareiss
+    elimination, which overwrites them; 0 as soon as a column has no pivot.
+
+    The rows may be longer than n, [A | U]: the extra columns take the same
+    steps, and every division stays exact, since after step k each entry
+    right of column k is a (k+2) x (k+2) minor of the rows as swapped
+    (Bareiss, Math. Comp. 1968).  On a nonzero det the rows end as [T | C],
+    T upper triangular with T^-1 C = A^-1 U (`_adjugate_bareiss`)."""
     n = len(a)
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -490,7 +505,7 @@ def _bareiss(a: list[list[int]]) -> int:
         for i in range(k + 1, n):
             aik = a[i][k]
             ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 ai[j] = (ai[j] * akk - aik * ak[j]) // prev
             ai[k] = 0
         prev = akk
@@ -610,8 +625,9 @@ def _crt_dets(items: Iterable[tuple[np.ndarray, int, int]]) -> list[int]:
     return out
 
 
-#: The largest n whose determinant `_dets` takes by Bareiss elimination,
-#: which reads no bound, so callers compute none there.
+#: The largest n whose determinant `_dets`, and whose solve
+#: `adjugate_apply`, takes by Bareiss elimination, which reads no bound,
+#: so callers compute none there.
 _BAREISS_MAX = 8
 
 
@@ -619,7 +635,9 @@ def _dets(items: Iterable[tuple[np.ndarray, int | None, int]]) -> list[int]:
     """Exact determinants of the square arrays of `items` (array, bound on
     |det|, known divisor of det), in order, in one pass: Bareiss for
     n <= _BAREISS_MAX, which reads neither bound nor divisor, the stacked
-    kernel (`_crt_dets`) above.  Every determinant goes through here."""
+    kernel (`_crt_dets`) above.  Every determinant of an array goes through
+    here; only `mdl_check`'s products, rows of Python ints, take Bareiss
+    directly (`_det_rows`), as the adjugate solve does."""
     out: list[int | None] = []  # None: left to the stacked kernel
 
     def large():
@@ -638,28 +656,42 @@ def _row_bound(a: np.ndarray) -> int:
     return math.isqrt(h2) + 1 if h2 else 0
 
 
-def _known_divisor(a: np.ndarray, q: int | None, updates: int = 0) -> int:
+def q_rank(m: Matrix, q: int | None) -> int | None:
+    """The rank of the square m mod the prime q where `det_many` and
+    `charpoly` would take one, for a caller that hands the same rank to
+    both; None where they take none, when q is None or n <= 8."""
+    a = _square(m)
+    return None if q is None or len(a) <= _BAREISS_MAX else _rank_mod(a, q)
+
+
+def _known_divisor(a: np.ndarray, q: int | None, updates: int = 0, rank: int | None = None) -> int:
     """q^e with e = n - rank(a mod q) - updates, at least 0, or 1 when q is
     None: a divisor of det(a), and of the det of every matrix that differs
     from a by a matrix of rank <= `updates`, whose rank mod q is at most
     rank(a mod q) + updates.  Over the integers localized at q, the Smith
     form of such a matrix M has at least n - rank(M mod q) invariant factors
-    divisible by q (Saunders and Wan, ISSAC 2004)."""
-    return 1 if q is None else q ** max(0, len(a) - _rank_mod(a, q) - updates)
+    divisible by q (Saunders and Wan, ISSAC 2004).  The rank is taken here
+    unless the caller passes it."""
+    if q is None:
+        return 1
+    if rank is None:
+        rank = _rank_mod(a, q)
+    return q ** max(0, len(a) - rank - updates)
 
 
-def det_many(matrices: Iterable[Matrix], q: int | None = None) -> list[int]:
+def det_many(matrices: Iterable[Matrix], q: int | None = None, ranks: Sequence[int | None] = ()) -> list[int]:
     """Exact determinants of the square `matrices`, in order, each sized
     by its row Hadamard bound, in one pass over `matrices` (`_dets`).  A
     prime q, when the caller names one, divides each det above n = 8 by
-    q^(n - rank mod q) before CRT (`_known_divisor`)."""
+    q^(n - rank mod q) before CRT (`_known_divisor`); `ranks`, when given,
+    holds each matrix's rank mod q (`q_rank`), or None to take it here."""
 
     def items():
-        for a in map(_square, matrices):
+        for a, rank in itertools.zip_longest(map(_square, matrices), ranks):
             if len(a) <= _BAREISS_MAX:
                 yield a, None, 1
             else:
-                yield a, _row_bound(a), _known_divisor(a, q)
+                yield a, _row_bound(a), _known_divisor(a, q, rank=rank)
 
     return _dets(items())
 
@@ -670,28 +702,67 @@ def det(m: Matrix, q: int | None = None) -> int:
     return det_many([m], q)[0]
 
 
-def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
-    """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows;
-    adj(m) @ u is an n x k object array of Python ints.
+def _adjugate_bareiss(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list[list[int]], int]:
+    """(adj(a) @ u as rows of Python ints, det(a)) from one Bareiss
+    elimination of the rows [a | u] (`_bareiss`), which leaves [T | C] and
+    det(a) = d, then exact back-substitution: y = d a^-1 u solves T y = d C,
+    and is integral, so each
 
-    Division-free for the caller: d = det(m) comes first, unless the caller
-    passes it (ValueError when it is 0), then adj(m) @ u = d * m^{-1} u is
-    CRT-reconstructed from modular solves of [m | u] over the moduli that do
-    not divide d; every entry is bounded by the Hadamard bound times the
-    largest column 1-norm of u.
-    """
-    a, u = _square(m), _int_array(u)
+        y_i = (d c_i - sum_{j>i} t_ij y_j) / t_ii
+
+    is an exact division.  ValueError when a is singular, InternalError when
+    the caller's d is not det(a)."""
     n, k = u.shape
-    if n != len(a):
-        raise ValueError("u must have one row per row of m")
+    rows = [r + c for r, c in zip(a.tolist(), u.tolist())]
+    got = _bareiss(rows)
+    if got == 0:
+        raise ValueError("singular matrix")
+    if d is not None and d != got:
+        raise InternalError(f"the determinant passed, {d}, is not det(m) = {got}")
+    y: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        t = rows[i]
+        y[i] = [
+            (got * t[n + c] - sum(t[j] * y[j][c] for j in range(i + 1, n))) // t[i]
+            for c in range(k)
+        ]
+    return y, got
+
+
+def _adjugate_crt(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list[int], int]:
+    """(adj(a) @ u flattened row-major, det(a)) from modular solves of
+    [a | u] over the moduli that do not divide d = det(a), computed first
+    unless the caller passes it; every entry is bounded by the Hadamard
+    bound times the largest column 1-norm of u.  Each solve checks d against
+    its own det mod its modulus (`_adj_mod`)."""
+    n = len(a)
     if d is None:
         d = det(a)
-    if d == 0:
-        raise ValueError("singular matrix")
+        if d == 0:
+            raise ValueError("singular matrix")
     norm = max(sum(map(abs, col)) for col in zip(*u.tolist()))
     target = 2 * _row_bound(a) * max(1, norm)
-    flat = _crt(_adj_mod, np.concatenate([a, u], axis=1), n, target, avoid=d)
-    return np.array(flat, dtype=object).reshape(n, k), d
+    return _crt(partial(_adj_mod, d=d), np.concatenate([a, u], axis=1), n, target, avoid=d), d
+
+
+def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
+    """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows;
+    adj(m) @ u is an n x k object array of Python ints.  ValueError when m
+    is singular, or the caller passes d = 0; InternalError when the caller
+    passes another d that is not det(m).
+
+    Division-free for the caller.  Up to n = _BAREISS_MAX, one fraction-free
+    elimination of [m | u] gives det(m) and adj(m) @ u exactly, with no
+    moduli (`_adjugate_bareiss`); above it, adj(m) @ u = d m^-1 u is
+    CRT-reconstructed from modular solves (`_adjugate_crt`).
+    """
+    a, u = _square(m), _int_array(u)
+    if u.shape[0] != len(a):
+        raise ValueError("u must have one row per row of m")
+    if d == 0:
+        raise ValueError("singular matrix")
+    w, d = (_adjugate_bareiss if len(a) <= _BAREISS_MAX else _adjugate_crt)(a, u, d)
+    return np.array(w, dtype=object).reshape(u.shape), d
 
 
 def _charpoly_bounds(a: np.ndarray) -> list[int]:
@@ -708,22 +779,26 @@ def _charpoly_bounds(a: np.ndarray) -> list[int]:
     return bounds
 
 
-def charpoly(m: Matrix, d: int | None = None, q: int | None = None) -> IntPoly:
+def charpoly(m: Matrix, d: int | None = None, q: int | None = None, rank: int | None = None) -> IntPoly:
     """Monic characteristic polynomial det(x*I - m), exactly.
 
     Computed modulo word-sized primes via Hessenberg reduction over each
     prime field, with coefficients CRT-reconstructed against
     `_charpoly_bounds`.  A prime q, when the caller names one and n > 8,
-    divides the coefficient of x^(n-k) by q^max(0, k - r), r = rank(m mod q):
-    each of its principal k x k minors has rank at most r mod q.  The
-    moduli then avoid q, cover the largest bound_k / q^max(0, k - r), and
-    one more cross-checks every coefficient (`_divided_crt`).  The constant
-    term is cross-checked against (-1)^n * d, d = det(m), computed here with
-    the same q unless the caller passes it.
+    divides the coefficient of x^(n-k) by q^max(0, k - r), r = rank(m mod q),
+    taken here unless the caller passes it (`q_rank`): each of its principal
+    k x k minors has rank at most r mod q.  The moduli then avoid q, cover
+    the largest bound_k / q^max(0, k - r), and one more cross-checks every
+    coefficient (`_divided_crt`).  The constant term is cross-checked against
+    (-1)^n * d, d = det(m), computed here with the same q and rank unless the
+    caller passes it.
     """
     a = _square(m)
     n = len(a)
-    rank = n if q is None or n <= _BAREISS_MAX else _rank_mod(a, q)
+    if q is None or n <= _BAREISS_MAX:
+        rank = n
+    elif rank is None:
+        rank = _rank_mod(a, q)
     # the known divisor of the coefficient of x^i, from x^0 up: k = n - i
     divisors = [1] * (n + 1) if rank == n else [q ** max(0, n - i - rank) for i in range(n + 1)]
     bounds = _charpoly_bounds(a)[::-1]
@@ -732,7 +807,7 @@ def charpoly(m: Matrix, d: int | None = None, q: int | None = None) -> IntPoly:
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if d is None:
-        d = det(a, q)
+        [d] = det_many([a], q, [rank])
     if poly.coeffs[0] != (-1) ** n * d:
         raise InternalError("charpoly constant term disagrees with determinant")
     return poly
@@ -743,25 +818,37 @@ def charpoly(m: Matrix, d: int | None = None, q: int | None = None) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
+def _det_rows(rows: list[list[int]]) -> int:
+    """det of the square rows of Python ints: by Bareiss on the rows
+    themselves up to n = _BAREISS_MAX, through `det` above."""
+    return _bareiss(rows) if len(rows) <= _BAREISS_MAX else det(rows)
+
+
+def _dot(x: Iterable[int], y: Iterable[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
 def mdl_check(a: Matrix, u: Matrix, v: Matrix, d: int | None = None) -> bool:
     """Test the matrix-determinant lemma |a + u v^T| = |a| |I_m + v^T a^{-1} u|
     in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
     a must be invertible; u and v are n x m.  The left side is a direct
     determinant; the right side takes adj(a) u, and d unless the caller
-    passes it, from one `adjugate_apply` call on [a | u], so this doubles as
-    a property test of the modular solve.
+    passes it, from one `adjugate_apply` call on [a | u]: for n <= 8 one
+    Bareiss elimination, above it the modular solve, which this then
+    property-tests.  Both products, which nothing bounds, are formed over
+    Python ints, and their dets of size <= 8 come from Bareiss on the rows.
     """
     a, u, v = _square(a), _int_array(u), _int_array(v)
     if u.shape != v.shape or len(u) != len(a):
         raise ValueError("u and v must be n x m with n matching a")
     w, d = adjugate_apply(a, u, d)
-    # nothing bounds these products: over Python ints
-    u, vt = u.astype(object), v.T.astype(object)
-    small = vt @ w
-    k = len(small)
-    small[range(k), range(k)] += d
-    return d ** (k - 1) * det(a + u @ vt) == det(small)
+    us, vs = u.tolist(), v.tolist()
+    big = [[x + _dot(ui, vj) for x, vj in zip(row, vs)] for row, ui in zip(a.tolist(), us)]
+    small = [[_dot(vl, wc) for wc in w.T.tolist()] for vl in zip(*vs)]
+    for i, row in enumerate(small):
+        row[i] += d
+    return d ** (len(small) - 1) * _det_rows(big) == _det_rows(small)
 
 
 @dataclass(frozen=True)

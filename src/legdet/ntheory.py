@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 
+import numpy as np
+
 from .errors import InternalError
 
 _SMALL_PRIMES = (
@@ -120,6 +122,16 @@ def legendre_table(p: int) -> LegendreTable:
     return LegendreTable(p, tuple(vals))
 
 
+@lru_cache(maxsize=1)
+def symbol_array(p: int) -> np.ndarray:
+    """`legendre_table(p).vals` as a read-only int8 array, the one copy of
+    the table that numpy gathers read; made once per prime and, like the
+    table, kept for the last prime only."""
+    a = np.array(legendre_table(p).vals, dtype=np.int8)
+    a.flags.writeable = False
+    return a
+
+
 def factorial_half_mod(p: int) -> int:
     """((p-1)/2)! mod p."""
     require_odd_prime(p)
@@ -223,9 +235,14 @@ def prime_invariants(p: int) -> PrimeInvariants:
 
 
 def quad_char_sum(b: int, c: int, p: int) -> int:
-    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), by direct summation."""
-    vals = legendre_table(p).vals
-    return sum(vals[(x * x + b * x + c) % p] for x in range(p))
+    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), as one gather from `symbol_array`.
+    With b and c reduced mod p, x (x + b) + c is below 2p^2 < 2^63 for every
+    p a table allows."""
+    x = np.arange(p, dtype=np.int64)
+    idx = x * (x + b % p)
+    idx += c % p
+    idx %= p
+    return int(symbol_array(p)[idx].sum(dtype=np.int64))
 
 
 def half_range_sums(p: int) -> tuple[int, int, int]:

@@ -25,7 +25,12 @@ by the column-multilinear bound; the samples of A+ name p, and those of the
 Sun matrix [((j+k)/p)] name 2, as the prime whose power the base matrix's
 rank forces into every sample's det.  Every check computes in integers and
 Fractions only: L25_EIGS takes the product of its character-sum eigenvalues
-as the determinant of an integer circulant (`_eig_circulant`).  A check
+as the determinant of an integer circulant (`_eig_circulant`), and
+T11_CHARPOLY_1MOD4 proves its two charpolys by an int64 certificate
+(`_t11_certificate`), computing them only where it fails, so a passing
+catalog runs no charpoly kernel.  MDL_RANDOM's matrices are at most 6 x 6,
+so its solves are single Bareiss eliminations (`exactla.adjugate_apply`);
+EQ_DP_U1AU0 is the catalog's one modular solve.  A check
 that builds matrices (`MATRIX_IDS`) is refused above
 `charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
 process, and take each instance's det(a) once.  Every prime range, `scan`'s
@@ -224,12 +229,47 @@ def _two_layer(
 # ---------------------------------------------------------------------------
 
 
+def _t11_certificate(p: int) -> bool:
+    """Whether A+ and A- of p ≡ 1 (mod 4) satisfy the certificate that proves
+    T11_CHARPOLY_1MOD4's two charpolys, with no charpoly computed
+    (Kaltofen, Nehring and Saunders, ISSAC 2011):
+
+      - A+ and A- are symmetric, so each is diagonalizable over the reals;
+      - (A+^2 - I)(A+^2 - pI) = 0, so every eigenvalue of A+ is +-1 or
+        +-sqrt(p); tr A+ = 0 gives +1 and -1 equal multiplicities, and
+        +sqrt(p) and -sqrt(p) too, since sqrt(p) is irrational; then
+        tr A+^2 = 2 + p(n - 2) leaves +-1 one each: charpoly(A+) =
+        (x^2 - 1)(x^2 - p)^((p-5)/4);
+      - A-^2 = pI and tr A- = 0 give charpoly(A-) = (x^2 - p)^((p-1)/4).
+
+    All in int64: |entries of A+-| <= 2, so the entries of A+^2 are below
+    4n + 1 and those of the quartic below n (4n + 1)(4n + p), under 2^40 at
+    n = 2048."""
+    rec = at(p)
+    ap, am = rec.matrix("aplus"), rec.matrix("aminus")
+    n = len(ap)
+    eye = np.identity(n, dtype=np.int64)
+    sq = ap @ ap
+    return (
+        np.array_equal(ap, ap.T)
+        and np.array_equal(am, am.T)
+        and np.trace(ap) == 0
+        and np.trace(sq) == 2 + p * (n - 2)
+        and not ((sq - eye) @ (sq - p * eye)).any()
+        and np.trace(am) == 0
+        and np.array_equal(am @ am, p * eye)
+    )
+
+
 def _run_t11_charpoly(p: int, seed: int):
     want_plus = IntPoly((-1, 0, 1)) * IntPoly((-p, 0, 1)) ** ((p - 5) // 4)
     want_minus = IntPoly((-p, 0, 1)) ** ((p - 1) // 4)
-    rec = at(p)
-    rec.dets("aplus", "aminus")  # both cross-check determinants in one batch
-    got_plus, got_minus = rec.charpoly("aplus"), rec.charpoly("aminus")
+    if _t11_certificate(p):  # proved: the stated polynomials are the charpolys
+        got_plus, got_minus = want_plus, want_minus
+    else:  # computed, so that the witness shows them
+        rec = at(p)
+        rec.dets("aplus", "aminus")  # both cross-check determinants in one batch
+        got_plus, got_minus = rec.charpoly("aplus"), rec.charpoly("aminus")
     ok = got_plus == want_plus and got_minus == want_minus
     wit = {"charpoly_aplus": str(got_plus), "charpoly_aminus": str(got_minus)}
     if not ok:

@@ -69,6 +69,23 @@ def sjk_double_sum(p: int) -> int:
     return sum(sum(vals[j + 1 : j + n + 1]) for j in range(1, n + 1))
 
 
+def quad_char_sum_by_loop(b: int, c: int, p: int) -> int:
+    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), one Python term at a time: legdet's
+    quad_char_sum before it became one gather from an int8 table."""
+    vals = [euler_legendre(a, p) for a in range(p)]
+    return sum(vals[(x * x + b * x + c) % p] for x in range(p))
+
+
+def theta_vector_by_loop(p: int) -> list[int]:
+    """theta_i = sum_{k=1}^{n} (((i+k)/p) - ((i-k)/p) - 2 (k/p)) for
+    1 <= i <= n, as the O(n^2) double loop: legdet's theta_vector before it
+    took the window sums from prefix sums."""
+    v = [euler_legendre(a, p) for a in range(p)]
+    n = (p - 1) // 2
+    s1 = sum(v[k] for k in range(1, n + 1))
+    return [sum(v[i + k] - v[(i - k) % p] for k in range(1, n + 1)) - 2 * s1 for i in range(1, n + 1)]
+
+
 def eigenvalue_product_by_floats(p: int) -> complex:
     """The product of the character-sum eigenvalues lambda_r, 1 <= r <= n,
     of L25_EIGS at p ≡ 3 (mod 4), in complex floating point: lambda_r =

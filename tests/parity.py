@@ -52,6 +52,8 @@ ARGVS: tuple[Case, ...] = (
     _case("verify --prime 397 --suite all --json"),
     _case("verify --prime 397 --suite SUN_C31_I,SUN_C31_II --json"),
     _case("verify --from 3 --to 199 --suite SUN_C31_I,SUN_C31_II --json --seed 7"),
+    _case("verify --prime 397 --suite T11_CHARPOLY_1MOD4 --json"),
+    _case("verify --prime 13 --suite T31_RANDOM,MDL_RANDOM --seed 5 --json"),
     *(_case(f"scan --from 3 --to 150 --ids all --jobs {jobs} --json --out {OUT}", quick=jobs == 1)
       for jobs in (1, 2)),
     _case(f"scan --from 3 --to 20000 --ids T13_DPMOD4,CONJ11_DP --jobs 1 --json --out {OUT}"),

@@ -130,6 +130,14 @@ def test_theta_vector_product():
         assert got == [p] * ((p - 1) // 2)
 
 
+def test_theta_vector_matches_the_double_loop():
+    # the prefix-sum windows against the O(n^2) loop they replaced, at every
+    # p ≡ 3 (mod 4) below 400 and at four near 2,000
+    for p in [*primes_in_range(3, 400), 1999, 2003, 2011, 2027]:
+        if p % 4 == 3:
+            assert theta_vector(p) == oracles.theta_vector_by_loop(p), p
+
+
 def test_theta_vector_rejects_1mod4():
     with pytest.raises(ValueError):
         theta_vector(13)

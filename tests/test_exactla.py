@@ -538,6 +538,89 @@ def test_adjugate_apply_skips_a_modulus_dividing_det():
     assert (m @ w)[:, 0].tolist() == [d * t for t in v]
 
 
+def adjugate_draws():
+    """Seeded (a, u) kernel arrays with n <= 8 and k <= 4: dense draws, draws
+    with a repeated row (singular), and draws with one entry at 2^62 or
+    beyond, which makes a a Python-int object array."""
+    rng = random.Random("adjugate|small")
+    for i in range(300):
+        n, k = rng.randint(1, 8), rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if i % 5 == 1 and n > 1:
+            rows[-1] = list(rows[0])
+        if i % 5 == 2:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([2**62, -(2**62) - 5, 10**30])
+        u = [[rng.randint(-99, 99) for _ in range(k)] for _ in range(n)]
+        yield ex._square(rows), ex._int_array(u)
+
+
+def test_small_adjugate_matches_the_modular_solve():
+    # the Bareiss solve of n <= 8 against the modular solve it replaced
+    # there: the same adj(a) u and det, the same ValueError on a singular a,
+    # and an InternalError from both on a wrong d
+    singular = big = 0
+    for a, u in adjugate_draws():
+        try:
+            want, d = ex._adjugate_crt(a, u, None)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                ex._adjugate_bareiss(a, u, None)
+            continue
+        rows, got = ex._adjugate_bareiss(a, u, None)
+        assert got == d and [x for row in rows for x in row] == want
+        assert ex._adjugate_bareiss(a, u, d) == (rows, d)
+        big += a.dtype == object
+        for wrong in (2 * d, -d):
+            with pytest.raises(InternalError):
+                ex._adjugate_bareiss(a, u, wrong)
+            with pytest.raises(InternalError):
+                ex._adjugate_crt(a, u, wrong)
+    assert singular >= 40 and big >= 40
+
+
+def test_adjugate_apply_checks_the_det_it_is_given():
+    m, u = [[2, 1], [1, 3]], column([1, 1])
+    assert adjugate_apply(m, u, 5)[1] == 5
+    with pytest.raises(InternalError):
+        adjugate_apply(m, u, 6)
+    with pytest.raises(ValueError, match="singular"):
+        adjugate_apply(m, u, 0)
+    big = np.identity(10, dtype=np.int64) * 2
+    with pytest.raises(InternalError):
+        adjugate_apply(big, column([1] * 10), 2**10 + 1)
+
+
+def test_small_solves_build_no_moduli(monkeypatch):
+    # at n <= 8 adjugate_apply, and mdl_check with it, is one Bareiss
+    # elimination: no moduli, no stack, no CRT
+    monkeypatch.setattr(ex, "_moduli_for", lambda *a, **kw: pytest.fail("built moduli"))
+    rng = random.Random(31)
+    for n in range(1, 9):
+        a = rand_square(rng, n, -9, 9)
+        while det(a) == 0:
+            a = rand_square(rng, n, -9, 9)
+        u, v = rand_square(rng, n, -9, 9)[:, :3], rand_square(rng, n, -9, 9)[:, :3]
+        w, d = adjugate_apply(a, u)
+        assert (a @ w).tolist() == (d * u).tolist()
+        assert mdl_check(a, u, v, d)
+
+
+def test_mdl_above_the_bareiss_size_takes_the_modular_solve(monkeypatch):
+    calls = []
+    real = ex._adjugate_crt
+    monkeypatch.setattr(ex, "_adjugate_crt", lambda *a: calls.append(len(a[0])) or real(*a))
+    rng = random.Random(37)
+    for n in (9, 10, 12):
+        a = rand_square(rng, n, -9, 9)
+        u, v = rand_square(rng, n, -9, 9)[:, :2], rand_square(rng, n, -9, 9)[:, :2]
+        assert mdl_check(a, u, v)
+        bad = v.copy()
+        bad[0, 0] += 1
+        assert mdl_check(a, u, bad)  # the lemma holds for every u and v
+    assert calls == [9, 9, 10, 10, 12, 12]
+
+
 # --- matrix-determinant lemma -------------------------------------------------
 
 

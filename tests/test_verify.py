@@ -315,6 +315,88 @@ def test_wrong_adjugate_fails_the_matrix_determinant_lemma(monkeypatch, fresh_ca
     assert "FAIL MDL_RANDOM" in capsys.readouterr().out
 
 
+def test_mdl_random_builds_no_moduli(monkeypatch, fresh_caches):
+    # its matrices are at most 6 x 6: every det and solve is one Bareiss
+    # elimination
+    monkeypatch.setattr(legdet.exactla, "_moduli_for", lambda *a, **kw: pytest.fail("built moduli"))
+    for seed in range(3):
+        assert check(CheckId.MDL_RANDOM, 13, seed).passed
+
+
+def _replace_aplus(monkeypatch, p, make):
+    """charmat.build returns make(A+ of p, writable) for A+ of p."""
+    real = charmat.build
+
+    def patched(name, q):
+        m = real(name, q)
+        if name == "aplus" and q == p:
+            m = make(m.copy())
+            m.flags.writeable = False
+        return m
+
+    monkeypatch.setattr(charmat, "build", patched)
+
+
+def _t11_want(p):
+    x2 = legdet.exactla.IntPoly((-p, 0, 1))
+    return str(legdet.exactla.IntPoly((-1, 0, 1)) * x2 ** ((p - 5) // 4)), str(x2 ** ((p - 1) // 4))
+
+
+def test_t11_passes_by_certificate_without_a_charpoly_or_det(monkeypatch, fresh_caches):
+    # the certificate proves both charpolys at every p ≡ 1 (mod 4) below 400,
+    # and the witness prints the stated polynomials
+    monkeypatch.setattr(charmat, "charpoly", lambda *a: pytest.fail("computed a charpoly"))
+    monkeypatch.setattr(legdet.exactla, "_dets", lambda items: pytest.fail("computed a det"))
+    for p in primes_in_range(5, 400):
+        if p % 4 == 1:
+            res = check(CheckId.T11_CHARPOLY_1MOD4, p)
+            assert res.passed, p
+            assert (res.witness["charpoly_aplus"], res.witness["charpoly_aminus"]) == _t11_want(p)
+
+
+def test_t11_symmetric_change_fails_with_the_computed_charpoly(monkeypatch, fresh_caches):
+    def change(m):
+        m[0, 1] += 1
+        m[1, 0] += 1
+        return m
+
+    _replace_aplus(monkeypatch, 101, change)
+    assert not v._t11_certificate(101)
+    res = check(CheckId.T11_CHARPOLY_1MOD4, 101)
+    want_plus, want_minus = _t11_want(101)
+    assert res.passed is False
+    assert res.witness["charpoly_aplus"] == str(legdet.exactla.charpoly(change(build("aplus", 101).copy())))
+    assert res.witness["charpoly_aplus"] != want_plus
+    assert res.witness["charpoly_aminus"] == want_minus
+    assert res.witness["note"] == f"expected {want_plus} and {want_minus}"
+
+
+def _sum_of_squares_blocks(ones):
+    """diag(ones) beside two copies of [[2, 3], [3, -2]], whose square is
+    13 I: symmetric, with (M^2 - I)(M^2 - 13 I) = 0 and tr M^2 = 2 + 13 * 4,
+    the certificate's conditions at p = 13 (n = 6) but for tr M = sum(ones)."""
+    m = np.zeros((6, 6), dtype=np.int64)
+    m[0, 0], m[1, 1] = ones
+    for i in (2, 4):
+        m[i : i + 2, i : i + 2] = [[2, 3], [3, -2]]
+    return m
+
+
+def test_t11_wrong_trace_fails(monkeypatch, fresh_caches):
+    # the only condition the replacement misses is tr A+ = 0, and its
+    # charpoly (x - 1)^2 (x^2 - 13)^2 is not the stated one
+    _replace_aplus(monkeypatch, 13, lambda m: _sum_of_squares_blocks((1, 1)))
+    assert not v._t11_certificate(13)
+    res = check(CheckId.T11_CHARPOLY_1MOD4, 13)
+    assert res.passed is False
+    assert res.witness["charpoly_aplus"] == "x^6 - 2*x^5 - 25*x^4 + 52*x^3 + 143*x^2 - 338*x + 169"
+    # with the trace right, the same blocks pass on the certificate alone
+    charmat.at.cache_clear()
+    _replace_aplus(monkeypatch, 13, lambda m: _sum_of_squares_blocks((1, -1)))
+    monkeypatch.setattr(charmat, "charpoly", lambda *a: pytest.fail("computed a charpoly"))
+    assert v._t11_certificate(13) and check(CheckId.T11_CHARPOLY_1MOD4, 13).passed
+
+
 def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
     # EQ_38II_QP reads T12_II's expansion, so it also holds the expansion
     # to the stored sample determinants
@@ -489,8 +571,8 @@ def _count_base_dets(monkeypatch, p):
 
 
 def test_verify_computes_det_aplus_and_aminus_once_at_1mod4(monkeypatch, fresh_caches, capsys):
-    # T11_CHARPOLY_1MOD4 takes the two determinants that T11_DET_1MOD4 and
-    # T12_I's expansion read for its constant-term cross-checks
+    # T11_DET_1MOD4 and T12_I's expansion read one det each of A+ and A-;
+    # T11_CHARPOLY_1MOD4, proved by its certificate, reads none
     counts = _count_base_dets(monkeypatch, 101)
     assert main(["verify", "--prime", "101", "--suite", "all"]) == 0
     assert counts == {"aplus": 1, "aminus": 1}
@@ -528,7 +610,7 @@ def test_t11_det_3mod4_takes_both_determinants_from_one_call(monkeypatch, fresh_
     # the one call holds A+ alone: A- = A+^T takes its determinant
     calls = []
     real = legdet.exactla.det_many
-    monkeypatch.setattr(charmat, "det_many", lambda ms, q: calls.append(list(ms)) or real(calls[-1], q))
+    monkeypatch.setattr(charmat, "det_many", lambda ms, *args: calls.append(list(ms)) or real(calls[-1], *args))
     res = check(CheckId.T11_DET_3MOD4, 103)
     assert res.passed and res.witness["det_aminus"] == res.witness["det_aplus"]
     assert [[m.tolist() for m in ms] for ms in calls] == [[build("aplus", 103).tolist()]]
@@ -666,7 +748,7 @@ def test_catalog_names_p_for_aplus_and_2_for_sun_plus_only(monkeypatch, fresh_ca
     # (n, q, rank-2 updates) of each known divisor the catalog asks for
     calls = []
     real = legdet.exactla._known_divisor
-    monkeypatch.setattr(legdet.exactla, "_known_divisor", lambda a, q, updates=0: calls.append((len(a), q, updates)) or real(a, q, updates))
+    monkeypatch.setattr(legdet.exactla, "_known_divisor", lambda a, q, updates=0, rank=None: calls.append((len(a), q, updates)) or real(a, q, updates, rank))
     for cid, p, want in (
         (CheckId.T12_I, 101, [(50, 101, 0), (50, 101, 2)]),  # det(A+), then the samples
         (CheckId.SUN_C31_I, 101, [(51, 2, 2)]),
