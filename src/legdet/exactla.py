@@ -521,7 +521,10 @@ def _moduli_for(terms: int, target: int, avoid: int = 1, check: bool = False) ->
     descending order until their product exceeds target: the kept ones
     (`moduli`), then as many primes below them as the target needs; with
     `check`, one more after them, the cross-check modulus of
-    `_divided_crt`."""
+    `_divided_crt`.  ValueError when avoid is 0, which every modulus
+    divides."""
+    if avoid == 0:
+        raise ValueError("no modulus avoids 0")
     kept = moduli(modulus_bits(terms))
     used, prod = [], 1
     for mod in itertools.chain(kept, _primes_below(kept[-1])):

@@ -1,6 +1,15 @@
 """Scalar number theory: primality, Legendre symbols, and the half-range
 symbol invariants (sum_half, c_p, d_p, q_p, h(-p), N) that drive the matrix
-identity checks."""
+identity checks.
+
+The symbol table of p is one byte per symbol: `LegendreTable.vals` is a
+read-only signed-byte memoryview of it, which indexes, slices (without a
+copy) and iterates as Python ints, and `symbol_array` is the same bytes
+as a read-only int8 array.  The O(p) sums read the view through C-level
+iterators (`accumulate`, `map`, `sum`), `prime_invariants` a bounded chunk
+at a time, so they hold no O(p) list and no per-symbol Python object: at
+p = 1,000,003 the table is 1 MB and a cold `prime_invariants` peaks at
+about 2.3 MB under tracemalloc."""
 
 from __future__ import annotations
 
@@ -9,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
+from operator import mul, sub
 
 import numpy as np
 
@@ -96,38 +106,48 @@ def legendre(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class LegendreTable:
-    """All Legendre symbols mod p: vals[a] = (a/p) for 0 <= a < p."""
+    """All Legendre symbols mod p: vals[a] = (a/p) for 0 <= a < p.  vals is
+    a read-only signed-byte memoryview, one byte per symbol: it indexes and
+    iterates as Python ints -1, 0 and 1, and a slice is a view of the same
+    bytes, not a copy."""
 
     p: int
-    vals: tuple[int, ...]
+    vals: memoryview
 
 
-#: Symbol tables, so prime checks and ranges, stop below this p.
+#: Symbol tables, so prime checks and ranges, stop below this p.  The limit
+#: comes from `quad_char_sum`'s int64 gather: x (x + b) + c < 2p^2 must stay
+#: below 2^63, which holds for every p < 2^31.  A table costs one byte per
+#: entry, so the largest one, just below the limit, takes 2 GiB.
 TABLE_P_LIMIT = 2**31
 
 
 @lru_cache(maxsize=1)
 def legendre_table(p: int) -> LegendreTable:
     """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1.
-    Cached for the last prime only: callers visit one prime at a time, and a
-    larger cache would keep O(p) tables alive across a whole range.  p >= 2^31
-    is refused before anything is allocated."""
+    The symbols are built in a bytearray, -1 stored as 0xff, and handed out
+    as one read-only signed-byte view of it (`LegendreTable.vals`): one byte
+    per entry, 1 MB at p = 10^6 and 2 GiB just below TABLE_P_LIMIT = 2^31,
+    the bound that `quad_char_sum`'s int64 gather, x (x + b) + c < 2p^2 <
+    2^63, puts on p.  Cached for the last prime only: callers visit one prime
+    at a time, and a larger cache would keep O(p) tables alive across a
+    whole range.  p >= 2^31 is refused before anything is allocated."""
     if p >= TABLE_P_LIMIT:
         raise ValueError(f"p = {p} is too large for an O(p) symbol table (need p < 2^31)")
     require_odd_prime(p)
-    vals = [-1] * p
-    vals[0] = 0
+    table = bytearray(b"\xff") * p
+    table[0] = 0
     for i in range(1, (p - 1) // 2 + 1):
-        vals[i * i % p] = 1
-    return LegendreTable(p, tuple(vals))
+        table[i * i % p] = 1
+    return LegendreTable(p, memoryview(table).cast("b").toreadonly())
 
 
 @lru_cache(maxsize=1)
 def symbol_array(p: int) -> np.ndarray:
-    """`legendre_table(p).vals` as a read-only int8 array, the one copy of
-    the table that numpy gathers read; made once per prime and, like the
-    table, kept for the last prime only."""
-    a = np.array(legendre_table(p).vals, dtype=np.int8)
+    """`legendre_table(p).vals` as a read-only int8 array for numpy gathers:
+    a view of the table's own bytes, not a copy.  Like the table, kept for
+    the last prime only."""
+    a = np.asarray(legendre_table(p).vals, dtype=np.int8)
     a.flags.writeable = False
     return a
 
@@ -142,6 +162,7 @@ def factorial_half_mod(p: int) -> int:
 
 
 def _sum_half(table: LegendreTable) -> int:
+    """(1/p) + ... + (n/p), summed over a view of the table, not a copy."""
     n = (table.p - 1) // 2
     return sum(table.vals[1 : n + 1])
 
@@ -203,28 +224,43 @@ class PrimeInvariants:
     sum_half: int
 
 
+#: Symbols of each half that one step of `prime_invariants` reads: the
+#: step's list of running sums is its only allocation that grows with it.
+_CHUNK = 1 << 14
+
+
 def prime_invariants(p: int) -> PrimeInvariants:
     """Compute all scalar invariants of p in O(p).
 
-    d_p uses the factorization ((j^2+jk)/p) = (j/p) * ((j+k)/p) and a prefix
-    sum over the symbol table, so the double sum collapses to one pass.  N
-    comes from the same prefix sums: for 1 <= j <= n the arguments j+1 .. j+n
-    never wrap mod p, and (i + pref[i]) / 2 of 1 .. i are residues.
+    d_p uses the factorization ((j^2+jk)/p) = (j/p) * ((j+k)/p), so the
+    double sum is sum_j (j/p) W_j over the windows W_j = P(j+n) - P(j) of
+    the prefix sums P(i) = (0/p) + ... + (i/p).  With s = sum_{i=1}^{n}
+    (i/p) and D(j) = sum_{i=1}^{j} (((n+i)/p) - (i/p)), W_j = s + D(j), so
+    d_p = s^2 + sum_j (j/p) D(j) and sum_j W_j = n s + sum_j D(j): both
+    run over j in chunks of _CHUNK, with D carried from chunk to chunk.
+    N comes from the same windows: for 1 <= j <= n the arguments j+1 .. j+n
+    never wrap mod p, and (i + P(i)) / 2 of 1 .. i are residues.
     """
-    table = legendre_table(p)
-    vals = table.vals
+    vals = legendre_table(p).vals
     n = (p - 1) // 2
 
-    pref = list(accumulate(vals))          # pref[i] = sum of vals[0..i]
-    half = vals[1 : n + 1]
-    upper = pref[n + 1 : 2 * n + 1]
-    lower = pref[1 : n + 1]
-    d_p = sum(t * (u - l) for t, u, l in zip(half, upper, lower))
+    s1 = dot = windows = carry = 0  # carry = D(j) for the last j read
+    for lo in range(1, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        half = vals[lo:hi]
+        run = list(accumulate(map(sub, vals[lo + n : hi + n], half)))  # D(j) - carry
+        part = sum(half)
+        s1 += part
+        dot += sum(map(mul, half, run)) + carry * part
+        windows += sum(run) + carry * len(run)
+        carry += run[-1]
+    d_p = s1 * s1 + dot
+    windows += n * s1  # sum_j W_j
 
-    s = pref[n]  # == sum_half, vals[0] = 0
+    s = vals[0] + s1  # == sum_half, vals[0] = 0
 
-    # N = sum over j of (1 + (j/p))/2 * (n + pref[j+n] - pref[j])/2
-    num = n * (n + s) + sum(upper) - sum(lower) + d_p
+    # N = sum over j of (1 + (j/p))/2 * (n + W_j)/2
+    num = n * (n + s) + windows + d_p
     if num % 4 != 0:
         raise InternalError(f"pair count numerator {num} is not divisible by 4 at p={p}")
     big_n = num // 4
@@ -250,10 +286,14 @@ def half_range_sums(p: int) -> tuple[int, int, int]:
     and SJK = sum_{j,k=1}^{n} ((j+k)/p), summed over m = j + k as
     sum_{m=2}^{2n} (m/p) (n - |m - n - 1|), n - |m - n - 1| being the number
     of pairs with j + k = m: an exact rearrangement of the double sum, in
-    O(p), not the lemma that L41_SUMS checks."""
+    O(p), not the lemma that L41_SUMS checks.  Each is a weighted sum over
+    a view of the table, so nothing of size p is allocated."""
     vals = legendre_table(p).vals
     n = (p - 1) // 2
-    s1 = sum(vals[k] for k in range(1, n + 1))
-    s2 = sum(k * vals[k] for k in range(1, n + 1))
-    sjk = sum(vals[m] * (n - abs(m - n - 1)) for m in range(2, 2 * n + 1))
+    half = vals[1 : n + 1]
+    s1 = sum(half)
+    s2 = sum(map(mul, range(1, n + 1), half))
+    # m = 2 .. n+1 has m - 1 pairs, m = n+2 .. 2n has 2n + 1 - m
+    sjk = sum(map(mul, range(1, n + 1), vals[2 : n + 2]))
+    sjk += sum(map(mul, range(n - 1, 0, -1), vals[n + 2 : 2 * n + 1]))
     return s1, s2, sjk

@@ -177,15 +177,74 @@ def pell_minimal_pm4(p: int, cap: int = 1_000_000):
     return None
 
 
+def symbol_tuple(p: int) -> tuple[int, ...]:
+    """(a/p) for 0 <= a < p as a tuple of Python ints, marked from the
+    nonzero squares: legdet's symbol table before it became one signed byte
+    per symbol."""
+    vals = [-1] * p
+    vals[0] = 0
+    for i in range(1, (p - 1) // 2 + 1):
+        vals[i * i % p] = 1
+    return tuple(vals)
+
+
+def prime_invariants_by_prefix_list(p: int) -> tuple:
+    """(p, n, c_p, d_p, h_neg, q_p, N, sum_half) from one list of p prefix
+    sums and three O(p) slices of it: legdet's prime_invariants before it
+    summed the windows in bounded chunks."""
+    vals = symbol_tuple(p)
+    n = (p - 1) // 2
+
+    pref = list(accumulate(vals))          # pref[i] = sum of vals[0..i]
+    half = vals[1 : n + 1]
+    upper = pref[n + 1 : 2 * n + 1]
+    lower = pref[1 : n + 1]
+    d_p = sum(t * (u - l) for t, u, l in zip(half, upper, lower))
+
+    s = pref[n]
+
+    # N = sum over j of (1 + (j/p))/2 * (n + pref[j+n] - pref[j])/2
+    num = n * (n + s) + sum(upper) - sum(lower) + d_p
+    if num % 4 != 0:
+        raise InternalError(f"pair count numerator {num} is not divisible by 4 at p={p}")
+    big_n = num // 4
+
+    h_neg = None
+    if p % 4 == 3 and p > 3:
+        denom = 2 - vals[2]
+        if s <= 0 or s % denom != 0:
+            raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
+        h_neg = s // denom
+    q_p = Fraction(vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
+    return p, n, s, d_p, h_neg, q_p, big_n, s
+
+
+def half_range_sums_by_genexpr(p: int) -> tuple[int, int, int]:
+    """(S1, S2, SJK) of legdet's half_range_sums, each a generator
+    expression that indexes a tuple table one symbol at a time, SJK over
+    m = j + k weighted by its n - |m - n - 1| pairs: the form before the
+    sums became weighted sums over a view of the byte table."""
+    vals = symbol_tuple(p)
+    n = (p - 1) // 2
+    s1 = sum(vals[k] for k in range(1, n + 1))
+    s2 = sum(k * vals[k] for k in range(1, n + 1))
+    sjk = sum(vals[m] * (n - abs(m - n - 1)) for m in range(2, 2 * n + 1))
+    return s1, s2, sjk
+
+
+def sum_half_by_slice(p: int) -> int:
+    """(1/p) + ... + (n/p) as the sum of a copied slice of a tuple table:
+    legdet's _sum_half before the table was a byte view."""
+    vals = symbol_tuple(p)
+    return sum(vals[1 : (p - 1) // 2 + 1])
+
+
 def prime_invariants_by_counting(p: int) -> tuple:
     """(p, n, c_p, d_p, h_neg, q_p, N, sum_half) with N counted from a second
     prefix list of the +1 symbols, and h(-p) by the half-range sum, both
     routes checked, as legdet's prime_invariants computed them before N came
     from the d_p prefix sums."""
-    vals = [-1] * p
-    vals[0] = 0
-    for i in range(1, (p - 1) // 2 + 1):
-        vals[i * i % p] = 1
+    vals = symbol_tuple(p)
     n = (p - 1) // 2
 
     pref = list(accumulate(vals))

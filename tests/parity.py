@@ -57,8 +57,11 @@ ARGVS: tuple[Case, ...] = (
     *(_case(f"scan --from 3 --to 150 --ids all --jobs {jobs} --json --out {OUT}", quick=jobs == 1)
       for jobs in (1, 2)),
     _case(f"scan --from 3 --to 20000 --ids T13_DPMOD4,CONJ11_DP --jobs 1 --json --out {OUT}"),
+    _case(f"scan --from 999000 --to 1000000 --ids T13_DPMOD4,CONJ11_DP --jobs 2 --json --out {OUT}"),
+    _case("verify --prime 10007 --suite T13_DPMOD4,CONJ11_DP,L21_QUADSUM,L41_SUMS,EQ_DCOUNT,MORDELL --json"),
     *(_case(f"charpoly --prime {p} --json", quick=p == 103) for p in (101, 103, 397, 419, 1031)),
     _case("compute --prime 1019 --what dp,cp,qp,hneg,det-aplus,det-aminus --json", quick=True),
+    _case("compute --prime 1000003 --what dp,cp,qp,hneg --json"),
     _case("compute --prime 109 --what unit,hreal,det-aplus,charpoly-aminus --json", quick=True),
     *(_case(f"compute --prime {p} --what unit,hreal{form}")
       for p in (5, 13, 17, 229, 1381, 2017, 1000033) for form in ("", " --json")),

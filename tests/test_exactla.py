@@ -591,6 +591,18 @@ def test_adjugate_apply_checks_the_det_it_is_given():
         adjugate_apply(big, column([1] * 10), 2**10 + 1)
 
 
+def test_no_modulus_avoids_zero(monkeypatch):
+    # every modulus divides 0, so a search for one that does not would walk
+    # every odd number below the kept moduli: refused before any is tried
+    monkeypatch.setattr(ex, "_primes_below", lambda m: pytest.fail("searched for moduli"))
+    monkeypatch.setattr(ex, "_adj_mod", lambda *a, **kw: pytest.fail("solved mod a modulus"))
+    with pytest.raises(ValueError, match="avoids 0"):
+        _moduli_for(1, 10, 0)
+    a = np.identity(10, dtype=np.int64) * 2
+    with pytest.raises(ValueError, match="avoids 0"):
+        ex._adjugate_crt(a, column([1] * 10), 0)
+
+
 def test_small_solves_build_no_moduli(monkeypatch):
     # at n <= 8 adjugate_apply, and mdl_check with it, is one Bareiss
     # elimination: no moduli, no stack, no CRT

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from legdet import ntheory
 from legdet.ntheory import (
+    _sum_half,
     class_number_neg,
     factorial_half_mod,
     half_range_sums,
@@ -117,8 +119,19 @@ def test_legendre_euler_criterion_all_primes_to_10000():
 
 
 def test_legendre_table_frozen_examples():
-    assert legendre_table(5).vals == (0, 1, -1, -1, 1)
-    assert legendre_table(3).vals == (0, 1, -1)
+    assert tuple(legendre_table(5).vals) == (0, 1, -1, -1, 1)
+    assert tuple(legendre_table(3).vals) == (0, 1, -1)
+
+
+def test_legendre_table_is_one_read_only_signed_byte_per_symbol():
+    vals = legendre_table(13).vals
+    assert isinstance(vals, memoryview) and vals.readonly
+    assert vals.format == "b" and vals.itemsize == 1 and vals.nbytes == 13
+    assert vals[2] == -1 and isinstance(vals[2], int)
+    with pytest.raises(TypeError):
+        vals[2] = 1
+    # a slice is a view of the same bytes
+    assert isinstance(vals[1:7], memoryview) and list(vals[1:7]) == [1, -1, 1, 1, -1, -1]
 
 
 @pytest.mark.parametrize("p", primes_in_range(3, 300))
@@ -229,6 +242,7 @@ def test_symbol_array_is_the_table_read_only():
         a = symbol_array(p)
         assert a.dtype == np.int8 and a.tolist() == list(legendre_table(p).vals)
         assert not a.flags.writeable
+        assert np.shares_memory(a, np.frombuffer(legendre_table(p).vals, dtype=np.int8))
     assert symbol_array(103) is symbol_array(103)
 
 
@@ -242,6 +256,14 @@ def test_half_range_sums_examples():
 def test_sjk_rearrangement_matches_the_double_sum_below_2000():
     for p in primes_in_range(3, 2000):
         assert half_range_sums(p)[2] == oracles.sjk_double_sum(p), p
+
+
+def test_half_range_sums_match_the_generator_expressions():
+    # the weighted sums over a view of the byte table against the
+    # generator expressions over a tuple table they replaced
+    for p in [*primes_in_range(3, 2000), 999983, 1000003, 1000033, 1000037]:
+        assert half_range_sums(p) == oracles.half_range_sums_by_genexpr(p), p
+        assert _sum_half(legendre_table(p)) == oracles.sum_half_by_slice(p), p
 
 
 def test_counting_identity_to_1000():
@@ -260,9 +282,11 @@ def test_invariants_reject_composite():
 
 
 def test_prime_invariants_match_counting_oracle_to_20000():
+    # below 20,000 each half is one chunk of the window sums
     for p in primes_in_range(3, 20_000):
         got = dataclasses.astuple(prime_invariants(p))
         assert got == oracles.prime_invariants_by_counting(p), p
+        assert got == oracles.prime_invariants_by_prefix_list(p), p
 
 
 def test_prime_invariants_match_counting_oracle_near_10_6():
@@ -270,6 +294,34 @@ def test_prime_invariants_match_counting_oracle_near_10_6():
     for p in random.Random(2024).sample(pool, 5):
         got = dataclasses.astuple(prime_invariants(p))
         assert got == oracles.prime_invariants_by_counting(p), p
+        assert got == oracles.prime_invariants_by_prefix_list(p), p
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_prime_invariants_do_not_depend_on_the_chunk_size(monkeypatch, fresh_caches, chunk):
+    # every chunk boundary, a last chunk of one symbol and a half of
+    # exactly one or several chunks among them
+    monkeypatch.setattr(ntheory, "_CHUNK", chunk)
+    for p in primes_in_range(3, 400):
+        assert dataclasses.astuple(prime_invariants(p)) == oracles.prime_invariants_by_prefix_list(p), p
+
+
+def test_prime_invariants_match_the_prefix_list_oracle_near_10_7():
+    # 306 chunks per half; the oracle's prefix list peaks near 600 MB here,
+    # and the counting oracle's two near 1 GB, so it is left to 10^6
+    p = random.Random(2025).choice(primes_in_range(10**7, 10**7 + 200))
+    assert dataclasses.astuple(prime_invariants(p)) == oracles.prime_invariants_by_prefix_list(p)
+
+
+def test_prime_invariants_memory_is_the_byte_table_and_one_chunk(fresh_caches):
+    # from a cold table: 1 MB of symbols and one chunk of running sums
+    tracemalloc.start()
+    try:
+        prime_invariants(1_000_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10**6, peak
 
 
 def test_class_number_neg_routes_agree_with_prime_invariants():
