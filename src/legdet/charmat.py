@@ -48,8 +48,8 @@ _NAMES = (*_WINDOWS, "ap")
 
 
 #: The largest n = (p-1)/2 whose matrices legdet builds, for `compute`,
-#: `verify` and `scan` alike: up to here charpoly and the solve keep 26-bit
-#: moduli (`exactla.modulus_bits`).
+#: `verify` and `scan` alike: up to here charpoly keeps 26-bit moduli
+#: (`exactla.modulus_bits`).
 MATRIX_DIM_MAX = 2048
 
 

@@ -4,9 +4,10 @@ Determinants and characteristic polynomials are computed modulo a
 descending list of word-sized primes and CRT-reconstructed into the symmetric
 range; the number of moduli is chosen per call from a bound on the result,
 and as many are taken as the bound needs, so results are exact and
-deterministic at every size.  Small determinants and solves (n <= 8) go
-through fraction-free Bareiss elimination instead, and build no moduli: the
-solve eliminates [A | U] once and back-substitutes exactly for adj(A) U.
+deterministic at every size.  Small determinants (n <= 8) go through
+fraction-free Bareiss elimination instead, and build no moduli.  Every
+solve, at every size, is one Bareiss elimination of [A | U] and exact
+back-substitution for adj(A) U (`_adjugate_bareiss`).
 There is no rational arithmetic: `ParamDet` holds its expansion times
 det(a), an integer polynomial, and the matrix-determinant lemma is checked
 in integers, through the adjugate.
@@ -19,8 +20,8 @@ one helper (`_sq_norms`), and their products stay Python ints.
 
 Each modular operation has one numpy int64 kernel.  The moduli are sized
 from the number of residue products an intermediate sums (`modulus_bits`),
-so no kernel can overflow: 27 bits for det, and for charpoly and solve up
-to n = 512, then fewer; `_moduli_for` picks them for every operation.
+so no kernel can overflow: 27 bits for det, and for charpoly up to
+n = 512, then fewer; `_moduli_for` picks them for every operation.
 Every determinant of an array goes through one door (`_dets`), which takes
 each matrix as an array with a bound on |det| and a known divisor of det (1
 where the caller names no prime q, see below): `det_many` sizes a matrix by
@@ -33,9 +34,6 @@ stacks every (matrix, modulus) pair of a batch as one slice of an int64
 array and eliminates the whole stack at once (`_eliminate`), each slice with
 its own modulus and its own pivot rows, so that numpy's per-call cost is
 paid once per step of the stack rather than once per step of each modulus.
-Above n = 8 the solve runs the same elimination on [A | V] as a stack of
-one, and one CRT loop (`_crt`) runs the solve and charpoly kernels over
-their moduli.
 
 A caller that knows a prime q whose power fills most of a result names it
 (`q=`); nothing here guesses one.  For any prime q, q^(n - r), r the rank
@@ -71,7 +69,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -90,8 +88,8 @@ def modulus_bits(terms: int) -> int:
     """Bits of the moduli for an operation whose intermediates each sum at
     most `terms` products of residues: terms * (m-1)^2 < 2^63 for every
     m < 2^bits, capped at 27.  terms is 1 for det, whose elimination budgets
-    its own headroom (see `_eliminate`), and n for the charpoly matvecs
-    and the solve back-substitution: 27 bits up to n = 512, 26 up to 2048."""
+    its own headroom (see `_eliminate`), and n for the charpoly matvecs:
+    27 bits up to n = 512, 26 up to 2048."""
     return min(27, (63 - (terms - 1).bit_length()) // 2)
 
 
@@ -191,10 +189,10 @@ def _panel_width(top: int) -> int:
 
 
 def _eliminate(a: np.ndarray, mods: np.ndarray) -> list[int]:
-    """Gaussian elimination of the (S, n, c) int64 stack `a`, slice s over
+    """Gaussian elimination of the (S, n, n) int64 stack `a`, slice s over
     GF(mods[s]) with its entries in [0, mods[s]), in place; returns the
-    determinant of each slice's leading n x n block mod its modulus, 0 for a
-    slice with no pivot in some column.
+    determinant of each slice mod its modulus, 0 for a slice with no pivot
+    in some column.
 
     Each slice has its own modulus and its own pivot rows: where the
     diagonal entry is zero, the first nonzero entry below it.  A slice
@@ -249,31 +247,6 @@ def _eliminate(a: np.ndarray, mods: np.ndarray) -> list[int]:
         block -= a[:, end:, j0:end] @ a[:, j0:end, end:]
         np.remainder(block, mods[:, None, None], out=block)
     return det
-
-
-def _solve_mod(aug: np.ndarray, m: int):
-    """(det A mod m, X with A X = V mod m, flattened row-major) for
-    aug = [A | V], or (0, None) if A is singular mod m."""
-    n = aug.shape[0]
-    a = _residues(aug, m)
-    det = _eliminate(a[None], np.array([m], dtype=np.int64))[0]
-    if det == 0:
-        return 0, None
-    x = np.zeros((n, aug.shape[1] - n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        acc = a[i, i + 1 : n] @ x[i + 1 :]
-        x[i] = (a[i, n:] - acc) % m * pow(int(a[i, i]), -1, m) % m
-    return det, x.ravel().tolist()
-
-
-def _adj_mod(aug: np.ndarray, m: int, d: int) -> list[int]:
-    """adj(A) V mod m = det(A) * A^{-1} V for aug = [A | V], where d, not
-    divisible by m, is det(A): InternalError if the solve's det mod m is
-    not d mod m."""
-    det_m, x = _solve_mod(aug, m)
-    if det_m != d % m:
-        raise InternalError(f"the determinant passed is not det(m) mod {m}")
-    return [det_m * t % m for t in x]
 
 
 def _charpoly_mod(a: np.ndarray, m: int) -> list[int]:
@@ -554,21 +527,6 @@ def _divided_crt(residues: Sequence[int], used: Sequence[int], divisor: int) -> 
     return x
 
 
-def _crt(kernel, data: np.ndarray, terms: int, target: int, avoid: int = 1, divisors: Sequence[int] = ()) -> list[int]:
-    """The residue vector kernel(data, mod) reconstructed entrywise into the
-    symmetric range, over `_moduli_for(terms, target, avoid)`.  `divisors`,
-    when given, holds a known divisor of each entry, coprime to every
-    modulus (`avoid`), and target bounds twice each entry over its divisor;
-    if one is above 1, every entry is reconstructed by `_divided_crt`, over
-    one more modulus."""
-    checked = any(d > 1 for d in divisors)
-    used = _moduli_for(terms, target, avoid, checked)
-    residues = [kernel(data, mod) for mod in used]
-    if checked:
-        return [_divided_crt(r, used, d) for r, d in zip(zip(*residues), divisors)]
-    return [crt_symmetric(r, used) for r in zip(*residues)]
-
-
 #: Bytes of one stack of the det kernel.  Eliminating it needs one
 #: temporary as large again, each panel's V @ R over the trailing blocks
 #: (the per-step temporaries are a column and a row per slice), so a call
@@ -628,9 +586,8 @@ def _crt_dets(items: Iterable[tuple[np.ndarray, int, int]]) -> list[int]:
     return out
 
 
-#: The largest n whose determinant `_dets`, and whose solve
-#: `adjugate_apply`, takes by Bareiss elimination, which reads no bound,
-#: so callers compute none there.
+#: The largest n whose determinant `_dets` takes by Bareiss elimination,
+#: which reads no bound, so callers compute none there.
 _BAREISS_MAX = 8
 
 
@@ -639,8 +596,8 @@ def _dets(items: Iterable[tuple[np.ndarray, int | None, int]]) -> list[int]:
     |det|, known divisor of det), in order, in one pass: Bareiss for
     n <= _BAREISS_MAX, which reads neither bound nor divisor, the stacked
     kernel (`_crt_dets`) above.  Every determinant of an array goes through
-    here; only `mdl_check`'s products, rows of Python ints, take Bareiss
-    directly (`_det_rows`), as the adjugate solve does."""
+    here; only `mdl_check`'s products, rows of Python ints, and the adjugate
+    solve take Bareiss directly."""
     out: list[int | None] = []  # None: left to the stacked kernel
 
     def large():
@@ -732,40 +689,23 @@ def _adjugate_bareiss(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list
     return y, got
 
 
-def _adjugate_crt(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list[int], int]:
-    """(adj(a) @ u flattened row-major, det(a)) from modular solves of
-    [a | u] over the moduli that do not divide d = det(a), computed first
-    unless the caller passes it; every entry is bounded by the Hadamard
-    bound times the largest column 1-norm of u.  Each solve checks d against
-    its own det mod its modulus (`_adj_mod`)."""
-    n = len(a)
-    if d is None:
-        d = det(a)
-        if d == 0:
-            raise ValueError("singular matrix")
-    norm = max(sum(map(abs, col)) for col in zip(*u.tolist()))
-    target = 2 * _row_bound(a) * max(1, norm)
-    return _crt(partial(_adj_mod, d=d), np.concatenate([a, u], axis=1), n, target, avoid=d), d
-
-
 def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
     """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows;
     adj(m) @ u is an n x k object array of Python ints.  ValueError when m
     is singular, or the caller passes d = 0; InternalError when the caller
     passes another d that is not det(m).
 
-    Division-free for the caller.  Up to n = _BAREISS_MAX, one fraction-free
-    elimination of [m | u] gives det(m) and adj(m) @ u exactly, with no
-    moduli (`_adjugate_bareiss`); above it, adj(m) @ u = d m^-1 u is
-    CRT-reconstructed from modular solves (`_adjugate_crt`).
+    Division-free for the caller: at every n, one fraction-free elimination
+    of [m | u] gives det(m) and adj(m) @ u exactly, with no moduli
+    (`_adjugate_bareiss`).
     """
     a, u = _square(m), _int_array(u)
     if u.shape[0] != len(a):
         raise ValueError("u must have one row per row of m")
     if d == 0:
         raise ValueError("singular matrix")
-    w, d = (_adjugate_bareiss if len(a) <= _BAREISS_MAX else _adjugate_crt)(a, u, d)
-    return np.array(w, dtype=object).reshape(u.shape), d
+    w, d = _adjugate_bareiss(a, u, d)
+    return np.array(w, dtype=object), d
 
 
 def _charpoly_bounds(a: np.ndarray) -> list[int]:
@@ -806,7 +746,14 @@ def charpoly(m: Matrix, d: int | None = None, q: int | None = None, rank: int | 
     divisors = [1] * (n + 1) if rank == n else [q ** max(0, n - i - rank) for i in range(n + 1)]
     bounds = _charpoly_bounds(a)[::-1]
     target = 2 * max(-(-b // dv) for b, dv in zip(bounds, divisors))
-    poly = IntPoly(_crt(_charpoly_mod, a, n, target, max(divisors), divisors))
+    # divisors[0], of the constant term, is the largest, and above 1 exactly
+    # when the rank is below n: then every coefficient is divided and checked
+    used = _moduli_for(n, target, divisors[0], rank < n)
+    residues = zip(*(_charpoly_mod(a, mod) for mod in used))
+    if rank < n:
+        poly = IntPoly(_divided_crt(r, used, dv) for r, dv in zip(residues, divisors))
+    else:
+        poly = IntPoly(crt_symmetric(r, used) for r in residues)
     if poly.coeffs[-1] != 1 or len(poly.coeffs) != n + 1:
         raise InternalError("characteristic polynomial is not monic after CRT")
     if d is None:
@@ -821,12 +768,6 @@ def charpoly(m: Matrix, d: int | None = None, q: int | None = None, rank: int | 
 # ---------------------------------------------------------------------------
 
 
-def _det_rows(rows: list[list[int]]) -> int:
-    """det of the square rows of Python ints: by Bareiss on the rows
-    themselves up to n = _BAREISS_MAX, through `det` above."""
-    return _bareiss(rows) if len(rows) <= _BAREISS_MAX else det(rows)
-
-
 def _dot(x: Iterable[int], y: Iterable[int]) -> int:
     return sum(map(operator.mul, x, y))
 
@@ -837,10 +778,9 @@ def mdl_check(a: Matrix, u: Matrix, v: Matrix, d: int | None = None) -> bool:
 
     a must be invertible; u and v are n x m.  The left side is a direct
     determinant; the right side takes adj(a) u, and d unless the caller
-    passes it, from one `adjugate_apply` call on [a | u]: for n <= 8 one
-    Bareiss elimination, above it the modular solve, which this then
-    property-tests.  Both products, which nothing bounds, are formed over
-    Python ints, and their dets of size <= 8 come from Bareiss on the rows.
+    passes it, from one `adjugate_apply` call, one Bareiss elimination of
+    [a | u].  Both products, which nothing bounds, are formed over Python
+    ints, and their dets come from Bareiss on the rows.
     """
     a, u, v = _square(a), _int_array(u), _int_array(v)
     if u.shape != v.shape or len(u) != len(a):
@@ -851,7 +791,7 @@ def mdl_check(a: Matrix, u: Matrix, v: Matrix, d: int | None = None) -> bool:
     small = [[_dot(vl, wc) for wc in w.T.tolist()] for vl in zip(*vs)]
     for i, row in enumerate(small):
         row[i] += d
-    return d ** (len(small) - 1) * _det_rows(big) == _det_rows(small)
+    return d ** (len(small) - 1) * _bareiss(big) == _bareiss(small)
 
 
 @dataclass(frozen=True)

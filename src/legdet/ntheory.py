@@ -270,24 +270,38 @@ def prime_invariants(p: int) -> PrimeInvariants:
     return PrimeInvariants(p, n, s, d_p, h_neg, q_p, big_n, s)
 
 
+#: Values of x that one step of `quad_char_sum` gathers for: its two int64
+#: arrays, x and the indices, take 1 MB together, whatever p.
+_GATHER = 1 << 16
+
+
 def quad_char_sum(b: int, c: int, p: int) -> int:
-    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), as one gather from `symbol_array`.
-    With b and c reduced mod p, x (x + b) + c is below 2p^2 < 2^63 for every
-    p a table allows."""
-    x = np.arange(p, dtype=np.int64)
-    idx = x * (x + b % p)
-    idx += c % p
-    idx %= p
-    return int(symbol_array(p)[idx].sum(dtype=np.int64))
+    """sum_{x=0}^{p-1} ((x^2+bx+c)/p), as gathers from `symbol_array`, one
+    per chunk of at most _GATHER values of x.  With b and c reduced mod p,
+    x (x + b) + c is below 2p^2 < 2^63 for every p a table allows."""
+    table = symbol_array(p)
+    b, c = b % p, c % p
+    total = 0
+    for lo in range(0, p, _GATHER):
+        x = np.arange(lo, min(lo + _GATHER, p), dtype=np.int64)
+        idx = x + b
+        idx *= x
+        idx += c
+        idx %= p
+        total += int(table[idx].sum(dtype=np.int64))
+    return total
 
 
+@lru_cache(maxsize=1)
 def half_range_sums(p: int) -> tuple[int, int, int]:
     """(S1, S2, SJK) with S1 = sum (k/p), S2 = sum k*(k/p) over 1 <= k <= n,
     and SJK = sum_{j,k=1}^{n} ((j+k)/p), summed over m = j + k as
     sum_{m=2}^{2n} (m/p) (n - |m - n - 1|), n - |m - n - 1| being the number
     of pairs with j + k = m: an exact rearrangement of the double sum, in
     O(p), not the lemma that L41_SUMS checks.  Each is a weighted sum over
-    a view of the table, so nothing of size p is allocated."""
+    a view of the table, so nothing of size p is allocated.  Like the
+    table, kept for the last prime only: L41_SUMS and EQ_DCOUNT read one
+    computation."""
     vals = legendre_table(p).vals
     n = (p - 1) // 2
     half = vals[1 : n + 1]

@@ -28,11 +28,12 @@ Fractions only: L25_EIGS takes the product of its character-sum eigenvalues
 as the determinant of an integer circulant (`_eig_circulant`), and
 T11_CHARPOLY_1MOD4 proves its two charpolys by an int64 certificate
 (`_t11_certificate`), computing them only where it fails, so a passing
-catalog runs no charpoly kernel.  MDL_RANDOM's matrices are at most 6 x 6,
-so its solves are single Bareiss eliminations (`exactla.adjugate_apply`);
-EQ_DP_U1AU0 is the catalog's one modular solve.  A check
-that builds matrices (`MATRIX_IDS`) is refused above
-`charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
+catalog runs no charpoly kernel.  It runs no modular solve either:
+MDL_RANDOM's solves are single Bareiss eliminations
+(`exactla.adjugate_apply`), and EQ_DP_U1AU0 reads u1^T adj(A+) 1 from the
+base determinants of T12_II's expansion, by the matrix-determinant lemma
+(`_run_eq_dp_u1au0`).  A check that builds matrices (`MATRIX_IDS`) is
+refused above `charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
 process, and take each instance's det(a) once.  Every prime range, `scan`'s
 and the CLI's `verify`'s, runs through one loop (`run_range`): one sieve,
 primes in ascending order, each prime's record delivered as soon as it is
@@ -60,7 +61,6 @@ from .errors import InternalError
 from .exactla import (
     IntPoly,
     ParamDet,
-    adjugate_apply,
     det,
     mdl_check,
     param_det_expand,
@@ -164,8 +164,8 @@ def _expand(a: np.ndarray, f: list[int], name: str, p: int, seed: int, alpha: in
 @lru_cache(maxsize=1)
 def _aplus_pd(p: int, seed: int):
     """The expansion of A+ shifted by the symbol vector, sampled on T12_I's
-    (p ≡ 1 mod 4) or T12_II's points; COR_AFTER_T12 and EQ_38II_QP read the
-    same one."""
+    (p ≡ 1 mod 4) or T12_II's points; COR_AFTER_T12, EQ_38II_QP and
+    EQ_DP_U1AU0 read the same one."""
     name = "T12_I" if p % 4 == 1 else "T12_II"
     [alpha] = at(p).dets("aplus")
     return _expand(at(p).matrix("aplus"), symbol_vector(p), name, p, seed, alpha, p)
@@ -551,12 +551,11 @@ def _run_atheta(p: int, seed: int):
 
 def _run_eq_dp_u1au0(p: int, seed: int):
     inv = at(p).invariants
-    n = inv.n
-    u1 = symbol_vector(p)
-    [d] = at(p).dets("aplus")
-    w, _ = adjugate_apply(at(p).matrix("aplus"), np.ones((n, 1), dtype=np.int64), d)
-    lhs = p * sum(s * wi for s, wi in zip(u1, w[:, 0]))
-    rhs = d * (n + 2 * (inv.d_p - inv.c_p**2))
+    pd, _ = _aplus_pd(p, seed)
+    # det(A + u v^T) = det A + v^T adj(A) u, and alpha3 is det(A+ + 1 u1^T),
+    # the expansion at (0, 0, 1, 0): so u1^T adj(A+) 1 = alpha3 - alpha
+    lhs = p * (pd.alpha3 - pd.alpha)
+    rhs = pd.alpha * (inv.n + 2 * (inv.d_p - inv.c_p**2))
     ok = lhs == rhs
     wit = {"lhs": str(lhs), "rhs": str(rhs)}
     if not ok:
@@ -578,10 +577,9 @@ def _run_l41(p: int, seed: int):
 
 def _run_eq_dcount(p: int, seed: int):
     inv = at(p).invariants
-    v = legendre_table(p).vals
     n = inv.n
     s1 = inv.sum_half
-    s2 = sum(k * v[k] for k in range(1, n + 1))
+    s2 = half_range_sums(p)[1]
     tail = -2 * s2 if p % 4 == 1 else s1
     want = 4 * inv.N - n * n - n * s1 + tail
     ok = inv.d_p == want

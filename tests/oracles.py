@@ -3,7 +3,9 @@
 Each function here is an independent route to a quantity the library
 computes a faster or structurally different way; none of them share code
 with the package, except that the old realquad route returns its units as
-legdet's `QuadElem`.
+legdet's `QuadElem`, and that the modular solve (`adjugate_crt`) takes its
+moduli, CRT and Hadamard bound, and det(a) when it is not given, from
+`legdet.exactla`.
 """
 
 import cmath
@@ -15,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from legdet import exactla
 from legdet.errors import InternalError
 from legdet.realquad import QuadElem
 
@@ -67,6 +70,18 @@ def sjk_double_sum(p: int) -> int:
     vals = [euler_legendre(a, p) for a in range(p)]
     n = (p - 1) // 2
     return sum(sum(vals[j + 1 : j + n + 1]) for j in range(1, n + 1))
+
+
+def quad_char_sum_by_one_gather(b: int, c: int, p: int) -> int:
+    """sum_{x=0}^{p-1} ((x^2+bx+c)/p) as one int64 gather over all p values
+    of x from an int8 table: legdet's quad_char_sum before it gathered in
+    bounded chunks of x."""
+    table = np.array(symbol_tuple(p), dtype=np.int8)
+    x = np.arange(p, dtype=np.int64)
+    idx = x * (x + b % p)
+    idx += c % p
+    idx %= p
+    return int(table[idx].sum(dtype=np.int64))
 
 
 def quad_char_sum_by_loop(b: int, c: int, p: int) -> int:
@@ -391,6 +406,56 @@ def solve_mod_py(rows: list[list[int]], vec: Sequence[int], m: int):
         acc = sum(a[i][k] * x[k] for k in range(i + 1, n)) % m
         x[i] = (a[i][n] - acc) * pow(a[i][i], -1, m) % m
     return det % m, x
+
+
+# The modular solve: legdet's adjugate_apply above n = 8 before every solve
+# became one Bareiss elimination.  Each modulus eliminates [A | V] with the
+# replaced stacked kernel (`eliminate_delayed_np`), whose pivot rows end
+# reduced, then back-substitutes.
+
+
+def solve_mod(aug: np.ndarray, m: int):
+    """(det A mod m, X with A X = V mod m, flattened row-major) for
+    aug = [A | V], or (0, None) if A is singular mod m."""
+    n = aug.shape[0]
+    a = (aug % m).astype(np.int64)
+    det = eliminate_delayed_np(a[None], np.array([m], dtype=np.int64))[0]
+    if det == 0:
+        return 0, None
+    x = np.zeros((n, aug.shape[1] - n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        acc = a[i, i + 1 : n] @ x[i + 1 :]
+        x[i] = (a[i, n:] - acc) % m * pow(int(a[i, i]), -1, m) % m
+    return det, x.ravel().tolist()
+
+
+def adj_mod(aug: np.ndarray, m: int, d: int) -> list[int]:
+    """adj(A) V mod m = det(A) * A^{-1} V for aug = [A | V], where d, not
+    divisible by m, is det(A): InternalError if the solve's det mod m is
+    not d mod m."""
+    det_m, x = solve_mod(aug, m)
+    if det_m != d % m:
+        raise InternalError(f"the determinant passed is not det(m) mod {m}")
+    return [det_m * t % m for t in x]
+
+
+def adjugate_crt(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list[int], int]:
+    """(adj(a) @ u flattened row-major, det(a)) for the kernel arrays a and
+    u, from modular solves of [a | u] over the moduli that do not divide
+    d = det(a), computed first unless the caller passes it; every entry is
+    bounded by the Hadamard bound times the largest column 1-norm of u.
+    Each solve checks d against its own det mod its modulus (`adj_mod`)."""
+    n = len(a)
+    if d is None:
+        d = exactla.det(a)
+        if d == 0:
+            raise ValueError("singular matrix")
+    norm = max(sum(map(abs, col)) for col in zip(*u.tolist()))
+    target = 2 * exactla._row_bound(a) * max(1, norm)
+    used = exactla._moduli_for(n, target, d)
+    aug = np.concatenate([a, u], axis=1)
+    residues = [adj_mod(aug, m, d) for m in used]
+    return [exactla.crt_symmetric(r, used) for r in zip(*residues)], d
 
 
 def charpoly_mod_py(rows: list[list[int]], m: int) -> list[int]:

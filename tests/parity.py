@@ -59,6 +59,9 @@ ARGVS: tuple[Case, ...] = (
     _case(f"scan --from 3 --to 20000 --ids T13_DPMOD4,CONJ11_DP --jobs 1 --json --out {OUT}"),
     _case(f"scan --from 999000 --to 1000000 --ids T13_DPMOD4,CONJ11_DP --jobs 2 --json --out {OUT}"),
     _case("verify --prime 10007 --suite T13_DPMOD4,CONJ11_DP,L21_QUADSUM,L41_SUMS,EQ_DCOUNT,MORDELL --json"),
+    _case("verify --prime 419 --suite EQ_DP_U1AU0 --json"),
+    _case("verify --prime 419 --suite T12_II,EQ_DP_U1AU0 --json"),
+    _case("verify --prime 1000003 --suite L21_QUADSUM,L41_SUMS,EQ_DCOUNT --json"),
     *(_case(f"charpoly --prime {p} --json", quick=p == 103) for p in (101, 103, 397, 419, 1031)),
     _case("compute --prime 1019 --what dp,cp,qp,hneg,det-aplus,det-aminus --json", quick=True),
     _case("compute --prime 1000003 --what dp,cp,qp,hneg --json"),

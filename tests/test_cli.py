@@ -122,28 +122,24 @@ def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeyp
 
 
 def _count_matrix_work(monkeypatch):
-    """Patches charmat and exactla so that every det_many batch the record
-    makes, and every charpoly CRT, is recorded; returns (batches, charpoly
-    CRTs)."""
-    import legdet.exactla as ex
-
-    batches, crts = [], []
-    real_crt = ex._crt
+    """Patches charmat so that every det_many batch and every charpoly the
+    record makes is recorded; returns (batches, charpolys)."""
+    batches, polys = [], []
+    real = charmat.charpoly
     monkeypatch.setattr(charmat, "det_many", _recording_det_many(batches))
-    monkeypatch.setattr(ex, "_crt", lambda kernel, *a, **kw: (
-        crts.append(kernel) if kernel is ex._charpoly_mod else None) or real_crt(kernel, *a, **kw))
-    return batches, crts
+    monkeypatch.setattr(charmat, "charpoly", lambda m, *a: polys.append(m) or real(m, *a))
+    return batches, polys
 
 
 @pytest.mark.parametrize("p, distinct", [(29, 2), (31, 1), (101, 2), (103, 1)])
 def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, monkeypatch, fresh_caches, p, distinct):
     # at p ≡ 3 (mod 4), A- = A+^T: det(A+) alone is batched, and one
-    # charpoly CRT serves both fields; at p ≡ 1 (mod 4) both are computed
-    batches, crts = _count_matrix_work(monkeypatch)
+    # charpoly serves both fields; at p ≡ 1 (mod 4) both are computed
+    batches, polys = _count_matrix_work(monkeypatch)
     code, out, _ = run(capsys, "charpoly", "--prime", str(p), "--json")
     assert code == 0
     assert batches == [[build("aplus", p).tolist(), build("aminus", p).tolist()][:distinct]]
-    assert len(crts) == distinct
+    assert len(polys) == distinct
     payload = json.loads(out)
     assert (payload["charpoly-aplus"] == payload["charpoly-aminus"]) == (distinct == 1)
 
@@ -157,9 +153,9 @@ def test_charpoly_computes_one_det_and_one_charpoly_per_distinct_matrix(capsys, 
 def test_transpose_reuse_is_gated_by_the_entries_not_by_p_mod_4(capsys, monkeypatch, fresh_caches, p, tamper, distinct):
     real_build = charmat.build
     monkeypatch.setattr(charmat, "build", lambda name, q: tamper(real_build(name, q)) if name == "aminus" else real_build(name, q))
-    batches, crts = _count_matrix_work(monkeypatch)
+    batches, polys = _count_matrix_work(monkeypatch)
     code, out, _ = run(capsys, "compute", "--prime", str(p), "--what", "det-aminus,charpoly-aplus,charpoly-aminus", "--json")
-    assert code == 0 and len(batches) == 1 and len(batches[0]) == len(crts) == distinct
+    assert code == 0 and len(batches) == 1 and len(batches[0]) == len(polys) == distinct
     aminus = tamper(real_build("aminus", p))
     payload = json.loads(out)
     assert payload["det-aminus"] == str(det(aminus))

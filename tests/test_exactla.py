@@ -23,11 +23,9 @@ from legdet.exactla import (
     shifted_dets,
     _charpoly_bounds,
     _charpoly_mod,
-    _crt,
     _crt_dets,
     _eliminate,
     _moduli_for,
-    _solve_mod,
 )
 import legdet.exactla as ex
 from legdet.errors import InternalError
@@ -111,8 +109,9 @@ def test_det_crt_path_on_larger_matrix():
 def test_det_crt_path_with_huge_entries(top, form):
     # entries at and beyond the int64 conversion boundary of 2^62, given as
     # nested lists or as an object array: below it they become int64, from
-    # it on Python ints, reduced to int64 residues per modulus; every path
-    # must agree with Bareiss on the Python-int rows
+    # it on Python ints, which det, charpoly and the shifted samples reduce
+    # to int64 residues per modulus and the adjugate solve eliminates as
+    # they are; every path must agree with Bareiss on the Python-int rows
     rng = random.Random(8)
     rows = [[top if (i + j) % 3 == 0 else rng.randint(-9, 9) for j in range(10)] for i in range(10)]
     m = rows if form == "lists" else np.array(rows, dtype=object)
@@ -179,16 +178,10 @@ def test_int64_bound_per_kernel():
 
 
 def test_crt_residues_size_moduli_from_the_terms():
-    # charpoly and solve above n = 512 take 26-bit moduli; det keeps 27
-    seen = []
-
-    def kernel(_data, mod):
-        seen.append(mod)
-        return [0]
-
-    assert _crt(kernel, None, 513, 1) == [0]
-    assert _crt(kernel, None, 1, 1) == [0]
-    assert seen == [moduli(26)[0], moduli(27)[0]]
+    # charpoly above n = 512 takes 26-bit moduli; det keeps 27
+    assert _moduli_for(513, 1) == [moduli(26)[0]]
+    assert _moduli_for(1, 1) == [moduli(27)[0]]
+    assert _moduli_for(513, moduli(26)[0]) == list(moduli(26)[:2])
 
 
 def test_det_kernels_agree_above_256():
@@ -201,8 +194,9 @@ def test_det_kernels_agree_above_256():
 # 3, 5 and 7 force pivot swaps and all-zero columns; at 2^31 - 1 the
 # elimination's panels are 2 steps wide, so the trailing block takes its
 # pending updates every other step.  moduli(27)[0] and moduli(26)[0] are
-# the largest charpoly and solve moduli for n <= 512 and n <= 2048.  Solve and charpoly sum n products, so they are compared only
-# where n * (m-1)^2 < 2^63.
+# the largest charpoly moduli for n <= 512 and n <= 2048.  Charpoly and the
+# oracle's solve (`oracles.solve_mod`) sum n products, so they are compared
+# only where n * (m-1)^2 < 2^63.
 KERNEL_MODULI = (3, 5, 7, moduli(27)[0], moduli(26)[0], 2**31 - 1)
 
 
@@ -225,7 +219,7 @@ def test_det_and_solve_kernels_match_pure_python(m):
         assert det_mod(rows, m) == want
         if len(rows) * (m - 1) ** 2 < 2**63:
             aug = np.array([row + [x] for row, x in zip(rows, vec)], dtype=np.int64)
-            assert _solve_mod(aug, m) == oracles.solve_mod_py(rows, vec, m)
+            assert oracles.solve_mod(aug, m) == oracles.solve_mod_py(rows, vec, m)
         singular += want == 0
     assert singular >= 13
 
@@ -347,16 +341,18 @@ def test_panel_elimination_matches_the_replaced_path(n):
 
 @pytest.mark.parametrize("n", PANEL_SIZES)
 def test_panel_solve_matches_pure_python(n):
-    # [A | V] with three columns of V, where n (m-1)^2 < 2^63: A X = V mod m
-    # whenever A is invertible mod m, and up to n = 65 each column agrees
-    # with the one-vector pure-Python solve
+    # the modular solve that adjugate_apply is compared with (`oracles`), on
+    # [A | V] with three columns of V, where n (m-1)^2 < 2^63: det A mod m
+    # as the stacked kernel gives it, A X = V mod m whenever A is invertible
+    # mod m, and up to n = 65 each column agrees with the one-vector
+    # pure-Python solve
     rng = random.Random(f"solve|{n}")
     for rows in panel_matrices(n):
         vs = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(n)]
         aug = np.array([row + v for row, v in zip(rows, vs)], dtype=np.int64)
         for m in PANEL_MODULI[:4]:
-            det_m, x = _solve_mod(aug, m)
-            assert det_m == oracles.eliminate_delayed_np(aug[None, :, :n] % m, np.array([m]))[0]
+            det_m, x = oracles.solve_mod(aug, m)
+            assert det_m == _eliminate(aug[None, :, :n] % m, np.array([m]))[0]
             if det_m:
                 x = np.array(x, dtype=np.int64).reshape(n, 3)
                 assert ((aug[:, :n] % m) @ x % m == aug[:, n:] % m).all()
@@ -468,7 +464,8 @@ def test_charpoly_bound_covers_every_coefficient():
         # C(n,k) n^ceil(k/2) B^k that charpoly used before
         n, b = len(m), int(np.abs(m).max())
         loose = max(math.comb(n, k) * n ** ((k + 1) // 2) * b**k for k in range(1, n + 1))
-        coeffs = _crt(_charpoly_mod, m, n, 2 * loose)
+        used = _moduli_for(n, 2 * loose)
+        coeffs = [crt_symmetric(r, used) for r in zip(*(_charpoly_mod(m, mod) for mod in used))]
         assert coeffs[-1] == 1
         assert max(abs(c) for c in coeffs) <= max(_charpoly_bounds(m))
 
@@ -526,8 +523,9 @@ def test_adjugate_apply_rejects_singular():
 
 
 def test_adjugate_apply_skips_a_modulus_dividing_det():
-    # det is the first solve modulus, so the solve must skip it (and the
-    # n > 8 determinant reconstructs it from one more modulus)
+    # det is the first modulus of the modular solve, which must skip it (and
+    # the n > 8 determinant reconstructs it from one more modulus); the
+    # Bareiss solve reads no modulus, and the two agree
     n = 10
     q = moduli(modulus_bits(n))[0]
     m = np.identity(n, dtype=np.int64)
@@ -536,6 +534,25 @@ def test_adjugate_apply_skips_a_modulus_dividing_det():
     w, d = adjugate_apply(m, column(v))
     assert d == q
     assert (m @ w)[:, 0].tolist() == [d * t for t in v]
+    assert oracles.adjugate_crt(m, column(v), None) == (w[:, 0].tolist(), d)
+
+
+def test_adjugate_apply_matches_the_modular_solve_above_the_bareiss_size():
+    # the one Bareiss solve against the modular solve it replaced above
+    # n = 8: seeded draws at n = 9, 10, 12 and 24, and A+ of p = 103 with
+    # u = 1, the adj(A+) 1 whose inner product with u1 EQ_DP_U1AU0 states
+    rng = random.Random("adjugate|large")
+    cases = []
+    for n in (9, 10, 12, 24):
+        a = rand_square(rng, n, -9, 9)
+        cases.append((a, rand_square(rng, n, -99, 99)[:, : rng.randint(1, 4)]))
+    cases.append((build("aplus", 103), np.ones((51, 1), dtype=np.int64)))
+    for a, u in cases:
+        want, d = oracles.adjugate_crt(a, u, None)
+        w, got = adjugate_apply(a, u)
+        assert got == d != 0
+        assert w.ravel().tolist() == want
+        assert w.shape == u.shape
 
 
 def adjugate_draws():
@@ -561,7 +578,7 @@ def test_small_adjugate_matches_the_modular_solve():
     singular = big = 0
     for a, u in adjugate_draws():
         try:
-            want, d = ex._adjugate_crt(a, u, None)
+            want, d = oracles.adjugate_crt(a, u, None)
         except ValueError:
             singular += 1
             with pytest.raises(ValueError, match="singular"):
@@ -575,7 +592,7 @@ def test_small_adjugate_matches_the_modular_solve():
             with pytest.raises(InternalError):
                 ex._adjugate_bareiss(a, u, wrong)
             with pytest.raises(InternalError):
-                ex._adjugate_crt(a, u, wrong)
+                oracles.adjugate_crt(a, u, wrong)
     assert singular >= 40 and big >= 40
 
 
@@ -595,12 +612,12 @@ def test_no_modulus_avoids_zero(monkeypatch):
     # every modulus divides 0, so a search for one that does not would walk
     # every odd number below the kept moduli: refused before any is tried
     monkeypatch.setattr(ex, "_primes_below", lambda m: pytest.fail("searched for moduli"))
-    monkeypatch.setattr(ex, "_adj_mod", lambda *a, **kw: pytest.fail("solved mod a modulus"))
+    monkeypatch.setattr(oracles, "adj_mod", lambda *a, **kw: pytest.fail("solved mod a modulus"))
     with pytest.raises(ValueError, match="avoids 0"):
         _moduli_for(1, 10, 0)
     a = np.identity(10, dtype=np.int64) * 2
     with pytest.raises(ValueError, match="avoids 0"):
-        ex._adjugate_crt(a, column([1] * 10), 0)
+        oracles.adjugate_crt(a, column([1] * 10), 0)
 
 
 def test_small_solves_build_no_moduli(monkeypatch):
@@ -618,10 +635,12 @@ def test_small_solves_build_no_moduli(monkeypatch):
         assert mdl_check(a, u, v, d)
 
 
-def test_mdl_above_the_bareiss_size_takes_the_modular_solve(monkeypatch):
+def test_mdl_above_the_bareiss_size_takes_the_bareiss_solve(monkeypatch):
+    # above n = 8 as below it: one Bareiss solve, and no moduli
     calls = []
-    real = ex._adjugate_crt
-    monkeypatch.setattr(ex, "_adjugate_crt", lambda *a: calls.append(len(a[0])) or real(*a))
+    real = ex._adjugate_bareiss
+    monkeypatch.setattr(ex, "_adjugate_bareiss", lambda *a: calls.append(len(a[0])) or real(*a))
+    monkeypatch.setattr(ex, "_moduli_for", lambda *a, **kw: pytest.fail("built moduli"))
     rng = random.Random(37)
     for n in (9, 10, 12):
         a = rand_square(rng, n, -9, 9)

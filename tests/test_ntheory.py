@@ -237,6 +237,34 @@ def test_quad_char_sum_matches_the_loop():
             assert quad_char_sum(b, c, p) == oracles.quad_char_sum_by_loop(b, c, p), (b, c, p)
 
 
+def test_quad_char_sum_matches_one_gather_across_chunk_edges():
+    # the chunked gathers against one gather over all of x, at the primes
+    # just below and just above one and two chunks, where the last chunk is
+    # nearly full or holds a few values of x
+    rng = random.Random(65536)
+    for k in (1, 2):
+        edge = k * ntheory._GATHER
+        near = primes_in_range(edge - 200, edge + 200)
+        for p in (max(q for q in near if q < edge), min(q for q in near if q > edge)):
+            for _ in range(3):
+                b, c = rng.randint(-(10**20), 10**20), rng.randrange(p)
+                assert quad_char_sum(b, c, p) == oracles.quad_char_sum_by_one_gather(b, c, p), (b, c, p)
+
+
+def test_quad_char_sum_memory_is_one_chunk(fresh_caches):
+    # with the 1 MB table built: two int64 arrays of one chunk of x, not 17
+    # bytes per unit of p
+    p = 1_000_003
+    symbol_array(p)
+    tracemalloc.start()
+    try:
+        got = quad_char_sum(3, 5, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == -1 and peak < 2 * 2**20
+
+
 def test_symbol_array_is_the_table_read_only():
     for p in (3, 5, 101, 103):
         a = symbol_array(p)

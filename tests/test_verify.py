@@ -534,6 +534,13 @@ def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
     assert builds == [103]
 
 
+def test_verify_sums_the_half_range_sums_once_per_prime(fresh_caches, capsys):
+    # EQ_DCOUNT reads S2 from the half_range_sums that L41_SUMS reads
+    assert main(["verify", "--prime", "103", "--suite", "L41_SUMS,EQ_DCOUNT"]) == 0
+    info = ntheory.half_range_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
     ap = build("ap", 103).tolist()
     calls = []
@@ -546,13 +553,27 @@ def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
 
 
 def test_verify_computes_det_aplus_once_per_prime(monkeypatch, fresh_caches, capsys):
-    # T11_DET_3MOD4, T12_II's expansion and EQ_DP_U1AU0's adjugate all read
-    # one det(A+)
+    # T11_DET_3MOD4 and T12_II's expansion read one det(A+), and EQ_DP_U1AU0
+    # reads it, with alpha3, from that expansion
     aplus = build("aplus", 103).tolist()
     calls = []
     _patch_det(monkeypatch, lambda m, d: calls.append(m == aplus) or d)
     assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
     assert calls.count(True) == 1
+
+
+def test_wrong_alpha3_fails_t12_ii_and_eq_dp_u1au0(monkeypatch, fresh_caches, capsys):
+    # EQ_DP_U1AU0 reads u1^T adj(A+) 1 as alpha3 - alpha from T12_II's
+    # expansion: det(A+ + 1 u1^T), the base determinant at (0, 0, 1, 0),
+    # one too large at the determinant door fails both checks
+    p = 103
+    shifted = (build("aplus", p) + np.array(symbol_vector(p))).tolist()
+    _patch_det(monkeypatch, lambda m, d: d + 1 if m == shifted else d)
+    assert main(["verify", "--prime", str(p), "--suite", "T12_II,EQ_DP_U1AU0", "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["id"], r["passed"]) for r in results] == [("T12_II", False), ("EQ_DP_U1AU0", False)]
+    wit = results[1]["witness"]
+    assert int(wit["lhs"]) - int(wit["rhs"]) == p
 
 
 def _count_base_dets(monkeypatch, p):
