@@ -16,7 +16,6 @@ from .exactla import (
     shifted_dets,
 )
 from .ntheory import (
-    LegendreTable,
     PrimeInvariants,
     class_number_neg,
     half_range_sums,

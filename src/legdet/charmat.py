@@ -96,7 +96,7 @@ def build(name: str, p: int) -> np.ndarray:
 
 def symbol_vector(p: int) -> list[int]:
     """[(1/p), (2/p), ..., (n/p)] with n = (p-1)/2."""
-    return list(legendre_table(p).vals[1 : (p - 1) // 2 + 1])
+    return list(legendre_table(p)[1 : (p - 1) // 2 + 1])
 
 
 def theta_vector(p: int) -> list[int]:

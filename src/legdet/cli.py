@@ -144,7 +144,7 @@ def record_to_json(rec: ScanRecord) -> str:
     }
     if inv.h_neg is not None:
         invd["h_neg"] = str(inv.h_neg)
-    invd["sum_half"] = str(inv.sum_half)
+    invd["sum_half"] = str(inv.c_p)
     invd["N"] = str(inv.N)
     obj = {
         "schema_version": SCHEMA_VERSION,

@@ -662,38 +662,34 @@ def det(m: Matrix, q: int | None = None) -> int:
     return det_many([m], q)[0]
 
 
-def _adjugate_bareiss(a: np.ndarray, u: np.ndarray, d: int | None) -> tuple[list[list[int]], int]:
+def _adjugate_bareiss(a: np.ndarray, u: np.ndarray) -> tuple[list[list[int]], int]:
     """(adj(a) @ u as rows of Python ints, det(a)) from one Bareiss
     elimination of the rows [a | u] (`_bareiss`), which leaves [T | C] and
-    det(a) = d, then exact back-substitution: y = d a^-1 u solves T y = d C,
+    d = det(a), then exact back-substitution: y = d a^-1 u solves T y = d C,
     and is integral, so each
 
         y_i = (d c_i - sum_{j>i} t_ij y_j) / t_ii
 
-    is an exact division.  ValueError when a is singular, InternalError when
-    the caller's d is not det(a)."""
+    is an exact division.  ValueError when a is singular."""
     n, k = u.shape
     rows = [r + c for r, c in zip(a.tolist(), u.tolist())]
-    got = _bareiss(rows)
-    if got == 0:
+    d = _bareiss(rows)
+    if d == 0:
         raise ValueError("singular matrix")
-    if d is not None and d != got:
-        raise InternalError(f"the determinant passed, {d}, is not det(m) = {got}")
     y: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
         t = rows[i]
         y[i] = [
-            (got * t[n + c] - sum(t[j] * y[j][c] for j in range(i + 1, n))) // t[i]
+            (d * t[n + c] - sum(t[j] * y[j][c] for j in range(i + 1, n))) // t[i]
             for c in range(k)
         ]
-    return y, got
+    return y, d
 
 
-def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarray, int]:
+def adjugate_apply(m: Matrix, u: Matrix) -> tuple[np.ndarray, int]:
     """(adj(m) @ u, det(m)) exactly, for invertible m and u with m's rows;
     adj(m) @ u is an n x k object array of Python ints.  ValueError when m
-    is singular, or the caller passes d = 0; InternalError when the caller
-    passes another d that is not det(m).
+    is singular.
 
     Division-free for the caller: at every n, one fraction-free elimination
     of [m | u] gives det(m) and adj(m) @ u exactly, with no moduli
@@ -702,9 +698,7 @@ def adjugate_apply(m: Matrix, u: Matrix, d: int | None = None) -> tuple[np.ndarr
     a, u = _square(m), _int_array(u)
     if u.shape[0] != len(a):
         raise ValueError("u must have one row per row of m")
-    if d == 0:
-        raise ValueError("singular matrix")
-    w, d = _adjugate_bareiss(a, u, d)
+    w, d = _adjugate_bareiss(a, u)
     return np.array(w, dtype=object), d
 
 
@@ -772,20 +766,20 @@ def _dot(x: Iterable[int], y: Iterable[int]) -> int:
     return sum(map(operator.mul, x, y))
 
 
-def mdl_check(a: Matrix, u: Matrix, v: Matrix, d: int | None = None) -> bool:
+def mdl_check(a: Matrix, u: Matrix, v: Matrix) -> bool:
     """Test the matrix-determinant lemma |a + u v^T| = |a| |I_m + v^T a^{-1} u|
     in integers: with d = |a|, d^(m-1) |a + u v^T| = |d I_m + v^T adj(a) u|.
 
-    a must be invertible; u and v are n x m.  The left side is a direct
-    determinant; the right side takes adj(a) u, and d unless the caller
-    passes it, from one `adjugate_apply` call, one Bareiss elimination of
-    [a | u].  Both products, which nothing bounds, are formed over Python
-    ints, and their dets come from Bareiss on the rows.
+    a must be invertible (ValueError otherwise); u and v are n x m.  The
+    left side is a direct determinant; the right side takes adj(a) u and d
+    from one `adjugate_apply` call, one Bareiss elimination of [a | u].
+    Both products, which nothing bounds, are formed over Python ints, and
+    their dets come from Bareiss on the rows.
     """
     a, u, v = _square(a), _int_array(u), _int_array(v)
     if u.shape != v.shape or len(u) != len(a):
         raise ValueError("u and v must be n x m with n matching a")
-    w, d = adjugate_apply(a, u, d)
+    w, d = adjugate_apply(a, u)
     us, vs = u.tolist(), v.tolist()
     big = [[x + _dot(ui, vj) for x, vj in zip(row, vs)] for row, ui in zip(a.tolist(), us)]
     small = [[_dot(vl, wc) for wc in w.T.tolist()] for vl in zip(*vs)]

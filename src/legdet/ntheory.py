@@ -1,10 +1,10 @@
 """Scalar number theory: primality, Legendre symbols, and the half-range
-symbol invariants (sum_half, c_p, d_p, q_p, h(-p), N) that drive the matrix
-identity checks.
+symbol invariants (c_p, d_p, q_p, h(-p), N) that drive the matrix identity
+checks.
 
-The symbol table of p is one byte per symbol: `LegendreTable.vals` is a
+The symbol table of p is one byte per symbol: `legendre_table` returns a
 read-only signed-byte memoryview of it, which indexes, slices (without a
-copy) and iterates as Python ints, and `symbol_array` is the same bytes
+copy) and iterates as Python ints, and `symbol_array` views the same bytes
 as a read-only int8 array.  The O(p) sums read the view through C-level
 iterators (`accumulate`, `map`, `sum`), `prime_invariants` a bounded chunk
 at a time, so they hold no O(p) list and no per-symbol Python object: at
@@ -104,17 +104,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@dataclass(frozen=True)
-class LegendreTable:
-    """All Legendre symbols mod p: vals[a] = (a/p) for 0 <= a < p.  vals is
-    a read-only signed-byte memoryview, one byte per symbol: it indexes and
-    iterates as Python ints -1, 0 and 1, and a slice is a view of the same
-    bytes, not a copy."""
-
-    p: int
-    vals: memoryview
-
-
 #: Symbol tables, so prime checks and ranges, stop below this p.  The limit
 #: comes from `quad_char_sum`'s int64 gather: x (x + b) + c < 2p^2 must stay
 #: below 2^63, which holds for every p < 2^31.  A table costs one byte per
@@ -123,10 +112,12 @@ TABLE_P_LIMIT = 2**31
 
 
 @lru_cache(maxsize=1)
-def legendre_table(p: int) -> LegendreTable:
-    """Symbol table in O(p): mark the (p-1)/2 nonzero squares, rest are -1.
-    The symbols are built in a bytearray, -1 stored as 0xff, and handed out
-    as one read-only signed-byte view of it (`LegendreTable.vals`): one byte
+def legendre_table(p: int) -> memoryview:
+    """All Legendre symbols mod p, t[a] = (a/p) for 0 <= a < p, in O(p):
+    mark the (p-1)/2 nonzero squares, rest are -1.  The symbols are built in
+    a bytearray, -1 stored as 0xff, and handed out as one read-only
+    signed-byte view of it: it indexes and iterates as Python ints -1, 0 and
+    1, a slice is a view of the same bytes, not a copy, and it takes one byte
     per entry, 1 MB at p = 10^6 and 2 GiB just below TABLE_P_LIMIT = 2^31,
     the bound that `quad_char_sum`'s int64 gather, x (x + b) + c < 2p^2 <
     2^63, puts on p.  Cached for the last prime only: callers visit one prime
@@ -139,17 +130,13 @@ def legendre_table(p: int) -> LegendreTable:
     table[0] = 0
     for i in range(1, (p - 1) // 2 + 1):
         table[i * i % p] = 1
-    return LegendreTable(p, memoryview(table).cast("b").toreadonly())
+    return memoryview(table).cast("b").toreadonly()
 
 
-@lru_cache(maxsize=1)
 def symbol_array(p: int) -> np.ndarray:
-    """`legendre_table(p).vals` as a read-only int8 array for numpy gathers:
-    a view of the table's own bytes, not a copy.  Like the table, kept for
-    the last prime only."""
-    a = np.asarray(legendre_table(p).vals, dtype=np.int8)
-    a.flags.writeable = False
-    return a
+    """`legendre_table(p)` as an int8 array for numpy gathers: a view of the
+    table's own bytes, not a copy, and read-only because the view is."""
+    return np.asarray(legendre_table(p), dtype=np.int8)
 
 
 def factorial_half_mod(p: int) -> int:
@@ -159,12 +146,6 @@ def factorial_half_mod(p: int) -> int:
     for i in range(2, (p - 1) // 2 + 1):
         f = f * i % p
     return f
-
-
-def _sum_half(table: LegendreTable) -> int:
-    """(1/p) + ... + (n/p), summed over a view of the table, not a copy."""
-    n = (table.p - 1) // 2
-    return sum(table.vals[1 : n + 1])
 
 
 def require_hneg_prime(p: int) -> None:
@@ -190,24 +171,25 @@ def _class_number_from_sum(p: int, s: int, two: int) -> int:
 def class_number_neg(p: int) -> int:
     """Class number h(-p) of Q(sqrt(-p)) for a prime p ≡ 3 (mod 4), p > 3.
 
-    Computed from the half-range character sum
-        sum_{j=1}^{(p-1)/2} (j/p) = (2 - (2/p)) * h(-p);
+    Read from `prime_invariants`, which computes it from the half-range
+    character sum
+        c_p = sum_{j=1}^{(p-1)/2} (j/p) = (2 - (2/p)) * h(-p);
     a sum that is not a positive multiple of 2 - (2/p) raises InternalError.
     Mordell's congruence ((p-1)/2)! ≡ (-1)^{(h+1)/2} (mod p), an independent
     route to the parity of h, is asserted by the MORDELL check
     (`mordell_residue`).
     """
     require_hneg_prime(p)
-    table = legendre_table(p)
-    return _class_number_from_sum(p, _sum_half(table), table.vals[2])
+    return prime_invariants(p).h_neg
 
 
 @dataclass(frozen=True)
 class PrimeInvariants:
     """The scalar invariants of an odd prime p, with n = (p-1)/2.
 
-    sum_half  sum_{j=1}^{n} (j/p); zero when p ≡ 1 (mod 4)
-    c_p       equals sum_half (and (2-(2/p))h(-p) when p ≡ 3 mod 4, p > 3)
+    c_p       the half sum sum_{j=1}^{n} (j/p): zero when p ≡ 1 (mod 4), and
+              (2-(2/p))h(-p) when p ≡ 3 (mod 4), p > 3; a scan record's
+              "sum_half" key is written from it
     d_p       sum_{j,k=1}^{n} ((j^2+jk)/p)
     h_neg     h(-p) for p ≡ 3 (mod 4), p > 3; None otherwise
     q_p       (2/p) * (c_p^2 - d_p^2 + (d_p+n)^2) / 16, as an exact rational
@@ -221,7 +203,6 @@ class PrimeInvariants:
     h_neg: int | None
     q_p: Fraction
     N: int
-    sum_half: int
 
 
 #: Symbols of each half that one step of `prime_invariants` reads: the
@@ -241,23 +222,21 @@ def prime_invariants(p: int) -> PrimeInvariants:
     N comes from the same windows: for 1 <= j <= n the arguments j+1 .. j+n
     never wrap mod p, and (i + P(i)) / 2 of 1 .. i are residues.
     """
-    vals = legendre_table(p).vals
+    vals = legendre_table(p)
     n = (p - 1) // 2
 
-    s1 = dot = windows = carry = 0  # carry = D(j) for the last j read
+    s = dot = windows = carry = 0  # carry = D(j) for the last j read
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         half = vals[lo:hi]
         run = list(accumulate(map(sub, vals[lo + n : hi + n], half)))  # D(j) - carry
         part = sum(half)
-        s1 += part
+        s += part
         dot += sum(map(mul, half, run)) + carry * part
         windows += sum(run) + carry * len(run)
         carry += run[-1]
-    d_p = s1 * s1 + dot
-    windows += n * s1  # sum_j W_j
-
-    s = vals[0] + s1  # == sum_half, vals[0] = 0
+    d_p = s * s + dot
+    windows += n * s  # sum_j W_j
 
     # N = sum over j of (1 + (j/p))/2 * (n + W_j)/2
     num = n * (n + s) + windows + d_p
@@ -267,7 +246,7 @@ def prime_invariants(p: int) -> PrimeInvariants:
 
     h_neg = _class_number_from_sum(p, s, vals[2]) if p % 4 == 3 and p > 3 else None
     q_p = Fraction(vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
-    return PrimeInvariants(p, n, s, d_p, h_neg, q_p, big_n, s)
+    return PrimeInvariants(p, n, s, d_p, h_neg, q_p, big_n)
 
 
 #: Values of x that one step of `quad_char_sum` gathers for: its two int64
@@ -302,7 +281,7 @@ def half_range_sums(p: int) -> tuple[int, int, int]:
     a view of the table, so nothing of size p is allocated.  Like the
     table, kept for the last prime only: L41_SUMS and EQ_DCOUNT read one
     computation."""
-    vals = legendre_table(p).vals
+    vals = legendre_table(p)
     n = (p - 1) // 2
     half = vals[1 : n + 1]
     s1 = sum(half)

@@ -34,7 +34,8 @@ MDL_RANDOM's solves are single Bareiss eliminations
 base determinants of T12_II's expansion, by the matrix-determinant lemma
 (`_run_eq_dp_u1au0`).  A check that builds matrices (`MATRIX_IDS`) is
 refused above `charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
-process, and take each instance's det(a) once.  Every prime range, `scan`'s
+process, and take each instance's det(a) from `exactla.det` once; MDL_RANDOM's
+solve finds it again in its own elimination.  Every prime range, `scan`'s
 and the CLI's `verify`'s, runs through one loop (`run_range`): one sieve,
 primes in ascending order, each prime's record delivered as soon as it is
 done, and one tally of the outcomes.
@@ -76,6 +77,7 @@ from .ntheory import (
     primes_in_range,
     quad_char_sum,
     require_odd_prime,
+    symbol_array,
 )
 from .realquad import unit_power_coeffs
 
@@ -278,7 +280,7 @@ def _run_t11_charpoly(p: int, seed: int):
 
 
 def _run_t11_det_1mod4(p: int, seed: int):
-    two = legendre_table(p).vals[2]
+    two = legendre_table(p)[2]
     want_plus = two * p ** ((p - 5) // 4)
     want_minus = two * p ** ((p - 1) // 4)
     dp_, dm = at(p).dets("aplus", "aminus")
@@ -356,7 +358,7 @@ def _run_cor_after_t12(p: int, seed: int):
 def _run_eq_38ii_qp(p: int, seed: int):
     inv = at(p).invariants
     n, c, q = inv.n, inv.c_p, inv.q_p
-    two = legendre_table(p).vals[2]
+    two = legendre_table(p)[2]
     d_det = _det_3mod4(p)
     pd, samples = _aplus_pd(p, seed)
 
@@ -416,12 +418,12 @@ def _run_l21(p: int, seed: int):
 
 
 def _run_l22(p: int, seed: int):
-    v = np.array(legendre_table(p).vals, dtype=np.int64)
     n = (p - 1) // 2
     sgn = 1 if p % 4 == 1 else -1
     ap, am = at(p).matrix("aplus"), at(p).matrix("aminus")
     idx = np.arange(1, n + 1)
-    jk = v[idx[:, None] * idx % p]  # ((jk)/p); jk < 2^60
+    jk = symbol_array(p)[idx[:, None] * idx % p]  # ((jk)/p) as int8; jk < 2^60
+    # (1 +- sgn) jk stays in [-2, 2], and subtracting it from diag widens it
     diag = p * np.identity(n, dtype=np.int64)
     want_plus = diag - 2 - (1 + sgn) * jk
     want_minus = diag - (1 - sgn) * jk
@@ -455,7 +457,7 @@ def _eigenspace_mismatch(p: int, sq: np.ndarray) -> tuple[int, int, int] | None:
     sq (e_ji - e_j0) = p (e_ji - e_j0), for j0 the first index of each
     symbol group and ji the others, in ascending order; None if none."""
     n = (p - 1) // 2
-    sym = np.array(legendre_table(p).vals[1 : n + 1])
+    sym = symbol_array(p)[1 : n + 1]
     # the relation says that columns ji and j0 of sq - pI are equal
     m = sq - p * np.identity(n, dtype=np.int64)
     for want_sym in (1, -1):
@@ -516,7 +518,7 @@ def _eig_circulant(p: int, g: int) -> np.ndarray:
     is G(eta^r) for G(x) = sum_{j<n} c_j x^j, since k and -k have the same
     index mod n; so lambda_1, ..., lambda_n are C's eigenvalues, and their
     product is det C (Davis, Circulant Matrices, 1979)."""
-    v = legendre_table(p).vals
+    v = legendre_table(p)
     n = (p - 1) // 2
     c = np.array([v[(1 + x) % p] + v[(1 - x) % p] for x in (pow(g, j, p) for j in range(n))], dtype=np.int64)
     idx = np.arange(n)
@@ -524,7 +526,7 @@ def _eig_circulant(p: int, g: int) -> np.ndarray:
 
 
 def _run_l25_eigs(p: int, seed: int):
-    v = legendre_table(p).vals
+    v = legendre_table(p)
     lam_n = sum(v[(k + 1) % p] for k in range(1, p))  # the one real eigenvalue
     [d] = at(p).dets("ap")  # its sign is L25_AP_NEG's statement
     g = _primitive_root(p)
@@ -578,7 +580,7 @@ def _run_l41(p: int, seed: int):
 def _run_eq_dcount(p: int, seed: int):
     inv = at(p).invariants
     n = inv.n
-    s1 = inv.sum_half
+    s1 = inv.c_p
     s2 = half_range_sums(p)[1]
     tail = -2 * s2 if p % 4 == 1 else s1
     want = 4 * inv.N - n * n - n * s1 + tail
@@ -621,10 +623,10 @@ def _mdl_instances(rng: random.Random, count: int):
     for i in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
-        a, d = _nonsingular_matrix(rng, n)
+        a, _ = _nonsingular_matrix(rng, n)
         u = np.array([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], dtype=np.int64)
         v = np.array([[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)], dtype=np.int64)
-        if not mdl_check(a, u, v, d):
+        if not mdl_check(a, u, v):
             return False, {
                 "note": f"matrix-determinant lemma failed at instance {i}",
                 "matrix": a.tolist(),
@@ -667,7 +669,7 @@ def _run_sun(p: int, seed: int, plus: bool):
     pd, samples = _sun_pd(p, plus, seed)
     if p % 4 == 1:
         a, b, a2, b2 = unit_power_coeffs(p)
-        two = legendre_table(p).vals[2]
+        two = legendre_table(p)[2]
         if plus:
             k = Fraction(two * 2**n)
 

@@ -204,7 +204,7 @@ def symbol_tuple(p: int) -> tuple[int, ...]:
 
 
 def prime_invariants_by_prefix_list(p: int) -> tuple:
-    """(p, n, c_p, d_p, h_neg, q_p, N, sum_half) from one list of p prefix
+    """(p, n, c_p, d_p, h_neg, q_p, N) from one list of p prefix
     sums and three O(p) slices of it: legdet's prime_invariants before it
     summed the windows in bounded chunks."""
     vals = symbol_tuple(p)
@@ -231,7 +231,7 @@ def prime_invariants_by_prefix_list(p: int) -> tuple:
             raise InternalError(f"character sum {s} not divisible by {denom} at p={p}")
         h_neg = s // denom
     q_p = Fraction(vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
-    return p, n, s, d_p, h_neg, q_p, big_n, s
+    return p, n, s, d_p, h_neg, q_p, big_n
 
 
 def half_range_sums_by_genexpr(p: int) -> tuple[int, int, int]:
@@ -249,13 +249,14 @@ def half_range_sums_by_genexpr(p: int) -> tuple[int, int, int]:
 
 def sum_half_by_slice(p: int) -> int:
     """(1/p) + ... + (n/p) as the sum of a copied slice of a tuple table:
-    legdet's _sum_half before the table was a byte view."""
+    the half sum as legdet read it before the table was a byte view, and
+    before `prime_invariants`' c_p became its one home."""
     vals = symbol_tuple(p)
     return sum(vals[1 : (p - 1) // 2 + 1])
 
 
 def prime_invariants_by_counting(p: int) -> tuple:
-    """(p, n, c_p, d_p, h_neg, q_p, N, sum_half) with N counted from a second
+    """(p, n, c_p, d_p, h_neg, q_p, N) with N counted from a second
     prefix list of the +1 symbols, and h(-p) by the half-range sum, both
     routes checked, as legdet's prime_invariants computed them before N came
     from the d_p prefix sums."""
@@ -288,7 +289,7 @@ def prime_invariants_by_counting(p: int) -> tuple:
             f = f * i % p
         assert f == (1 if (h_neg + 1) // 2 % 2 == 0 else p - 1)
     q_p = Fraction(vals[2] * (s * s - d_p * d_p + (d_p + n) ** 2), 16)
-    return p, n, s, d_p, h_neg, q_p, big_n, s
+    return p, n, s, d_p, h_neg, q_p, big_n
 
 
 def half_integral_unit_search(p: int, y1: int, cap: int):

@@ -8,7 +8,8 @@ as `python -m legdet.cli ...` in a fresh interpreter with PYTHONPATH set to
 that side's `src`, and the two runs must agree on stdout, stderr, the exit
 code and the file that `--out` names, if any.  Printed timings are masked
 on both sides by the golden tests' `_mask`.  One line per command gives the
-verdict and both wall times; the exit status is 1 on any difference.
+verdict and both wall times; the exit status is 1 on any difference.  The
+last line gives each tree's `legdet` line count, the size to track.
 `--quick` runs the commands marked quick, a short subset for iterating.
 
 pytest does not collect this file (its name does not start with test_).
@@ -139,6 +140,11 @@ def compare(parent_src: Path, cases: Sequence[Case], this_src: Path = SRC, echo=
     return 1 if failed else 0
 
 
+def legdet_lines(src: Path) -> int:
+    """Lines of Python in the `legdet` package under src."""
+    return sum(len(f.read_bytes().splitlines()) for f in (src / "legdet").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="the src directory of the tree to compare with")
@@ -148,7 +154,9 @@ def main(argv=None) -> int:
         parser.error(f"no legdet/cli.py under {args.parent_src}")
     sys.path.insert(0, str(SRC))  # the golden tests' module imports legdet
     cases = [c for c in ARGVS if c.quick or not args.quick]
-    return compare(args.parent_src.resolve(), cases)
+    code = compare(args.parent_src.resolve(), cases)
+    _echo(f"src/legdet lines: {legdet_lines(args.parent_src)} parent, {legdet_lines(SRC)} this tree")
+    return code
 
 
 if __name__ == "__main__":

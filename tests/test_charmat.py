@@ -66,7 +66,7 @@ def test_axyzw_zero_params_equals_aplus():
 
 def test_axyzw_entry_formula():
     p = 11
-    t = legendre_table(p).vals
+    t = legendre_table(p)
     m = shifted(build("aplus", p), symbol_vector(p), (2, 3, -1, 5))
     for j in range(1, 6):
         for k in range(1, 6):
@@ -87,7 +87,7 @@ def test_symmetry_by_residue_class(p):
 
 @pytest.mark.parametrize("p", primes_in_range(3, 100))
 def test_entry_bounds_and_diagonal(p):
-    t = legendre_table(p).vals
+    t = legendre_table(p)
     for name in ("aplus", "aminus"):
         m = build(name, p)
         assert all(e in (-2, -1, 0, 1, 2) for row in m.tolist() for e in row)
@@ -99,7 +99,7 @@ def test_entry_bounds_and_diagonal(p):
 def test_ap_matrix_p7():
     # entries ((j^2+jk)/p) + ((j^2-jk)/p) = (j/p) * aplus entry, row-wise
     p = 7
-    t = legendre_table(p).vals
+    t = legendre_table(p)
     ap = build("ap", p)
     plus = build("aplus", p)
     for j in range(1, 4):
@@ -110,7 +110,7 @@ def test_ap_matrix_p7():
 def test_sun_half_shapes_and_row0():
     p = 13
     n = (p - 1) // 2
-    t = legendre_table(p).vals
+    t = legendre_table(p)
     m = shifted(build("sun_plus", p), list(t[: n + 1]), (4, 1, 2, 3))
     assert len(m) == len(m[0]) == n + 1
     # in row 0 the (j/p) y and (jk/p) w terms vanish since (0/p) = 0
@@ -184,7 +184,7 @@ def test_parametric_kinds_are_shifted_base_matrices():
         t = legendre_table(p)
         n = (p - 1) // 2
         u1 = symbol_vector(p)
-        fg = list(t.vals[: n + 1])
+        fg = list(t[: n + 1])
         aplus = build("aplus", p)
         for _ in range(5):
             pt = tuple(rng.randint(-9, 9) for _ in range(4))

@@ -226,7 +226,7 @@ def test_compute_reads_one_invariant_record(capsys, monkeypatch, fresh_caches):
         capsys, "compute", "--prime", "1019", "--what", "dp,cp,qp,hneg", "--json"
     )
     assert code == 0 and calls == [1019]
-    _, _, c_p, d_p, h_neg, q_p, _, _ = oracles.prime_invariants_by_counting(1019)
+    _, _, c_p, d_p, h_neg, q_p, _ = oracles.prime_invariants_by_counting(1019)
     assert json.loads(out) == {
         "dp": str(d_p), "cp": str(c_p), "qp": f"{q_p.numerator}/{q_p.denominator}",
         "hneg": str(h_neg),

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from legdet import ntheory
 from legdet.ntheory import (
-    _sum_half,
     class_number_neg,
     factorial_half_mod,
     half_range_sums,
@@ -113,20 +112,21 @@ def test_legendre_euler_criterion_all_primes_to_10000():
         t = legendre_table(p)
         for _ in range(100):
             a = rng.randrange(p)
-            assert t.vals[a] == oracles.euler_legendre(a, p)
+            assert t[a] == oracles.euler_legendre(a, p)
         a = rng.randrange(p)
         assert legendre(a, p) == oracles.euler_legendre(a, p)
 
 
 def test_legendre_table_frozen_examples():
-    assert tuple(legendre_table(5).vals) == (0, 1, -1, -1, 1)
-    assert tuple(legendre_table(3).vals) == (0, 1, -1)
+    assert tuple(legendre_table(5)) == (0, 1, -1, -1, 1)
+    assert tuple(legendre_table(3)) == (0, 1, -1)
 
 
 def test_legendre_table_is_one_read_only_signed_byte_per_symbol():
-    vals = legendre_table(13).vals
+    vals = legendre_table(13)
     assert isinstance(vals, memoryview) and vals.readonly
-    assert vals.format == "b" and vals.itemsize == 1 and vals.nbytes == 13
+    assert vals.format == "b" and vals.itemsize == 1 and len(vals) == vals.nbytes == 13
+    assert np.shares_memory(symbol_array(13), np.frombuffer(vals, dtype=np.int8))
     assert vals[2] == -1 and isinstance(vals[2], int)
     with pytest.raises(TypeError):
         vals[2] = 1
@@ -137,15 +137,15 @@ def test_legendre_table_is_one_read_only_signed_byte_per_symbol():
 @pytest.mark.parametrize("p", primes_in_range(3, 300))
 def test_legendre_table_invariants(p):
     t = legendre_table(p)
-    assert t.vals[0] == 0
-    assert all(v in (-1, 1) for v in t.vals[1:])
-    assert t.vals[1] == 1
-    assert sum(t.vals) == 0
-    assert t.vals[p - 1] == (-1) ** ((p - 1) // 2)
+    assert t[0] == 0
+    assert all(v in (-1, 1) for v in t[1:])
+    assert t[1] == 1
+    assert sum(t) == 0
+    assert t[p - 1] == (-1) ** ((p - 1) // 2)
     rng = random.Random(p)
     for _ in range(50):
         a, b = rng.randrange(1, p), rng.randrange(1, p)
-        assert t.vals[a * b % p] == t.vals[a] * t.vals[b]
+        assert t[a * b % p] == t[a] * t[b]
 
 
 def test_class_number_examples():
@@ -171,10 +171,9 @@ def test_cp_equals_class_number_formula_to_10000():
         if p % 4 != 3:
             continue
         inv = prime_invariants(p)
-        two = legendre_table(p).vals[2]
+        two = legendre_table(p)[2]
         assert inv.h_neg >= 1 and inv.h_neg % 2 == 1
         assert inv.c_p == (2 - two) * inv.h_neg
-        assert inv.sum_half == inv.c_p
         # factorial-sign congruence, recomputed here
         want = 1 if (inv.h_neg + 1) // 2 % 2 == 0 else p - 1
         assert factorial_half_mod(p) == want
@@ -195,7 +194,7 @@ def test_dp_congruence_and_sum_half_to_10000():
         inv = prime_invariants(p)
         assert (inv.d_p + inv.n) % 4 == 0
         if p % 4 == 1:
-            assert inv.sum_half == 0
+            assert inv.c_p == 0
 
 
 def test_qp_values():
@@ -267,11 +266,12 @@ def test_quad_char_sum_memory_is_one_chunk(fresh_caches):
 
 def test_symbol_array_is_the_table_read_only():
     for p in (3, 5, 101, 103):
+        vals = legendre_table(p)
         a = symbol_array(p)
-        assert a.dtype == np.int8 and a.tolist() == list(legendre_table(p).vals)
+        assert vals.format == "b" and len(vals) == p and vals.readonly
+        assert a.dtype == np.int8 and a.tolist() == list(vals)
         assert not a.flags.writeable
-        assert np.shares_memory(a, np.frombuffer(legendre_table(p).vals, dtype=np.int8))
-    assert symbol_array(103) is symbol_array(103)
+        assert np.shares_memory(a, np.frombuffer(vals, dtype=np.int8))
 
 
 def test_half_range_sums_examples():
@@ -291,7 +291,7 @@ def test_half_range_sums_match_the_generator_expressions():
     # generator expressions over a tuple table they replaced
     for p in [*primes_in_range(3, 2000), 999983, 1000003, 1000033, 1000037]:
         assert half_range_sums(p) == oracles.half_range_sums_by_genexpr(p), p
-        assert _sum_half(legendre_table(p)) == oracles.sum_half_by_slice(p), p
+        assert prime_invariants(p).c_p == oracles.sum_half_by_slice(p), p
 
 
 def test_counting_identity_to_1000():
@@ -299,9 +299,9 @@ def test_counting_identity_to_1000():
         inv = prime_invariants(p)
         t = legendre_table(p)
         n = inv.n
-        s2 = sum(k * t.vals[k] for k in range(1, n + 1))
-        tail = -2 * s2 if p % 4 == 1 else inv.sum_half
-        assert inv.d_p == 4 * inv.N - n * n - n * inv.sum_half + tail
+        s2 = sum(k * t[k] for k in range(1, n + 1))
+        tail = -2 * s2 if p % 4 == 1 else inv.c_p
+        assert inv.d_p == 4 * inv.N - n * n - n * inv.c_p + tail
 
 
 def test_invariants_reject_composite():
@@ -352,7 +352,11 @@ def test_prime_invariants_memory_is_the_byte_table_and_one_chunk(fresh_caches):
     assert peak <= 8 * 10**6, peak
 
 
-def test_class_number_neg_routes_agree_with_prime_invariants():
-    for p in primes_in_range(7, 3000):
+def test_class_number_neg_is_prime_invariants_h_neg_below_10000():
+    for p in primes_in_range(7, 10**4 - 1):
         if p % 4 == 3:
-            assert class_number_neg(p) == prime_invariants(p).h_neg
+            assert class_number_neg(p) == prime_invariants(p).h_neg, p
+    # the usage errors: p = 3, a p ≡ 1 (mod 4), and a composite ≡ 3 (mod 4)
+    for bad, why in ((3, r"h\(-p\) requires"), (13, r"h\(-p\) requires"), (35, "35 is not an odd prime")):
+        with pytest.raises(ValueError, match=why):
+            class_number_neg(bad)

@@ -109,7 +109,7 @@ def test_float_eigenvalue_product_matches_det_of_the_circulant():
 def test_eigs_fails_with_the_symbol_shifted_by_two(monkeypatch, fresh_caches):
     # c_j = ((2 + g^j)/p) + ((2 - g^j)/p) in place of ((1 + g^j)/p) + ((1 - g^j)/p)
     def shifted(p, g):
-        vals = ntheory.legendre_table(p).vals
+        vals = ntheory.legendre_table(p)
         n = (p - 1) // 2
         c = np.array([vals[(2 + x) % p] + vals[(2 - x) % p] for x in (pow(g, j, p) for j in range(n))])
         idx = np.arange(n)
@@ -302,8 +302,8 @@ def test_wrong_adjugate_fails_the_matrix_determinant_lemma(monkeypatch, fresh_ca
     # wrong solve
     real = legdet.exactla.adjugate_apply
 
-    def off_by_one(m, u, d=None):
-        w, d = real(m, u, d)
+    def off_by_one(m, u):
+        w, d = real(m, u)
         w[0, 0] += 1
         return w, d
 
@@ -469,9 +469,9 @@ def test_wrong_symbol_table_is_a_check_failure(monkeypatch, fresh_caches, capsys
     real = ntheory.legendre_table
 
     def flipped(p):
-        vals = list(real(p).vals)
+        vals = list(real(p))
         vals[p - 1] = -vals[p - 1]
-        return ntheory.LegendreTable(p, tuple(vals))
+        return tuple(vals)
 
     monkeypatch.setattr(ntheory, "legendre_table", flipped)
     assert ntheory.prime_invariants(13).d_p == 0
@@ -506,10 +506,10 @@ def test_special_eigvecs_half_fill_failure_is_a_check_failure(monkeypatch, fresh
     real = ntheory.legendre_table
 
     def flipped(p):
-        vals = list(real(p).vals)
+        vals = list(real(p))
         for a in (5, 8):
             vals[a] = -vals[a]
-        return ntheory.LegendreTable(p, tuple(vals))
+        return tuple(vals)
 
     monkeypatch.setattr(charmat, "legendre_table", flipped)
     assert main(["verify", "--prime", "13", "--suite", "all"]) == 1
@@ -521,17 +521,10 @@ def test_special_eigvecs_half_fill_failure_is_a_check_failure(monkeypatch, fresh
 # --- one source for each per-prime value --------------------------------------
 
 
-def test_verify_builds_the_symbol_table_once(monkeypatch, fresh_caches, capsys):
-    builds = []
-    table = ntheory.LegendreTable
-
-    def counting(p, vals):
-        builds.append(p)
-        return table(p, vals)
-
-    monkeypatch.setattr(ntheory, "LegendreTable", counting)
+def test_verify_builds_the_symbol_table_once(fresh_caches, capsys):
     assert main(["verify", "--prime", "103", "--suite", "all"]) == 0
-    assert builds == [103]
+    info = ntheory.legendre_table.cache_info()
+    assert info.misses == 1 and info.hits > 0
 
 
 def test_verify_sums_the_half_range_sums_once_per_prime(fresh_caches, capsys):
@@ -644,12 +637,13 @@ def test_mdl_check_solves_all_columns_in_one_adjugate_call(monkeypatch):
     a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     u = [[1, 0, 2], [0, 1, 1], [1, 1, 0]]
     assert legdet.exactla.mdl_check(a, u, u)
-    assert [(m.tolist(), w.tolist(), d) for m, w, d in calls] == [(a, u, None)]
+    assert [(m.tolist(), w.tolist()) for m, w in calls] == [(a, u)]
 
 
 def test_seed_only_instances_compute_each_det_once(monkeypatch, fresh_caches):
-    # det(a), taken to reject a singular draw, is handed on to the expansion
-    # and to the adjugate, so each drawn a reaches the det door once
+    # det(a), taken to reject a singular draw, is handed on to the expansion,
+    # and the adjugate's elimination finds it outside the det door, so each
+    # drawn a reaches the det door once
     drawn, seen = [], []
     real = v._random_int_matrix
     monkeypatch.setattr(v, "_random_int_matrix", lambda *args: drawn.append(real(*args)) or drawn[-1])
