@@ -17,10 +17,11 @@ never built one at a time: `exactla.shifted_dets` broadcasts their samples
 from the base matrix and the symbol vector.
 
 `at(p)` is p's one record, read by `legdet compute` and the catalog alike:
-its invariants, and each named matrix, determinant and charpoly, each
-computed once.  A matrix equal, entry by entry, to the transpose of one
-built before it (A- = A+^T at p ≡ 3 mod 4) shares that one's determinant
-and charpoly; the entries decide, never p mod 4.  The record names p to
+its invariants, half-range sums, A+'s four-parameter expansion, and each
+named matrix, determinant and charpoly, each computed once.  A matrix
+equal, entry by entry, to the transpose of one built before it (A- = A+^T
+at p ≡ 3 mod 4) shares that one's determinant and charpoly; the entries
+decide, never p mod 4.  The record names p to
 `exactla` as the prime whose power its rank mod p forces into each det and
 charpoly: det(A+) at p = 397 is p^98 times a sign.  `require_matrix_prime`
 is the one size limit on the matrices, for `compute`, `verify` and `scan`.
@@ -33,8 +34,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exactla import IntPoly, charpoly, det_many, q_rank
-from .ntheory import PrimeInvariants, legendre_table, prime_invariants, symbol_array
+from .exactla import IntPoly, ParamDet, charpoly, det_many, param_det_expand, q_rank
+from .ntheory import PrimeInvariants, half_range_sums, legendre_table, prime_invariants, symbol_array
 
 # each matrix from the Hankel window H = [((j+k)/p)] and the Toeplitz window
 # T = [((j-k)/p)] over its index range, as one int64 allocation
@@ -151,6 +152,20 @@ class PrimeRecord:
     @cached_property
     def invariants(self) -> PrimeInvariants:
         return prime_invariants(self.p)
+
+    @cached_property
+    def half_range_sums(self) -> tuple[int, int]:
+        """(S2, SJK) of `ntheory.half_range_sums`; S1 is invariants.c_p."""
+        return half_range_sums(self.p)
+
+    @cached_property
+    def aplus_expansion(self) -> ParamDet:
+        """|A+ + x + (j/p) y + (k/p) z + (jk/p) w| from its five base
+        determinants alone, det(A+) the record's; the other four name p."""
+        f = symbol_vector(self.p)
+        [alpha] = self.dets("aplus")
+        pd, _ = param_det_expand(self.matrix("aplus"), f, f, [], alpha, self.p)
+        return pd
 
     def matrix(self, name: str) -> np.ndarray:
         """The matrix `name`, built once and read-only.  The one place that

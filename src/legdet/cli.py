@@ -2,8 +2,8 @@
 and run resumable prime-range scans with machine-readable output.  `verify`
 (where --prime P is the range [P, P]) and `scan` both run their primes
 through `verify.run_range` and write each prime's output as soon as it is
-done; each compute field is one entry of `_COMPUTE`, and every field name
-is checked before any is computed.
+done; each compute field is one entry of `_COMPUTE`, and every field's
+name, residue class and size limit is checked before any is computed.
 
 Exit codes: 0 all checks passed, 1 a proved statement failed (implementation
 bug), 2 usage error, 3 internal error or out of memory, 4 only conjecture
@@ -25,7 +25,7 @@ from .charmat import MATRIX_DIM_MAX, PrimeRecord, at, require_matrix_prime
 from .errors import InternalError
 from .exactla import IntPoly
 from .ntheory import require_hneg_prime, require_odd_prime
-from .realquad import class_number_real, fundamental_unit
+from .realquad import class_number_real, fundamental_unit, require_1mod4_prime
 from .verify import CheckId, CheckResult, ScanRecord, check, exit_code_for, json_safe, scan
 
 EXIT_OK = 0
@@ -65,6 +65,8 @@ def _cmd_compute(args) -> int:
             require_hneg_prime(p)
         if name in _MATRIX_FIELDS:
             require_matrix_prime(p)
+    if {"unit", "hreal"} & set(args.what):
+        require_1mod4_prime(p)
     rec = at(p)
     # the determinants the fields need, det and charpoly alike, in one batch
     rec.dets(*(m for m in ("aplus", "aminus") if {f"det-{m}", f"charpoly-{m}"} & set(args.what)))

@@ -9,7 +9,8 @@ as a read-only int8 array.  The O(p) sums read the view through C-level
 iterators (`accumulate`, `map`, `sum`), `prime_invariants` a bounded chunk
 at a time, so they hold no O(p) list and no per-symbol Python object: at
 p = 1,000,003 the table is 1 MB and a cold `prime_invariants` peaks at
-about 2.3 MB under tracemalloc."""
+about 2.3 MB under tracemalloc.  This module keeps the last prime's table
+and primality proof only; p's record (`charmat.at`) keeps the sums."""
 
 from __future__ import annotations
 
@@ -271,22 +272,19 @@ def quad_char_sum(b: int, c: int, p: int) -> int:
     return total
 
 
-@lru_cache(maxsize=1)
-def half_range_sums(p: int) -> tuple[int, int, int]:
-    """(S1, S2, SJK) with S1 = sum (k/p), S2 = sum k*(k/p) over 1 <= k <= n,
-    and SJK = sum_{j,k=1}^{n} ((j+k)/p), summed over m = j + k as
-    sum_{m=2}^{2n} (m/p) (n - |m - n - 1|), n - |m - n - 1| being the number
-    of pairs with j + k = m: an exact rearrangement of the double sum, in
-    O(p), not the lemma that L41_SUMS checks.  Each is a weighted sum over
-    a view of the table, so nothing of size p is allocated.  Like the
-    table, kept for the last prime only: L41_SUMS and EQ_DCOUNT read one
-    computation."""
+def half_range_sums(p: int) -> tuple[int, int]:
+    """(S2, SJK) with S2 = sum k*(k/p) over 1 <= k <= n, and SJK =
+    sum_{j,k=1}^{n} ((j+k)/p), summed over m = j + k as sum_{m=2}^{2n} (m/p)
+    (n - |m - n - 1|), n - |m - n - 1| being the number of pairs with
+    j + k = m: an exact rearrangement of the double sum, in O(p), not the
+    lemma that L41_SUMS checks.  Each is a weighted sum over a view of the
+    table, so nothing of size p is allocated.  S1 = sum (k/p) is
+    `prime_invariants`' c_p; p's record (`charmat.at`) keeps both, so
+    L41_SUMS and EQ_DCOUNT read one computation."""
     vals = legendre_table(p)
     n = (p - 1) // 2
-    half = vals[1 : n + 1]
-    s1 = sum(half)
-    s2 = sum(map(mul, range(1, n + 1), half))
+    s2 = sum(map(mul, range(1, n + 1), vals[1 : n + 1]))
     # m = 2 .. n+1 has m - 1 pairs, m = n+2 .. 2n has 2n + 1 - m
     sjk = sum(map(mul, range(1, n + 1), vals[2 : n + 2]))
     sjk += sum(map(mul, range(n - 1, 0, -1), vals[n + 2 : 2 * n + 1]))
-    return s1, s2, sjk
+    return s2, sjk

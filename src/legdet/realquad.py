@@ -18,7 +18,7 @@ from .errors import InternalError
 from .ntheory import legendre, require_odd_prime
 
 
-def _require_1mod4_prime(p: int) -> None:
+def require_1mod4_prime(p: int) -> None:
     """ValueError unless p is a prime ≡ 1 (mod 4); primality is proved once
     per p, by `require_odd_prime`'s cache."""
     if p % 4 == 1:
@@ -100,7 +100,7 @@ def fundamental_unit(p: int) -> QuadElem:
     the ring of integers Z[w], integral or half-integral alike:
     eps = k_{L-1} w + k_{L-2}, of norm (-1)^L, which must be -1.
     """
-    _require_1mod4_prime(p)
+    require_1mod4_prime(p)
     s = math.isqrt(p)
     b = s - 1 + s % 2
     P, Q = b, 2
@@ -134,7 +134,7 @@ def class_number_real(p: int) -> int:
     number of cycles of the continued-fraction step on the reduced states.
     The fundamental unit has norm -1 for such p, so each cycle holds both
     forms (±Q/2, P, c) of each of its states and is one ideal class."""
-    _require_1mod4_prime(p)
+    require_1mod4_prime(p)
     s = math.isqrt(p)
     reduced = _reduced(p)
     seen: set[tuple[int, int]] = set()
@@ -158,7 +158,7 @@ def unit_power_coeffs(p: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
     Exact exponentiation by squaring; checks a^2 - p b^2 = (-1)^h on the way
     out."""
-    _require_1mod4_prime(p)
+    require_1mod4_prime(p)
     eps = fundamental_unit(p)
     h = class_number_real(p)
     first = eps**h

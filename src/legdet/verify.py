@@ -12,18 +12,21 @@ polynomials of degree <= 2 that agree are equal (a complete proof of the
 polynomial identity for that prime, given the expansion theorem), and the
 direct determinant at each of 20 points drawn from the check's seeded stream
 is compared with both the expansion and the closed form.  All comparisons
-are in integers, multiplied through by det(a).  Each per-prime value is
-computed once per prime and seed and shared by every check that reads it:
-the symbol table, the expansions with their sample determinants, and p's
-record (`charmat.at`) of invariants, named matrices, dets and charpolys,
-which `legdet compute` reads too: at p ≡ 3 (mod 4), A- = A+^T entry by
-entry, so det(A-) is det(A+).  Only the last prime's values are kept.
-Determinants that are needed together come from one call: the base
-matrices' from `det_many`, sized by the row Hadamard bound, and the shifted
-samples' from `shifted_dets` (through `param_det_expand` or directly), sized
-by the column-multilinear bound; the samples of A+ name p, and those of the
-Sun matrix [((j+k)/p)] name 2, as the prime whose power the base matrix's
-rank forces into every sample's det.  Every check computes in integers and
+are in integers, multiplied through by det(a).  Each per-prime value that
+checks share is computed once per prime and kept in p's record
+(`charmat.at`), which `legdet compute` reads too: the invariants, the
+half-range sums, the named matrices with their dets and charpolys (at
+p ≡ 3 (mod 4), A- = A+^T entry by entry, so det(A-) is det(A+)), and A+'s
+expansion from its five base determinants, which T12_I/II, COR_AFTER_T12,
+EQ_38II_QP and EQ_DP_U1AU0 read.  Each check computes only the sample
+determinants it compares, and this module keeps no per-prime value; the
+record and the symbol table keep the last prime's only.  Determinants that
+are needed together come from one call: the base matrices' from
+`det_many`, sized by the row Hadamard bound, and the shifted samples' from
+`shifted_dets` (through `param_det_expand` or directly), sized by the
+column-multilinear bound; the samples of A+ name p, and those of the Sun
+matrix [((j+k)/p)] name 2, as the prime whose power the base matrix's rank
+forces into every sample's det.  Every check computes in integers and
 Fractions only: L25_EIGS takes the product of its character-sum eigenvalues
 as the determinant of an integer circulant (`_eig_circulant`), and
 T11_CHARPOLY_1MOD4 proves its two charpolys by an int64 certificate
@@ -31,7 +34,7 @@ T11_CHARPOLY_1MOD4 proves its two charpolys by an int64 certificate
 catalog runs no charpoly kernel.  It runs no modular solve either:
 MDL_RANDOM's solves are single Bareiss eliminations
 (`exactla.adjugate_apply`), and EQ_DP_U1AU0 reads u1^T adj(A+) 1 from the
-base determinants of T12_II's expansion, by the matrix-determinant lemma
+base determinants of A+'s expansion, by the matrix-determinant lemma
 (`_run_eq_dp_u1au0`).  A check that builds matrices (`MATRIX_IDS`) is
 refused above `charmat.MATRIX_DIM_MAX`.  The two seed-only suites run once per seed in a
 process, and take each instance's det(a) from `exactla.det` once; MDL_RANDOM's
@@ -71,7 +74,6 @@ from .ntheory import (
     TABLE_P_LIMIT,
     PrimeInvariants,
     factorial_half_mod,
-    half_range_sums,
     legendre_table,
     mordell_residue,
     primes_in_range,
@@ -153,34 +155,11 @@ def _det_3mod4(p: int) -> int:
     return _sign_pow((at(p).invariants.h_neg - 1) // 2) * p ** ((p - 3) // 4)
 
 
-def _expand(a: np.ndarray, f: list[int], name: str, p: int, seed: int, alpha: int | None, q: int | None):
-    """(ParamDet of a shifted by f, ((point, direct determinant), ...)) at the
-    20 points of check `name`'s seeded stream; alpha is det(a) if known, and
-    q the prime, if any, whose power a's rank mod q forces into every
-    sample's det (`exactla.shifted_dets`)."""
-    points = _sample_tuples(_rng(seed, name, p))
-    pd, directs = param_det_expand(a, f, f, points, alpha, q)
-    return pd, tuple(zip(points, directs))
-
-
-@lru_cache(maxsize=1)
-def _aplus_pd(p: int, seed: int):
-    """The expansion of A+ shifted by the symbol vector, sampled on T12_I's
-    (p ≡ 1 mod 4) or T12_II's points; COR_AFTER_T12, EQ_38II_QP and
-    EQ_DP_U1AU0 read the same one."""
-    name = "T12_I" if p % 4 == 1 else "T12_II"
-    [alpha] = at(p).dets("aplus")
-    return _expand(at(p).matrix("aplus"), symbol_vector(p), name, p, seed, alpha, p)
-
-
-@lru_cache(maxsize=1)
-def _sun_pd(p: int, plus: bool, seed: int):
-    name = "SUN_C31_I" if plus else "SUN_C31_II"
-    # the symbol vector over 0..n, with (0/p) = 0.  Mod 2, [((j+k)/p)] is all
-    # ones but for its 0 at (0, 0), so of rank 2; [((j-k)/p)] is J - I there,
-    # of rank n or n + 1, and names no q
-    a = at(p).matrix("sun_plus" if plus else "sun_minus")
-    return _expand(a, [0, *symbol_vector(p)], name, p, seed, None, 2 if plus else None)
+def _aplus_samples(p: int, points) -> list[tuple[tuple[int, int, int, int], int]]:
+    """(point, direct determinant) of A+ shifted by the symbol vector at
+    each of `points`, in one `shifted_dets` call that names p."""
+    f = symbol_vector(p)
+    return list(zip(points, shifted_dets(at(p).matrix("aplus"), f, f, points, p)))
 
 
 #: The 15 points of N^4 with coordinate sum <= 2, which are unisolvent for
@@ -191,32 +170,30 @@ _DEGREE_2 = tuple(pt for pt in itertools.product(range(3), repeat=4) if sum(pt) 
 _BASE = tuple(pt for pt in _DEGREE_2 if sum(pt) <= 1)
 
 
-def _two_layer(
-    wit: dict, pd: ParamDet, samples, rhs, note="coefficient comparison failed", sampled=True, **layer1
-):
+def _two_layer(wit: dict, pd: ParamDet, samples, rhs, note="coefficient comparison failed", **layer1):
     """The verdict of a closed-form check, as (passed, witness).
 
-    `rhs(x, y, z, w)` is the check's closed form, of degree <= 2.  Layer 1
-    sets each witness field of `layer1` to whether alpha * rhs and the
-    expansion times alpha (`ParamDet.scaled`) agree on that field's points;
-    on `_DEGREE_2` that proves the two polynomials equal.  `note` reports
-    a layer-1 failure alone.  Layer 2 compares each (point, direct
-    determinant) in `samples` with the expansion and, when `sampled`, with
-    rhs, all times alpha; the first disagreement becomes the witness's
-    re-runnable counterexample.
+    `rhs(x, y, z, w)` is the check's closed form, of degree <= 2, or None
+    where there is none (T31_RANDOM).  Layer 1 sets each witness field of
+    `layer1` to whether alpha * rhs and the expansion times alpha
+    (`ParamDet.scaled`) agree on that field's points; on `_DEGREE_2` that
+    proves the two polynomials equal.  `note` reports a layer-1 failure
+    alone.  Layer 2 compares each (point, direct determinant) in `samples`
+    with the expansion and with rhs, if any, all times alpha; the first
+    disagreement becomes the witness's re-runnable counterexample.
     """
     alpha = pd.alpha
     for key, points in layer1.items():
         wit[key] = all(pd.scaled(*pt) == alpha * rhs(*pt) for pt in points)
     for point, direct in samples:
         scaled = pd.scaled(*point)
-        if alpha * direct != scaled or sampled and alpha * rhs(*point) != scaled:
+        if alpha * direct != scaled or rhs and alpha * rhs(*point) != scaled:
             expansion = str(Fraction(scaled, alpha))
             wit["note"] = f"sample mismatch at {list(point)}"
             wit["counterexample"] = {
                 "point": list(point),
                 "direct": str(direct),
-                "closed_form": str(rhs(*point)) if sampled else expansion,
+                "closed_form": str(rhs(*point)) if rhs else expansion,
                 "expansion": expansion,
             }
             return False, wit
@@ -303,7 +280,8 @@ def _run_t11_det_3mod4(p: int, seed: int):
 
 def _run_t12_i(p: int, seed: int):
     n = (p - 1) // 2
-    pd, samples = _aplus_pd(p, seed)
+    pd = at(p).aplus_expansion
+    samples = _aplus_samples(p, _sample_tuples(_rng(seed, "T12_I", p)))
     m = (-p) ** ((p - 5) // 4)
 
     def rhs(x, y, z, w):
@@ -318,7 +296,8 @@ def _run_t12_ii(p: int, seed: int):
     n, c, d_p = inv.n, inv.c_p, inv.d_p
     d_det = _det_3mod4(p)
     e = (d_det // p) * (n + 2 * (d_p - c * c))  # p^((p-3)/4) >= p here
-    pd, samples = _aplus_pd(p, seed)
+    pd = at(p).aplus_expansion
+    samples = _aplus_samples(p, _sample_tuples(_rng(seed, "T12_II", p)))
 
     def rhs(x, y, z, w):
         return d_det * (1 - n * y - c * (w + x) + c * c * (w * x - y * z)) + e * (
@@ -333,17 +312,16 @@ def _run_cor_after_t12(p: int, seed: int):
     inv = at(p).invariants
     n, c = inv.n, inv.c_p
     d_det = _det_3mod4(p)
-    pd, _ = _aplus_pd(p, seed)
+    pd = at(p).aplus_expansion
     # each seeded (x, y, w) gives the points (x, y, 0, 0) and (0, y, 0, w); on
     # both, one of x and w is 0, so one form covers the two restrictions, and
     # it is affine on each, so 0, e1, e2 and e4 prove it
-    a, f = at(p).matrix("aplus"), symbol_vector(p)
     points = [
         pt
         for x, y, _, w in _sample_tuples(_rng(seed, "COR_AFTER_T12", p))
         for pt in ((x, y, 0, 0), (0, y, 0, w))
     ]
-    samples = zip(points, shifted_dets(a, f, f, points, p))
+    samples = _aplus_samples(p, points)
 
     def rhs(x, y, z, w):
         return d_det * (1 - c * (x + w) - n * y)
@@ -360,16 +338,15 @@ def _run_eq_38ii_qp(p: int, seed: int):
     n, c, q = inv.n, inv.c_p, inv.q_p
     two = legendre_table(p)[2]
     d_det = _det_3mod4(p)
-    pd, samples = _aplus_pd(p, seed)
 
     def rhs(x, y, z, w):  # stated on z = 0 only
         return d_det * (1 - c * x - n * y - c * w) + d_det * two * 16 * q / p * w * x
 
     wit = {"q_p": f"{q.numerator}/{q.denominator}", "q_p_integral": q.denominator == 1}
-    # the expansion read here is held to its own sample determinants
+    # layer 1 only: T12_II holds the expansion to direct determinants
     ok, wit = _two_layer(
-        wit, pd, samples, rhs, "closed form with q_p does not match the expansion",
-        sampled=False, coeffs_match=[pt for pt in _DEGREE_2 if pt[2] == 0],
+        wit, at(p).aplus_expansion, (), rhs, "closed form with q_p does not match the expansion",
+        coeffs_match=[pt for pt in _DEGREE_2 if pt[2] == 0],
     )
     if not q.denominator == 1:
         wit.setdefault("note", f"finding: q_p = {q} is not an integer")
@@ -553,7 +530,7 @@ def _run_atheta(p: int, seed: int):
 
 def _run_eq_dp_u1au0(p: int, seed: int):
     inv = at(p).invariants
-    pd, _ = _aplus_pd(p, seed)
+    pd = at(p).aplus_expansion
     # det(A + u v^T) = det A + v^T adj(A) u, and alpha3 is det(A+ + 1 u1^T),
     # the expansion at (0, 0, 1, 0): so u1^T adj(A+) 1 = alpha3 - alpha
     lhs = p * (pd.alpha3 - pd.alpha)
@@ -566,7 +543,8 @@ def _run_eq_dp_u1au0(p: int, seed: int):
 
 
 def _run_l41(p: int, seed: int):
-    s1, s2, sjk = half_range_sums(p)
+    s1 = at(p).invariants.c_p
+    s2, sjk = at(p).half_range_sums
     want = 2 * s2 if p % 4 == 1 else -s1
     ok = sjk == want
     wit = {"S1": s1, "S2": s2, "SJK": sjk}
@@ -581,7 +559,7 @@ def _run_eq_dcount(p: int, seed: int):
     inv = at(p).invariants
     n = inv.n
     s1 = inv.c_p
-    s2 = half_range_sums(p)[1]
+    s2 = at(p).half_range_sums[0]
     tail = -2 * s2 if p % 4 == 1 else s1
     want = 4 * inv.N - n * n - n * s1 + tail
     ok = inv.d_p == want
@@ -613,7 +591,7 @@ def _t31_instances(rng: random.Random, count: int):
         points = _sample_tuples(rng)
         pd, directs = param_det_expand(a, f, g, points, alpha=d)
         wit = {"instance": i, "matrix": a.tolist(), "f": f, "g": g}
-        ok, wit = _two_layer(wit, pd, zip(points, directs), None, sampled=False)
+        ok, wit = _two_layer(wit, pd, zip(points, directs), None)
         if not ok:
             return False, wit
     return True, {"instances": count}
@@ -666,7 +644,13 @@ def mdl_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
 
 def _run_sun(p: int, seed: int, plus: bool):
     n = (p - 1) // 2
-    pd, samples = _sun_pd(p, plus, seed)
+    points = _sample_tuples(_rng(seed, "SUN_C31_I" if plus else "SUN_C31_II", p))
+    # the symbol vector over 0..n, with (0/p) = 0.  Mod 2, [((j+k)/p)] is all
+    # ones but for its 0 at (0, 0), so of rank 2; [((j-k)/p)] is J - I there,
+    # of rank n or n + 1, and names no q
+    m, f = at(p).matrix("sun_plus" if plus else "sun_minus"), [0, *symbol_vector(p)]
+    pd, directs = param_det_expand(m, f, f, points, None, 2 if plus else None)
+    samples = zip(points, directs)
     if p % 4 == 1:
         a, b, a2, b2 = unit_power_coeffs(p)
         two = legendre_table(p)[2]

@@ -234,17 +234,16 @@ def prime_invariants_by_prefix_list(p: int) -> tuple:
     return p, n, s, d_p, h_neg, q_p, big_n
 
 
-def half_range_sums_by_genexpr(p: int) -> tuple[int, int, int]:
-    """(S1, S2, SJK) of legdet's half_range_sums, each a generator
-    expression that indexes a tuple table one symbol at a time, SJK over
-    m = j + k weighted by its n - |m - n - 1| pairs: the form before the
-    sums became weighted sums over a view of the byte table."""
+def half_range_sums_by_genexpr(p: int) -> tuple[int, int]:
+    """(S2, SJK) of legdet's half_range_sums, each a generator expression
+    that indexes a tuple table one symbol at a time, SJK over m = j + k
+    weighted by its n - |m - n - 1| pairs: the form before the sums became
+    weighted sums over a view of the byte table (S1 is `sum_half_by_slice`)."""
     vals = symbol_tuple(p)
     n = (p - 1) // 2
-    s1 = sum(vals[k] for k in range(1, n + 1))
     s2 = sum(k * vals[k] for k in range(1, n + 1))
     sjk = sum(vals[m] * (n - abs(m - n - 1)) for m in range(2, 2 * n + 1))
-    return s1, s2, sjk
+    return s2, sjk
 
 
 def sum_half_by_slice(p: int) -> int:

@@ -62,6 +62,10 @@ ARGVS: tuple[Case, ...] = (
     _case("verify --prime 10007 --suite T13_DPMOD4,CONJ11_DP,L21_QUADSUM,L41_SUMS,EQ_DCOUNT,MORDELL --json"),
     _case("verify --prime 419 --suite EQ_DP_U1AU0 --json"),
     _case("verify --prime 419 --suite T12_II,EQ_DP_U1AU0 --json"),
+    _case("verify --prime 419 --suite EQ_38II_QP --json"),
+    _case("verify --prime 397 --suite T12_I --json"),
+    # sorted by name, so COR_AFTER_T12 computes A+'s expansion first
+    _case(f"scan --from 3 --to 300 --ids COR_AFTER_T12,EQ_38II_QP,EQ_DP_U1AU0,T12_II --jobs 1 --json --out {OUT}"),
     _case("verify --prime 1000003 --suite L21_QUADSUM,L41_SUMS,EQ_DCOUNT --json"),
     *(_case(f"charpoly --prime {p} --json", quick=p == 103) for p in (101, 103, 397, 419, 1031)),
     _case("compute --prime 1019 --what dp,cp,qp,hneg,det-aplus,det-aminus --json", quick=True),
@@ -79,6 +83,8 @@ ARGVS: tuple[Case, ...] = (
     _case("verify --prime 15", quick=True),
     _case("verify --suite all"),
     _case("compute --prime 7 --what unit"),
+    _case("compute --prime 419 --what charpoly-aplus,hreal"),
+    _case("compute --prime 103 --what dp,unit"),
     _case("compute --prime 4099 --what det-aplus"),
 )
 

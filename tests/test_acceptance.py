@@ -78,7 +78,8 @@ def test_criterion_04_four_parameter_closed_forms():
             ok = ok and r.passed and r.witness["base_dets_match"]
             ok = ok and check(CheckId.COR_AFTER_T12, p).passed
     # base determinant relations alone continue to hold up to 199
-    from legdet.verify import _aplus_pd
+    from legdet.charmat import at
+    from legdet.verify import _aplus_samples, _rng, _sample_tuples
 
     for p in primes_in_range(103, 199):
         if p % 4 != 3:
@@ -87,7 +88,8 @@ def test_criterion_04_four_parameter_closed_forms():
         sign = -1 if (inv.h_neg - 1) // 2 % 2 else 1
         d = sign * p ** ((p - 3) // 4)
         e = (d // p) * (inv.n + 2 * (inv.d_p - inv.c_p**2))
-        pd, samples = _aplus_pd(p, 0)
+        pd = at(p).aplus_expansion
+        samples = _aplus_samples(p, _sample_tuples(_rng(0, "T12_II", p)))
         ok = ok and len(samples) == 20
         ok = ok and all(pd.alpha * d == pd.scaled(*pt) for pt, d in samples)
         ok = ok and (pd.alpha, pd.alpha1, pd.alpha2, pd.alpha3, pd.alpha4) == (

@@ -100,6 +100,17 @@ def test_compute_validates_every_field_before_computing(capsys, monkeypatch, fre
     assert calls == []
 
 
+def test_compute_refuses_the_real_quadratic_fields_before_computing(capsys, monkeypatch, fresh_caches):
+    # 419 ≡ 3 (mod 4): hreal is refused before the charpoly or any invariant
+    # is computed, with realquad's message
+    monkeypatch.setattr(charmat, "charpoly", lambda *a: pytest.fail("computed a charpoly"))
+    monkeypatch.setattr(charmat, "prime_invariants", lambda p: pytest.fail("computed the invariants"))
+    for what in ("charpoly-aplus,hreal", "dp,unit"):
+        code, out, err = run(capsys, "compute", "--prime", "419", "--what", what)
+        assert code == 2 and out == ""
+        assert err == "error: a prime p ≡ 1 (mod 4) is required, got 419\n"
+
+
 def test_charpoly_takes_both_determinants_from_one_det_many_call(capsys, monkeypatch, fresh_caches):
     # legdet charpoly batches det(A+) and det(A-) and hands each to its
     # charpoly for the constant-term cross-check; a det field of a matrix

@@ -275,15 +275,15 @@ def test_symbol_array_is_the_table_read_only():
 
 
 def test_half_range_sums_examples():
-    s1, s2, sjk = half_range_sums(5)
-    assert (s1, s2, sjk) == (0, -1, -2)
-    assert half_range_sums(7)[2] == -1
-    assert half_range_sums(13)[0] == 0
+    assert half_range_sums(5) == (-1, -2)
+    assert half_range_sums(7)[1] == -1
+    # S1 is c_p, zero at p ≡ 1 (mod 4)
+    assert prime_invariants(5).c_p == prime_invariants(13).c_p == 0
 
 
 def test_sjk_rearrangement_matches_the_double_sum_below_2000():
     for p in primes_in_range(3, 2000):
-        assert half_range_sums(p)[2] == oracles.sjk_double_sum(p), p
+        assert half_range_sums(p)[1] == oracles.sjk_double_sum(p), p
 
 
 def test_half_range_sums_match_the_generator_expressions():

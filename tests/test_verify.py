@@ -255,13 +255,23 @@ def test_closed_form_checks_compute_each_determinant_once(monkeypatch, fresh_cac
     # 5 base determinants and 20 samples, each compared with both layers
     assert dets(CheckId.T12_I, 101) == 25
     assert dets(CheckId.T12_II, 103) == 25
-    # T12_II's expansion is reused: COR adds only its own 40 determinants
+    # the record's expansion is reused: COR adds only its own 40 determinants
     assert dets(CheckId.COR_AFTER_T12, 103) == 40
     assert dets(CheckId.EQ_38II_QP, 103) == 0
     assert dets(CheckId.SUN_C31_I, 101) == 25
     assert dets(CheckId.SUN_C31_II, 101) == 25
     assert dets(CheckId.SUN_C31_I, 103) == 25
     assert dets(CheckId.SUN_C31_II, 103) == 25
+
+
+@pytest.mark.parametrize("cid", [CheckId.EQ_DP_U1AU0, CheckId.EQ_38II_QP])
+def test_base_expansion_checks_compute_only_the_base_determinants(monkeypatch, fresh_caches, cid):
+    # run alone, each takes det(A+) and the expansion's four other base
+    # determinants from p's record, and no sample
+    calls = []
+    _patch_det(monkeypatch, lambda m, d: calls.append(len(m)) or d)
+    assert check(cid, 103).passed
+    assert calls == [51] * 5
 
 
 def _first_sample_off_by_one(monkeypatch, cid, p, seed=0):
@@ -397,13 +407,15 @@ def test_t11_wrong_trace_fails(monkeypatch, fresh_caches):
     assert v._t11_certificate(13) and check(CheckId.T11_CHARPOLY_1MOD4, 13).passed
 
 
-def test_expansion_readers_check_the_shared_samples(monkeypatch, fresh_caches):
-    # EQ_38II_QP reads T12_II's expansion, so it also holds the expansion
-    # to the stored sample determinants
+def test_t12_ii_alone_holds_the_expansion_to_its_samples(monkeypatch, fresh_caches):
+    # EQ_38II_QP reads the record's expansion and no sample: a wrong sample
+    # determinant of T12_II's fails T12_II only
     point = _first_sample_off_by_one(monkeypatch, CheckId.T12_II, 103)
-    res = check(CheckId.EQ_38II_QP, 103, seed=0)
+    res = check(CheckId.T12_II, 103, seed=0)
     assert res.passed is False
     assert res.witness["counterexample"]["point"] == list(point)
+    res = check(CheckId.EQ_38II_QP, 103, seed=0)
+    assert res.passed and "counterexample" not in res.witness
 
 
 def test_wrong_c_p_fails_both_layers_of_t12_ii(monkeypatch, fresh_caches, capsys):
@@ -451,9 +463,10 @@ def test_non_integral_expansion_is_a_sample_mismatch(monkeypatch, fresh_caches, 
     # expansion at (0, 1, 1, 0) is -1/2, which no determinant equals
     pd = ParamDet(2, 1, 1, 1, 0)
     assert pd.scaled(0, 1, 1, 0) == -1
-    ok, wit = v._two_layer({}, pd, [((0, 1, 1, 0), 0)], None, sampled=False)
+    ok, wit = v._two_layer({}, pd, [((0, 1, 1, 0), 0)], None)
     assert not ok and wit["counterexample"]["expansion"] == "-1/2"
-    monkeypatch.setattr(v, "_aplus_pd", lambda p, seed: (pd, (((0, 1, 1, 0), 0),)))
+    monkeypatch.setattr(charmat.PrimeRecord, "aplus_expansion", pd)
+    monkeypatch.setattr(v, "_aplus_samples", lambda p, points: [((0, 1, 1, 0), 0)])
     assert main(["verify", "--prime", "103", "--suite", "T12_II", "--json"]) == 1
     [res] = json.loads(capsys.readouterr().out)["results"]
     assert res["passed"] is False
@@ -527,11 +540,14 @@ def test_verify_builds_the_symbol_table_once(fresh_caches, capsys):
     assert info.misses == 1 and info.hits > 0
 
 
-def test_verify_sums_the_half_range_sums_once_per_prime(fresh_caches, capsys):
-    # EQ_DCOUNT reads S2 from the half_range_sums that L41_SUMS reads
+def test_verify_sums_the_half_range_sums_once_per_prime(monkeypatch, fresh_caches, capsys):
+    # EQ_DCOUNT reads S2 from the record's half_range_sums that L41_SUMS
+    # reads, and both read S1 as the record's c_p
+    calls = []
+    real = ntheory.half_range_sums
+    monkeypatch.setattr(charmat, "half_range_sums", lambda p: calls.append(p) or real(p))
     assert main(["verify", "--prime", "103", "--suite", "L41_SUMS,EQ_DCOUNT"]) == 0
-    info = ntheory.half_range_sums.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert calls == [103]
 
 
 def test_l25_checks_share_one_ap_determinant(monkeypatch, fresh_caches):
@@ -714,7 +730,7 @@ def test_per_prime_caches_hold_one_prime(fresh_caches):
         if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
         and obj is not v._seeded_suite  # per seed, not per prime
     }
-    assert set(caches) == {"legdet.verify._aplus_pd", "legdet.verify._sun_pd", "legdet.charmat.at"}
+    assert set(caches) == {"legdet.charmat.at"}
     assert all(c.maxsize == 1 and c.currsize <= 1 for c in caches.values())
     # one record per prime, and only the last one kept
     assert caches["legdet.charmat.at"].misses == 2 and caches["legdet.charmat.at"].currsize == 1
@@ -750,7 +766,9 @@ def test_every_catalog_sample_equals_the_undivided_path_to_199(monkeypatch, fres
         return both
 
     monkeypatch.setattr(v, "shifted_dets", undivided_too(v.shifted_dets))
-    monkeypatch.setattr(v, "param_det_expand", undivided_too(v.param_det_expand))
+    # the record's expansion of A+ and the Sun checks' expansions alike
+    for mod in (v, charmat):
+        monkeypatch.setattr(mod, "param_det_expand", undivided_too(mod.param_det_expand))
     for p in primes_in_range(3, 199):
         for cid in _EXPANSION_IDS:
             if applicable(cid, p):
@@ -765,10 +783,11 @@ def test_catalog_names_p_for_aplus_and_2_for_sun_plus_only(monkeypatch, fresh_ca
     real = legdet.exactla._known_divisor
     monkeypatch.setattr(legdet.exactla, "_known_divisor", lambda a, q, updates=0, rank=None: calls.append((len(a), q, updates)) or real(a, q, updates, rank))
     for cid, p, want in (
-        (CheckId.T12_I, 101, [(50, 101, 0), (50, 101, 2)]),  # det(A+), then the samples
+        # det(A+), the expansion's other base determinants, then the samples
+        (CheckId.T12_I, 101, [(50, 101, 0), (50, 101, 2), (50, 101, 2)]),
         (CheckId.SUN_C31_I, 101, [(51, 2, 2)]),
         (CheckId.SUN_C31_II, 101, [(51, None, 2)]),
-        (CheckId.COR_AFTER_T12, 103, [(51, 103, 0), (51, 103, 2), (51, 103, 2)]),  # and its restricted points
+        (CheckId.COR_AFTER_T12, 103, [(51, 103, 0), (51, 103, 2), (51, 103, 2)]),  # its restricted points
     ):
         calls.clear()
         assert check(cid, p).passed
@@ -800,8 +819,7 @@ def test_matrix_ids_are_the_checks_that_build_matrices(monkeypatch, fresh_caches
         if cid in RANDOM_IDS:
             continue
         p = next(q for q in (13, 11, 7) if applicable(cid, q))
-        for cache in (charmat.at, v._aplus_pd, v._sun_pd):
-            cache.cache_clear()
+        charmat.at.cache_clear()
         built.clear()
         assert check(cid, p).passed
         assert bool(built) == (cid in v.MATRIX_IDS), cid
